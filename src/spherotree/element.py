@@ -181,11 +181,20 @@ def equals(g: Spheromorphism, h: Spheromorphism) -> bool:
 
 
 def power(g: Spheromorphism, k: int) -> Spheromorphism:
+    """g composed with itself k times (the inverse's -k times for k < 0).
+
+    Repeated squaring: about 2 log2(k) compositions instead of k.
+    """
     if k < 0:
         return power(invert(g), -k)
     acc = identity(g.arity)
-    for _ in range(k):
-        acc = compose(g, acc)
+    square = g
+    while k:
+        if k & 1:
+            acc = compose(square, acc)
+        k >>= 1
+        if k:
+            square = compose(square, square)
     return acc
 
 

@@ -4,10 +4,15 @@ A class table fixes a residue sector and a finite list of tracked orbit
 classes (thorn codes); every other class of that residue is lumped into a
 single background class ``P``.  For a table element g, only finitely many
 clopen sets change class: their reduced thorns must touch the minimal
-matched thorn pair of g.  ``moved_sets`` lists them exactly, ``theta``
-tabulates the counts, and ``theta_bruteforce`` recomputes the same counts by
-sweeping every tracked-class set of bounded carrier depth, as an
-independent (much slower) oracle.
+matched thorn pair of g.  One enumeration finds them: it classifies the
+ball tuples of each candidate set and its image directly (``classify_balls``)
+and builds no clopen set.  ``theta`` tabulates the resulting class pairs,
+and ``moved_sets`` lists the same sets with ``omega``/``image`` built as
+clopen normal forms; only ``moved_sets`` builds them.  ``theta_bruteforce``
+recomputes the counts by sweeping every tracked-class set of bounded carrier
+depth and classifying through validated thorns (``subthorn_from_balls``,
+``reduce_subthorn``, ``canonical_code``), as an independent, much slower
+oracle.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from typing import Iterator
 
 from .bithorn import minimal_bithorn
 from .element import Spheromorphism, act_on_ball, invert
@@ -22,13 +28,13 @@ from .errors import DomainError, InternalError, ValidationError
 from .thorn import (
     ThornCode,
     canonical_code,
-    clopen_of_subthorn,
+    classify_balls,
     enumerate_embeddings,
     reduce_subthorn,
     require_class_code,
     subthorn_from_balls,
 )
-from .tree import Ball, ClopenSet, balls_disjoint, check_arity, down, up
+from .tree import Address, Ball, ClopenSet, balls_disjoint, check_arity, down, tree_path, up
 
 LUMP_LABEL = "P"
 
@@ -124,56 +130,92 @@ class TransitionCounts:
         return TransitionCounts(self.table, flipped)
 
 
-@lru_cache(maxsize=1024)
-def moved_sets(g: Spheromorphism, table: ClassTable) -> tuple[MovedSet, ...]:
-    """Every clopen set involving a tracked class whose class changes under g.
+def _moved(g: Spheromorphism, table: ClassTable) -> Iterator[
+    tuple[tuple[Ball, ...], ThornCode, tuple[Ball, ...], ThornCode]
+]:
+    """Each clopen set involving a tracked class whose class changes under g.
 
+    Yields (set balls, class before, image balls, class after) once per set.
     Covers both directions: tracked sets leaving their class, and lumped
     sets entering a tracked class.  A set whose class changes must have its
     reduced thorn touch the minimal matched pair of the element (sets whose
     thorns avoid it sit inside one matched ball and keep their class), so
-    enumerating embeddings around the pair is exhaustive.
-
-    Classification goes through ball images directly; the clopen normal
-    forms are only built for the sets that actually change class.  Both
-    arguments are immutable, so results are cached.
+    enumerating embeddings around the pair is exhaustive.  Ball images are
+    classified directly by ``classify_balls``, and sets are told apart by
+    the spike set of their reduced thorn.
     """
     if g.arity != table.arity:
         raise DomainError(f"arity mismatch: {g.arity} vs {table.arity}")
     pair = minimal_bithorn(g)
     if pair.is_empty:
-        return ()
+        return
     arity = g.arity
     inverse = invert(g)
-    tracked = set(table.tracked)
-    records: dict[tuple, MovedSet] = {}
+    codes = {code.text: code for code in table.tracked}
+    tracked_texts = set(codes)
+    seen: set[frozenset] = set()
+
+    def code_of(text: str) -> ThornCode:
+        code = codes.get(text)
+        if code is None:
+            code = codes[text] = ThornCode(arity, text)
+        return code
+
     for pattern in table.tracked:
         radius = pattern.diameter + 1
         for thorn in enumerate_embeddings(pattern, pair.dom, radius):
             balls = thorn.balls()
-            image_balls = tuple(
-                sorted(chain.from_iterable(act_on_ball(g, b) for b in balls))
-            )
-            if image_balls == balls:
+            image = _ball_image(g, balls)
+            if image == balls:
                 continue  # the set itself is fixed
-            after = _classify_balls(image_balls, arity)
-            if after != pattern:
-                omega = clopen_of_subthorn(thorn)
-                image = ClopenSet.from_balls(arity, image_balls)
-                records[omega.leaf_flags()] = MovedSet(omega, pattern, image, after)
+            _, text = classify_balls(image, arity)
+            if text != pattern.text and thorn.spikes not in seen:
+                seen.add(thorn.spikes)
+                yield balls, pattern, image, code_of(text)
         for thorn in enumerate_embeddings(pattern, pair.ran, radius):
             balls = thorn.balls()
-            source_balls = tuple(
-                sorted(chain.from_iterable(act_on_ball(inverse, b) for b in balls))
-            )
-            if source_balls == balls:
+            source = _ball_image(inverse, balls)
+            if source == balls:
                 continue
-            before = _classify_balls(source_balls, arity)
-            if before not in tracked:
-                omega = ClopenSet.from_balls(arity, source_balls)
-                image = clopen_of_subthorn(thorn)
-                records[omega.leaf_flags()] = MovedSet(omega, before, image, pattern)
-    return tuple(records[key] for key in sorted(records))
+            key, text = classify_balls(source, arity)
+            if text not in tracked_texts and key not in seen:
+                seen.add(key)
+                yield source, code_of(text), balls, pattern
+
+
+def _ball_image(g: Spheromorphism, balls: tuple[Ball, ...]) -> tuple[Ball, ...]:
+    return tuple(sorted(chain.from_iterable(act_on_ball(g, b) for b in balls)))
+
+
+@lru_cache(maxsize=1024)
+def class_pairs(
+    g: Spheromorphism, table: ClassTable
+) -> tuple[tuple[ThornCode, ThornCode], ...]:
+    """(before, after) classes of every set g moves, in enumeration order.
+
+    This is all that ``theta`` and ``phi_tensor`` need.  Both arguments are
+    immutable, so results are cached.
+    """
+    return tuple((before, after) for _, before, _, after in _moved(g, table))
+
+
+def moved_sets(g: Spheromorphism, table: ClassTable) -> tuple[MovedSet, ...]:
+    """Every clopen set involving a tracked class whose class changes under g.
+
+    The same listing ``theta`` counts, with each set and its image built as
+    clopen normal forms, ordered by the set's carrier flags.  ``theta``
+    itself classifies ball tuples directly and builds no clopen set.
+    """
+    records = [
+        MovedSet(
+            ClopenSet.from_balls(g.arity, omega),
+            before,
+            ClopenSet.from_balls(g.arity, image),
+            after,
+        )
+        for omega, before, image, after in _moved(g, table)
+    ]
+    return tuple(sorted(records, key=lambda rec: rec.omega.leaf_flags()))
 
 
 def _tabulate(table: ClassTable, transitions) -> TransitionCounts:
@@ -195,8 +237,8 @@ def theta(g: Spheromorphism, table: ClassTable) -> TransitionCounts:
     return _tabulate(
         table,
         (
-            (table.index_of(rec.before), table.index_of(rec.after))
-            for rec in moved_sets(g, table)
+            (table.index_of(before), table.index_of(after))
+            for before, after in class_pairs(g, table)
         ),
     )
 
@@ -217,17 +259,21 @@ def _all_balls(arity: int, depth: int) -> tuple[Ball, ...]:
 
 @lru_cache(maxsize=32)
 def _classified_unions(
-    arity: int, depth: int, count: int
+    arity: int, depth: int, count: int, max_vertices: int
 ) -> tuple[tuple[tuple[Ball, ...], ThornCode], ...]:
-    """All unions of ``count`` disjoint balls of cut depth <= depth, classified.
+    """Unions of ``count`` disjoint balls of cut depth <= depth, classified.
 
     Each entry is (maximal balls of the set, class code); distinct entries
-    are distinct sets.  Unions covering the whole boundary are dropped.
+    are distinct sets.  Unions covering the whole boundary are dropped, and
+    so are unions whose balls hang off more than ``max_vertices`` vertices
+    (the span of their anchors): reduction never adds vertices, and a set of
+    ``count`` maximal balls is its own reduced thorn, so every set with
+    ``count`` spikes and at most ``max_vertices`` vertices is still listed.
     """
     balls = _all_balls(arity, depth)
     results: dict[tuple[Ball, ...], ThornCode] = {}
 
-    def extend(start: int, chosen: list[Ball]) -> None:
+    def extend(start: int, chosen: list[Ball], span: frozenset[Address]) -> None:
         if len(chosen) == count:
             if count == 2 and chosen[0].cut == chosen[1].cut:
                 return  # the two halves of one mid-edge cover everything
@@ -240,13 +286,25 @@ def _classified_unions(
             return
         for i in range(start, len(balls)):
             candidate = balls[i]
-            if all(balls_disjoint(candidate, b) for b in chosen):
+            if not all(balls_disjoint(candidate, b) for b in chosen):
+                continue
+            anchor = _anchor(candidate)
+            if chosen:
+                wider = span.union(tree_path(_anchor(chosen[0]), anchor))
+            else:
+                wider = frozenset({anchor})
+            if len(wider) <= max_vertices:
                 chosen.append(candidate)
-                extend(i + 1, chosen)
+                extend(i + 1, chosen, wider)
                 chosen.pop()
 
-    extend(0, [])
+    extend(0, [], frozenset())
     return tuple(sorted(results.items(), key=lambda item: item[0]))
+
+
+def _anchor(ball: Ball) -> Address:
+    """The vertex a ball's spike hangs off: the near end of its cut edge."""
+    return ball.cut if ball.up else ball.cut[:-1]
 
 
 def _classify_balls(balls: tuple[Ball, ...], arity: int) -> ThornCode:
@@ -271,8 +329,9 @@ def theta_bruteforce(g: Spheromorphism, table: ClassTable, depth: int) -> Transi
         )
     tracked = {code: i + 1 for i, code in enumerate(table.tracked)}
     pool: dict[tuple[Ball, ...], ThornCode] = {}
+    max_vertices = max(code.vertex_count for code in table.tracked)
     for count in sorted({code.spike_count for code in table.tracked}):
-        for key, code in _classified_unions(g.arity, depth, count):
+        for key, code in _classified_unions(g.arity, depth, count, max_vertices):
             if code in tracked:
                 pool[key] = code
     inverse = invert(g)

@@ -21,14 +21,16 @@ Jacobi eigensolver.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from .bithorn import is_automorphism
 from .element import Spheromorphism, compose, equals, invert
 from .errors import DomainError, InternalError, ValidationError
-from .orbitstats import ClassTable, moved_sets, theta
+from .orbitstats import ClassTable, class_pairs, theta
 from .thorn import ThornCode, enumerate_class_codes, require_class_code
 from .tree import check_arity
 
@@ -273,17 +275,23 @@ def phi_tensor(g: Spheromorphism, tspec: TensorSpec) -> TensorValue:
     <e, e> = 1 under the model and are not searched.  ``cap_lumped`` reports
     whether any factor involved a class beyond the cap, i.e. whether the
     limit vector shaped the value instead of a per-class choice.
+
+    Equal unordered class pairs share one factor, raised to their pooled
+    count, and factors are multiplied in the order of the class texts, so
+    the value depends on the counts alone, bit for bit: not on the order in
+    which moved sets are found, and not on inversion.
     """
     if g.arity != tspec.arity:
         raise DomainError("element and tensor spec arity differ")
     table = tspec.tracking_table
     tracked = set(table.tracked)
+    pooled = Counter(
+        tuple(sorted(pair, key=attrgetter("text"))) for pair in class_pairs(g, table)
+    )
+    lumped = any(code not in tracked for pair in pooled for code in pair)
     value = 1.0
-    lumped = False
-    for record in moved_sets(g, table):
-        if record.before not in tracked or record.after not in tracked:
-            lumped = True
-        value *= _dot(tspec.vector_for(record.after), tspec.vector_for(record.before))
+    for p, q in sorted(pooled, key=lambda pair: (pair[0].text, pair[1].text)):
+        value *= _dot(tspec.vector_for(p), tspec.vector_for(q)) ** pooled[p, q]
     return TensorValue(value, lumped)
 
 

@@ -518,9 +518,16 @@ def canonical_code(t: AbstractThorn | SubThorn) -> ThornCode:
 def _code_of_abstract(t: AbstractThorn) -> ThornCode:
     if t.vertex_count == 0:
         return ThornCode(t.arity, EMPTY_CODE_TEXT)
-    centers = _skeleton_centers(t.adjacency)
-    text = min(_rooted_text(t, c) for c in centers)
-    return ThornCode(t.arity, text)
+    return ThornCode(t.arity, _center_rooted_text(t.adjacency, t.spike_counts))
+
+
+def _center_rooted_text(
+    adjacency: Sequence[Iterable[int]], spike_counts: Sequence[int]
+) -> str:
+    """Least rooted text over the skeleton centers: the canonical code text."""
+    return min(
+        _rooted_text(adjacency, spike_counts, c) for c in _skeleton_centers(adjacency)
+    )
 
 
 def _skeleton_centers(adjacency: Sequence[frozenset[int]]) -> list[int]:
@@ -544,12 +551,12 @@ def _skeleton_centers(adjacency: Sequence[frozenset[int]]) -> list[int]:
     return sorted(alive)
 
 
-def _rooted_text(t: AbstractThorn, root: int) -> str:
+def _rooted_text(
+    adjacency: Sequence[Iterable[int]], spike_counts: Sequence[int], root: int
+) -> str:
     def encode(v: int, parent: int | None) -> str:
-        kids = sorted(
-            (encode(w, v) for w in t.adjacency[v] if w != parent),
-        )
-        return f"({t.spike_counts[v]}:" + "".join(kids) + ")"
+        kids = sorted(encode(w, v) for w in adjacency[v] if w != parent)
+        return f"({spike_counts[v]}:" + "".join(kids) + ")"
 
     return encode(root, None)
 
@@ -611,6 +618,65 @@ def classify_clopen(omega: ClopenSet) -> ThornCode:
     return canonical_code(maximal_ball_thorn(omega))
 
 
+def classify_balls(balls: Iterable[Ball], arity: int) -> tuple[frozenset[Spike], str]:
+    """Spike set and code text of the reduced thorn of a union of balls.
+
+    The trusted counterpart of ``canonical_code(reduce_subthorn(
+    subthorn_from_balls(balls, arity)))`` for internal callers, on bare
+    vertex and spike sets: no thorn, abstract thorn or clopen object is
+    built and nothing is validated.  The balls must be pairwise disjoint
+    and must not be the two halves of one mid-edge.  The spike set lists the
+    maximal balls of the union, so it identifies the set; a partition of the
+    whole boundary gives no spikes and the empty code text.
+    """
+    spikes_at: dict[Address, set[int]] = {}
+    for b in balls:
+        if b.up:
+            spikes_at.setdefault(b.cut, set()).add(UP)
+        else:
+            spikes_at.setdefault(b.cut[:-1], set()).add(b.cut[-1])
+    anchors = iter(tuple(spikes_at))
+    base = next(anchors)
+    for a in anchors:
+        for v in tree_path(base, a):
+            spikes_at.setdefault(v, set())
+    # a vertex whose n spikes leave one direction free stands for the single
+    # ball across that direction; in a thorn of two or more vertices the free
+    # direction is its one internal edge, so the vertex is cut away
+    pending = [v for v, dirs in spikes_at.items() if len(dirs) == arity]
+    while pending and len(spikes_at) > 1:
+        v = pending.pop()
+        w = spike_neighbor((v, _free_direction(v, spikes_at.pop(v), arity)))
+        dirs = spikes_at[w]
+        dirs.add(spike_toward(w, v)[1])
+        if len(dirs) == arity:
+            pending.append(w)
+    if len(spikes_at) == 1:
+        ((v, dirs),) = spikes_at.items()
+        if len(dirs) == arity + 1:
+            return frozenset(), EMPTY_CODE_TEXT
+        if len(dirs) == arity:
+            w = spike_neighbor((v, _free_direction(v, dirs, arity)))
+            spikes_at = {w: {spike_toward(w, v)[1]}}
+    spikes = frozenset((v, d) for v, dirs in spikes_at.items() for d in dirs)
+    if len(spikes_at) == 1:
+        return spikes, f"({len(spikes)}:)"
+    index = {v: i for i, v in enumerate(spikes_at)}
+    adjacency = [
+        [index[w] for w in neighbors(v, arity) if w in index] for v in spikes_at
+    ]
+    counts = [len(dirs) for dirs in spikes_at.values()]
+    return spikes, _center_rooted_text(adjacency, counts)
+
+
+def _free_direction(v: Address, used: set[int], arity: int) -> int:
+    """The one direction at v not in ``used``, which holds all the others."""
+    for d in range(arity) if v else range(arity + 1):
+        if d not in used:
+            return d
+    return UP
+
+
 def class_code_defect(code: ThornCode) -> str | None:
     """Why a code cannot arise from ``classify_clopen``; None if it can.
 
@@ -650,7 +716,7 @@ def require_class_code(code: ThornCode) -> ThornCode:
     return code
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def enumerate_class_codes(arity: int, iota: int, max_vertices: int) -> tuple[ThornCode, ...]:
     """All orbit-class codes of the residue sector with at most V vertices.
 

@@ -102,11 +102,6 @@ def common_prefix(a: Address, b: Address) -> Address:
     return a[:k]
 
 
-def tree_distance(a: Address, b: Address) -> int:
-    k = len(common_prefix(a, b))
-    return (len(a) - k) + (len(b) - k)
-
-
 def tree_path(a: Address, b: Address) -> tuple[Address, ...]:
     """All vertices on the geodesic from a to b, inclusive."""
     meet = common_prefix(a, b)

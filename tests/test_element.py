@@ -206,6 +206,27 @@ def test_power_and_conjugate():
     assert equals(c, compose(h, compose(g, invert(h))))
 
 
+def _power_by_loop(g, k):
+    """Reference: k sequential compositions (of the inverse for k < 0)."""
+    if k < 0:
+        g, k = invert(g), -k
+    acc = identity(g.arity)
+    for _ in range(k):
+        acc = compose(g, acc)
+    return acc
+
+
+def test_power_matches_sequential_composition():
+    rotation, a, b = thompson_generators()
+    for g in (a, b, rotation):
+        expected = identity(2)
+        for k in range(61):
+            assert power(g, k).pieces == expected.pieces
+            expected = compose(g, expected)
+        for k in (-1, -2, -7, -16):
+            assert power(g, k).pieces == _power_by_loop(g, k).pieces
+
+
 def test_disjoint_support_elements_commute():
     # one element rearranges only below 0, the other only below 1
     g = from_pieces(

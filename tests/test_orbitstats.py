@@ -1,9 +1,11 @@
 """Tests for moved-set listings and transition-count matrices."""
 
+import hashlib
 import random
 
 import pytest
 
+from spherotree.bithorn import coset_code, is_automorphism
 from spherotree.element import (
     compose,
     finitary_automorphism,
@@ -17,11 +19,14 @@ from spherotree.errors import DomainError, ValidationError
 from spherotree.orbitstats import (
     ClassTable,
     TransitionCounts,
+    _classified_unions,
+    class_pairs,
     moved_sets,
     theta,
     theta_bruteforce,
 )
-from spherotree.thorn import ThornCode, classify_clopen
+from spherotree.spherical import SphericalSpec, phi_nessonov
+from spherotree.thorn import ThornCode, classify_clopen, enumerate_class_codes
 from spherotree.tree import ClopenSet, down, parse_address, up, upsilon
 
 BALL = ThornCode(2, "(1:)")
@@ -183,6 +188,25 @@ def test_moved_sets_deterministic_and_sound():
             assert upsilon(rec.omega) == upsilon(rec.image)
         omegas = [rec.omega for rec in records]
         assert len(set(omegas)) == len(omegas)
+        flags = [omega.leaf_flags() for omega in omegas]
+        assert flags == sorted(flags)
+
+
+# sha256 over the records of the 40 elements above, recorded from the listing
+# that built every moved set as a clopen set before classifying it
+MOVED_SETS_DIGEST = "cd0a9957b3ba99c3d0f8ceebbe8e4df07de3e569acf1a5887c8ff4f397ec5b58"
+
+
+def test_moved_sets_records_and_order_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for seed in range(40):
+        for rec in moved_sets(random_element(2, 9, 9800 + seed), COMBINED_TABLE):
+            count += 1
+            fields = (rec.omega.leaf_flags(), rec.before.text, rec.image.leaf_flags(), rec.after.text)
+            digest.update(repr(fields).encode())
+    assert count == 1486
+    assert digest.hexdigest() == MOVED_SETS_DIGEST
 
 
 def test_longer_pattern_table():
@@ -199,3 +223,83 @@ def test_composite_moves_more():
     total = sum(v for row in counts.matrix for v in row if v is not None)
     assert total > 0
     assert theta(invert(gg), BALL_TABLE) == counts.transpose()
+
+
+# ---------------------------------------------------------------------------
+# differential tests beyond arity 2 and two-vertex classes
+# ---------------------------------------------------------------------------
+
+
+def _distinct_cosets(arity, budget, max_depth, count, tag):
+    """Non-automorphisms of bounded depth from pairwise distinct double cosets."""
+    found, tokens = [], set()
+    seed = 0
+    while len(found) < count:
+        g = random_element(arity, budget, f"{tag}:{seed}")
+        seed += 1
+        if g.depth() > max_depth or is_automorphism(g):
+            continue
+        token = coset_code(g).token
+        if token not in tokens:
+            tokens.add(token)
+            found.append(g)
+    return found
+
+
+def _check_against_bruteforce(table, elements):
+    max_diameter = max(code.diameter for code in table.tracked)
+    moved = 0
+    for g in elements:
+        exact = theta(g, table)
+        assert theta_bruteforce(g, table, g.depth() + max_diameter + 1) == exact
+        moved += sum(v for row in exact.matrix for v in row if v is not None)
+    assert moved > 0
+
+
+def test_theta_matches_bruteforce_at_arity_three():
+    table = ClassTable(3, 1, enumerate_class_codes(3, 1, 2))
+    assert [code.text for code in table.tracked] == ["(1:)", "(1:(2:))"]
+    _check_against_bruteforce(table, _distinct_cosets(3, 8, 2, 3, "arity3"))
+
+
+def test_theta_matches_bruteforce_with_three_vertex_classes():
+    table = ClassTable(2, 0, enumerate_class_codes(2, 0, 3))
+    assert max(code.vertex_count for code in table.tracked) == 3
+    elements = _distinct_cosets(2, 7, 3, 4, "three-vertex")
+    _check_against_bruteforce(table, elements)
+    # the 3-vertex classes really change places with others
+    big = [i + 1 for i, code in enumerate(table.tracked) if code.vertex_count == 3]
+    assert any(
+        theta(g, table).matrix[i][j] for g in elements for i in big for j in range(5) if i != j
+    )
+
+
+def test_bruteforce_span_bound_keeps_every_tracked_set():
+    """Skipping unions whose anchors span many vertices loses no tracked set."""
+    codes = set(enumerate_class_codes(2, 0, 3))
+
+    def pool(max_vertices):
+        found = {}
+        for count in sorted({code.spike_count for code in codes}):
+            for key, code in _classified_unions(2, 4, count, max_vertices):
+                if code in codes:
+                    found[key] = code
+        return found
+
+    assert pool(3) == pool(10**9)
+
+
+def test_theta_and_phi_build_no_clopen_sets(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("theta built a clopen set")
+
+    elements = _small_elements(6, 3, 9300)
+    spec = SphericalSpec(COMBINED_TABLE, ((1.0, 0.5, 0.25), (0.5, 1.0, 0.125), (0.25, 0.125, 1.0)))
+    class_pairs.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(ClopenSet, "from_balls", staticmethod(refuse))
+        counts = [theta(g, COMBINED_TABLE) for g in elements]
+        values = [phi_nessonov(invert(g), spec) for g in elements]
+    for g, exact, value in zip(elements, counts, values):
+        assert exact == theta_bruteforce(g, COMBINED_TABLE, g.depth() + 2)
+        assert value == phi_nessonov(g, spec)

@@ -274,6 +274,15 @@ def test_tensor_matches_matrix_spec():
         assert abs(tensor - matrixwise) <= 1e-12 * max(1.0, abs(matrixwise))
 
 
+def test_phi_tensor_is_exactly_inversion_symmetric():
+    rng = random.Random("tensor-inverse")
+    pool = enumerate_class_codes(2, 0, 3)
+    tspec = TensorSpec(2, 0, 3, tuple((code, _unit(rng, 3)) for code in pool[:-1]), _unit(rng, 3))
+    for seed in range(12):
+        g = random_element(2, 9, seed=f"tensor-inverse:{seed}")
+        assert phi_tensor(g, tspec) == phi_tensor(invert(g), tspec)
+
+
 def test_gram_spec_is_psd():
     rng = random.Random("tensor-psd")
     tspec = TensorSpec(

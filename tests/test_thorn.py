@@ -11,6 +11,7 @@ from spherotree.thorn import (
     abstract_from_code,
     ball_of_spike,
     canonical_code,
+    classify_balls,
     classify_clopen,
     clopen_of_subthorn,
     empty_subthorn,
@@ -23,12 +24,15 @@ from spherotree.thorn import (
 from spherotree.tree import (
     FULL_BOUNDARY,
     ROOT,
+    Ball,
     ClopenSet,
     all_words,
     ball_relation,
+    balls_disjoint,
     depth_members,
     down,
     parse_address,
+    split_ball,
     up,
     upsilon,
 )
@@ -409,6 +413,72 @@ def test_classify_presentation_independent():
         rebuilt = ClopenSet.from_balls(arity, maximal_balls(omega))
         assert rebuilt == omega
         assert classify_clopen(rebuilt) == classify_clopen(omega)
+
+
+def _random_cut(rng, arity, max_depth):
+    depth = rng.randint(1, max_depth)
+    return (rng.randrange(arity + 1),) + tuple(rng.randrange(arity) for _ in range(depth - 1))
+
+
+def _random_disjoint_balls(rng, arity, max_depth, max_count):
+    """Pairwise disjoint balls, never just the two halves of one edge.
+
+    Some balls are split into their n sub-balls afterwards, so that sibling
+    families which must merge back occur often.
+    """
+    target = rng.randint(1, max_count)
+    chosen = []
+    for _ in range(20 * target):
+        ball = Ball(rng.random() < 0.25, _random_cut(rng, arity, max_depth))
+        if all(balls_disjoint(ball, b) for b in chosen) and not (
+            len(chosen) == 1 and chosen[0].cut == ball.cut
+        ):
+            chosen.append(ball)
+            if len(chosen) == target:
+                break
+    for _ in range(rng.randint(0, 3)):
+        chosen.extend(split_ball(chosen.pop(rng.randrange(len(chosen))), arity))
+    return chosen
+
+
+def _star_balls(vertex, directions):
+    return [ball_of_spike((vertex, d)) for d in directions]
+
+
+def _check_classify_balls(balls, arity):
+    spikes, text = classify_balls(tuple(sorted(balls)), arity)
+    reduced = reduce_subthorn(subthorn_from_balls(balls, arity))
+    assert spikes == reduced.spikes
+    assert text == canonical_code(reduced).text
+    try:
+        omega = ClopenSet.from_balls(arity, balls)
+    except DomainError:  # the balls partition the whole boundary
+        assert (spikes, text) == (frozenset(), "E")
+        return
+    assert text == classify_clopen(omega).text
+    assert sorted(ball_of_spike(s) for s in spikes) == list(maximal_balls(omega))
+
+
+def test_classify_balls_matches_clopen_classification():
+    rng = random.Random(1207)
+    for arity in (2, 3, 4):
+        for _ in range(150):
+            _check_classify_balls(_random_disjoint_balls(rng, arity, 4, 6), arity)
+
+
+def test_classify_balls_lone_vertex_cases():
+    rng = random.Random(1208)
+    for arity in (2, 3, 4):
+        for vertex in (ROOT, _random_cut(rng, arity, 1), _random_cut(rng, arity, 3)):
+            directions = list(range(arity + 1)) if not vertex else list(range(arity)) + [UP]
+            # n + 1 spikes: a partition of the whole boundary
+            _check_classify_balls(_star_balls(vertex, directions), arity)
+            assert classify_balls(_star_balls(vertex, directions), arity) == (frozenset(), "E")
+            # n spikes: one ball, across the free direction
+            for free in directions:
+                balls = _star_balls(vertex, [d for d in directions if d != free])
+                _check_classify_balls(balls, arity)
+                assert classify_balls(balls, arity)[1] == "(1:)"
 
 
 # ---------------------------------------------------------------------------
