@@ -23,17 +23,20 @@ from itertools import permutations, product
 from typing import Iterator
 
 from .element import Spheromorphism
-from .errors import InternalError, ValidationError
+from .errors import ValidationError
 from .thorn import (
     EMPTY_CODE_TEXT,
+    AbstractThorn,
     Spike,
     SubThorn,
     ThornCode,
     abstract_from_code,
+    decode_token,
     empty_subthorn,
+    rooted_encoder,
     spike_toward,
 )
-from .tree import Address, check_arity, children, format_address, root_code
+from .tree import Address, check_arity, children, merge_families, root_code, trusted
 
 
 @dataclass(frozen=True)
@@ -86,11 +89,8 @@ class BiThorn:
 
     def flip(self) -> "BiThorn":
         """The pair of the inverse element: sides swapped, pairing reversed."""
-        return BiThorn(
-            self.arity,
-            self.ran,
-            self.dom,
-            tuple(sorted((q, s) for s, q in self.pairing)),
+        return trusted(
+            BiThorn, self.arity, self.ran, self.dom, tuple(sorted((q, s) for s, q in self.pairing))
         )
 
 
@@ -103,7 +103,7 @@ def _code_thorn(arity: int, leaves) -> SubThorn:
     leaf_list = list(leaves)
     interior = {leaf[:k] for leaf in leaf_list for k in range(len(leaf))}
     spikes = frozenset((leaf[:-1], leaf[-1]) for leaf in leaf_list)
-    return SubThorn(arity, frozenset(interior), spikes)
+    return trusted(SubThorn, arity, frozenset(interior), spikes)
 
 
 def bithorn_of(g: Spheromorphism) -> BiThorn:
@@ -115,30 +115,14 @@ def bithorn_of(g: Spheromorphism) -> BiThorn:
     result is empty exactly when the merged domain code is the root code,
     which happens exactly for elements that permute the root branches.
     """
-    table = dict(g.pieces)
-    changed = True
-    while changed:
-        changed = False
-        for u in sorted(table, key=len, reverse=True):
-            if u not in table or len(u) <= 1:
-                continue
-            stem = u[:-1]
-            family = children(stem, g.arity)
-            if not all(c in table for c in family):
-                continue
-            targets = {table[c] for c in family}
-            stems = {t[:-1] for t in targets}
-            if len(stems) != 1:
-                continue
-            (target_stem,) = stems
-            if not target_stem:
-                continue
-            if targets != set(children(target_stem, g.arity)):
-                continue
-            for c in family:
-                del table[c]
-            table[stem] = target_stem
-            changed = True
+
+    def onto_family(targets: list[Address]) -> Address | None:
+        stem = targets[0][:-1]
+        if stem and set(targets) == set(children(stem, g.arity)):
+            return stem
+        return None
+
+    table = merge_families(g.arity, dict(g.pieces), onto_family)
     if set(table) == set(root_code(g.arity)):
         return empty_bithorn(g.arity)
     dom = _code_thorn(g.arity, table.keys())
@@ -146,35 +130,29 @@ def bithorn_of(g: Spheromorphism) -> BiThorn:
     pairing = tuple(
         sorted(((u[:-1], u[-1]), (v[:-1], v[-1])) for u, v in table.items())
     )
-    return BiThorn(g.arity, dom, ran, pairing)
+    return trusted(BiThorn, g.arity, dom, ran, pairing)
 
 
 def _cut_leaf(t: SubThorn, a: Address) -> tuple[SubThorn, Spike]:
     """Remove a skeleton leaf; its former edge becomes a spike at the neighbor."""
-    nbrs = t.internal_neighbors(a)
-    if len(nbrs) != 1:
-        raise InternalError(f"{format_address(a)} is not a skeleton leaf")
-    (r,) = nbrs
+    (r,) = t.internal_neighbors(a)
     new_spike = spike_toward(r, a)
     verts = t.vertices - {a}
     spikes = frozenset(s for s in t.spikes if s[0] != a) | {new_spike}
-    return SubThorn(t.arity, verts, spikes), new_spike
+    return trusted(SubThorn, t.arity, verts, spikes), new_spike
 
 
-def _cut_similar_pair(b: BiThorn, a: Address) -> BiThorn:
-    pair = b.pair_map
-    a_spikes = b.dom.spikes_at(a)
-    far_vertices = {pair[s][0] for s in a_spikes}
-    if len(a_spikes) != b.arity or len(far_vertices) != 1:
-        raise InternalError(f"{format_address(a)} is not half of a similar pair")
-    (far,) = far_vertices
-    if set(b.ran.spikes_at(far)) != {pair[s] for s in a_spikes}:
-        raise InternalError("matched spikes do not exhaust the far vertex")
+def _cut_similar_pair(b: BiThorn, a: Address, far: Address) -> BiThorn:
+    """Cut a domain vertex whose n spikes all meet the range vertex ``far``.
+
+    Both sides are perfect, so ``far`` carries exactly those n spikes and
+    both vertices are skeleton leaves.
+    """
     new_dom, new_dom_spike = _cut_leaf(b.dom, a)
     new_ran, new_ran_spike = _cut_leaf(b.ran, far)
     pairs = [(s, q) for s, q in b.pairing if s[0] != a]
     pairs.append((new_dom_spike, new_ran_spike))
-    return BiThorn(b.arity, new_dom, new_ran, tuple(sorted(pairs)))
+    return trusted(BiThorn, b.arity, new_dom, new_ran, tuple(sorted(pairs)))
 
 
 def reduce_bithorn(b: BiThorn, rng: random.Random | None = None) -> BiThorn:
@@ -195,12 +173,13 @@ def reduce_bithorn(b: BiThorn, rng: random.Random | None = None) -> BiThorn:
             a_spikes = current.dom.spikes_at(a)
             if len(a_spikes) != current.arity:
                 continue
-            if len({pair[s][0] for s in a_spikes}) == 1:
-                candidates.append(a)
+            far = {pair[s][0] for s in a_spikes}
+            if len(far) == 1:
+                candidates.append((a, *far))
         if not candidates:
             return current
         pick = candidates[0] if rng is None else candidates[rng.randrange(len(candidates))]
-        current = _cut_similar_pair(current, pick)
+        current = _cut_similar_pair(current, *pick)
     return current
 
 
@@ -241,13 +220,7 @@ class CosetCode:
 
     @staticmethod
     def from_token(token: str) -> "CosetCode":
-        try:
-            arity_part, hex_part = token.split("c", 1)
-            arity = int(arity_part)
-            text = binascii.unhexlify(hex_part.encode("ascii")).decode("ascii")
-        except (ValueError, binascii.Error) as err:
-            raise ValidationError(f"bad coset code token {token!r}: {err}") from None
-        return CosetCode(arity, text)
+        return CosetCode(*decode_token(token, "c", "coset code"))
 
     @property
     def is_empty(self) -> bool:
@@ -294,44 +267,25 @@ def _validate_coset_text(arity: int, text: str) -> None:
         raise ValidationError("arc multiplicities disagree with the range shape")
 
 
-def _directional_texts(t: SubThorn):
-    """Canonical text of each subtree seen from a directed edge (or a root)."""
-    memo: dict[tuple[Address, Address | None], str] = {}
+def _canonical_numberings(t: SubThorn) -> tuple[str, dict[Address, int], list[tuple[int, ...]]]:
+    """The minimal rooted shape text of a side and the numberings it allows.
 
-    def text(v: Address, parent: Address | None) -> str:
-        key = (v, parent)
-        if key not in memo:
-            kids = sorted(
-                text(w, v) for w in t.internal_neighbors(v) if w != parent
-            )
-            memo[key] = f"({len(t.spikes_at(v))}:" + "".join(kids) + ")"
-        return memo[key]
-
-    return text
-
-
-def _best_rootings(t: SubThorn) -> tuple[str, list[Address]]:
-    """The minimal rooted shape text and every vertex achieving it."""
-    text = _directional_texts(t)
-    scored = [(text(v, None), v) for v in sorted(t.vertices)]
-    best = min(shape for shape, _ in scored)
-    return best, [v for shape, v in scored if shape == best]
-
-
-def _canonical_orderings(t: SubThorn, root: Address) -> Iterator[tuple[Address, ...]]:
-    """Preorder vertex sequences consistent with the canonical rooted shape.
-
-    Sibling subtrees are laid out in sorted shape order; equal shapes may be
-    swapped, so every valid index assignment of the shape is produced.
+    Vertices are indexed in address order; a numbering gives each index its
+    place in a preorder from a vertex achieving the minimal text, with
+    sibling subtrees in sorted shape order.  Equal shapes may be swapped,
+    so every valid index assignment of the shape is produced.
     """
-    text = _directional_texts(t)
+    index = {v: i for i, v in enumerate(sorted(t.vertices))}
+    model = AbstractThorn.from_subthorn(t)
+    text = rooted_encoder(model.adjacency, model.spike_counts)
+    best = min(text(v) for v in index.values())
 
-    def rec(v: Address, parent: Address | None) -> Iterator[tuple[Address, ...]]:
-        kids = [w for w in sorted(t.internal_neighbors(v)) if w != parent]
+    def rec(v: int, parent: int | None) -> Iterator[tuple[int, ...]]:
+        kids = [w for w in sorted(model.adjacency[v]) if w != parent]
         if not kids:
             yield (v,)
             return
-        groups: dict[str, list[Address]] = {}
+        groups: dict[str, list[int]] = {}
         for w in kids:
             groups.setdefault(text(w, v), []).append(w)
         keys = sorted(groups)
@@ -340,32 +294,30 @@ def _canonical_orderings(t: SubThorn, root: Address) -> Iterator[tuple[Address, 
             for parts in product(*[list(rec(w, v)) for w in ordered]):
                 yield (v,) + tuple(x for part in parts for x in part)
 
-    return rec(root, None)
+    numberings = []
+    for root in index.values():
+        if text(root) == best:
+            for preorder in rec(root, None):
+                place = [0] * len(index)
+                for i, v in enumerate(preorder):
+                    place[v] = i
+                numberings.append(tuple(place))
+    return best, index, numberings
 
 
 def canonical_coset_code(b: BiThorn) -> CosetCode:
     if b.is_empty:
-        return CosetCode(b.arity, EMPTY_CODE_TEXT)
-    shape_dom, dom_roots = _best_rootings(b.dom)
-    shape_ran, ran_roots = _best_rootings(b.ran)
-    dom_orderings = [
-        order for root in dom_roots for order in _canonical_orderings(b.dom, root)
-    ]
-    ran_orderings = [
-        order for root in ran_roots for order in _canonical_orderings(b.ran, root)
-    ]
-    best: list[tuple[int, int]] | None = None
-    for dom_order in dom_orderings:
-        dom_index = {v: i for i, v in enumerate(dom_order)}
-        for ran_order in ran_orderings:
-            ran_index = {v: i for i, v in enumerate(ran_order)}
-            arcs = sorted(
-                (dom_index[s[0]], ran_index[q[0]]) for s, q in b.pairing
-            )
-            if best is None or arcs < best:
-                best = arcs
+        return trusted(CosetCode, b.arity, EMPTY_CODE_TEXT)
+    shape_dom, dom_index, dom_numberings = _canonical_numberings(b.dom)
+    shape_ran, ran_index, ran_numberings = _canonical_numberings(b.ran)
+    arcs = [(dom_index[s[0]], ran_index[q[0]]) for s, q in b.pairing]
+    best = min(
+        sorted((dom_place[i], ran_place[j]) for i, j in arcs)
+        for dom_place in dom_numberings
+        for ran_place in ran_numberings
+    )
     arc_text = ",".join(f"{i}>{j}" for i, j in best)
-    return CosetCode(b.arity, f"{shape_dom}|{shape_ran}|{arc_text}")
+    return trusted(CosetCode, b.arity, f"{shape_dom}|{shape_ran}|{arc_text}")
 
 
 def coset_code(g: Spheromorphism) -> CosetCode:

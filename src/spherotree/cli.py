@@ -48,7 +48,7 @@ from .textio import (
     parse_tensor_spec,
     subthorn_dot,
 )
-from .thorn import classify_clopen, enumerate_class_codes, maximal_ball_thorn, reduce_subthorn
+from .thorn import classify_clopen, enumerate_class_codes, maximal_ball_thorn
 from .tree import format_address, upsilon
 
 
@@ -86,23 +86,34 @@ def _element_paths(inputs: Sequence[str]) -> list[str]:
 
 
 def _checked_spec(path: str, tol: float):
+    """The parsed spec and its semidefiniteness report, which must pass."""
     spec = parse_spherical_spec(_read(path), source=path)
     report = validate_spec(spec, tol)
     if not report.ok:
         raise ValidationError(f"{path}: " + "; ".join(report.messages))
-    return spec
+    return spec, report
+
+
+def _load_tensor_spec(path: str):
+    return parse_tensor_spec(_read(path), source=path)
 
 
 def _phi_factors(args) -> list[Callable[[Spheromorphism], float]]:
     """Evaluators in a fixed order: matrix specs, vector specs, indicator."""
     factors: list[Callable[[Spheromorphism], float]] = []
     for path in args.spec or []:
-        factors.append(nessonov_evaluator(_checked_spec(path, args.tol)))
+        factors.append(nessonov_evaluator(_checked_spec(path, args.tol)[0]))
     for path in args.tensor_spec or []:
-        factors.append(tensor_evaluator(parse_tensor_spec(_read(path), source=path)))
+        factors.append(tensor_evaluator(_load_tensor_spec(path)))
     if args.l2:
         factors.append(phi_l2)
     return factors
+
+
+def _tensor_family_spec(args):
+    if not args.tensor_spec or len(args.tensor_spec) != 1 or args.spec or args.l2:
+        raise ValidationError("family 'tensor' takes exactly one --tensor-spec and nothing else")
+    return _load_tensor_spec(args.tensor_spec[0])
 
 
 def _build_phi(args) -> Callable[[Spheromorphism], float]:
@@ -110,11 +121,9 @@ def _build_phi(args) -> Callable[[Spheromorphism], float]:
     if family == "nessonov":
         if not args.spec or len(args.spec) != 1 or args.tensor_spec or args.l2:
             raise ValidationError("family 'nessonov' takes exactly one --spec and nothing else")
-        return nessonov_evaluator(_checked_spec(args.spec[0], args.tol))
+        return nessonov_evaluator(_checked_spec(args.spec[0], args.tol)[0])
     if family == "tensor":
-        if not args.tensor_spec or len(args.tensor_spec) != 1 or args.spec or args.l2:
-            raise ValidationError("family 'tensor' takes exactly one --tensor-spec and nothing else")
-        return tensor_evaluator(parse_tensor_spec(_read(args.tensor_spec[0]), source=args.tensor_spec[0]))
+        return tensor_evaluator(_tensor_family_spec(args))
     if family == "l2":
         if args.spec or args.tensor_spec:
             raise ValidationError("family 'l2' takes no --spec or --tensor-spec files")
@@ -155,8 +164,7 @@ def _cmd_validate(args) -> int:
         table = parse_class_table(text, source=args.file)
         print(f"ok table arity={table.arity} iota={table.iota} classes={len(table.tracked)}")
     elif kind == "spec":
-        spec = _checked_spec(args.file, args.tol)
-        report = validate_spec(spec, args.tol)
+        spec, report = _checked_spec(args.file, args.tol)
         print(f"ok spec size={spec.size} min_eig={report.min_eigenvalue!r}")
     else:  # tensor-spec
         tspec = parse_tensor_spec(text, source=args.file)
@@ -206,7 +214,7 @@ def _cmd_classify_clopen(args) -> int:
     code = classify_clopen(omega)
     print(f"{code.token} {code.text}")
     if args.dot:
-        sys.stdout.write(subthorn_dot(reduce_subthorn(maximal_ball_thorn(omega))))
+        sys.stdout.write(subthorn_dot(maximal_ball_thorn(omega)))
     return 0
 
 
@@ -225,10 +233,7 @@ def _cmd_theta(args) -> int:
 def _cmd_phi(args) -> int:
     g = _load_element(args.element)
     if args.family == "tensor":
-        if args.spec or args.l2 or not args.tensor_spec or len(args.tensor_spec) != 1:
-            raise ValidationError("family 'tensor' takes exactly one --tensor-spec and nothing else")
-        path = args.tensor_spec[0]
-        result = phi_tensor(g, parse_tensor_spec(_read(path), source=path))
+        result = phi_tensor(g, _tensor_family_spec(args))
         print(f"value {result.value!r}")
         print(f"cap_lumped {'true' if result.cap_lumped else 'false'}")
         return 0

@@ -24,14 +24,18 @@ from .tree import (
     Address,
     Ball,
     ClopenSet,
+    all_words,
     children,
     check_arity,
+    common_refinement,
     down,
     format_address,
     is_prefix,
-    refine,
+    merge_families,
+    normal_clopen,
     require_prefix_code,
     root_code,
+    trusted,
     up,
     validate_address,
 )
@@ -47,25 +51,8 @@ class Spheromorphism:
     pieces: tuple[Piece, ...]
 
     def __post_init__(self) -> None:
-        check_arity(self.arity)
-        if not self.pieces:
-            raise ValidationError("a table needs at least one piece")
-        seen_src = set()
-        seen_dst = set()
-        for u, v in self.pieces:
-            validate_address(u, self.arity, "table source")
-            validate_address(v, self.arity, "table target")
-            if not u or not v:
-                raise ValidationError("table pieces cannot use the root address")
-            if u in seen_src:
-                raise ValidationError(f"source {format_address(u)} appears twice")
-            if v in seen_dst:
-                raise ValidationError(f"target {format_address(v)} appears twice")
-            seen_src.add(u)
-            seen_dst.add(v)
-        require_prefix_code(seen_src, self.arity, "domain code")
-        require_prefix_code(seen_dst, self.arity, "range code")
-        if self.pieces != _canonical_pieces(self.arity, self.pieces):
+        pieces = _checked_pieces(self.arity, self.pieces)
+        if self.pieces != _canonical_pieces(self.arity, pieces):
             raise ValidationError("table is not in canonical reduced form")
 
     @cached_property
@@ -101,51 +88,49 @@ class Spheromorphism:
         u, v = self.piece_for_source(word)
         return v + word[len(u) :]
 
-    def sort_key(self) -> tuple:
-        return (self.arity, self.pieces)
-
 
 def _canonical_pieces(arity: int, pieces: Iterable[Piece]) -> tuple[Piece, ...]:
     """Merge literal sibling families to a fixpoint; unique coarsest table."""
-    table = dict(pieces)
-    changed = True
-    while changed:
-        changed = False
-        for u in sorted(table, key=len, reverse=True):
-            if u not in table or len(u) <= 1:
-                continue
-            stem = u[:-1]
-            family = children(stem, arity)
-            if not all(c in table for c in family):
-                continue
-            target_stem = table[family[0]][:-1]
-            if not target_stem:
-                continue
-            if all(table[c] == target_stem + (c[-1],) for c in family):
-                for c in family:
-                    del table[c]
-                table[stem] = target_stem
-                changed = True
-    return tuple(sorted(table.items()))
+    return tuple(sorted(merge_families(arity, dict(pieces), _literal_family).items()))
+
+
+def _literal_family(targets: list[Address]) -> Address | None:
+    """The common parent of targets that are its children in child order."""
+    stem = targets[0][:-1]
+    if stem and all(t == stem + (c,) for c, t in enumerate(targets)):
+        return stem
+    return None
+
+
+def _reduced(arity: int, pieces: Iterable[Piece]) -> Spheromorphism:
+    """The element of a valid table, canonicalised once and not re-checked."""
+    return trusted(Spheromorphism, arity, _canonical_pieces(arity, pieces))
 
 
 def from_pieces(arity: int, pieces: Iterable[tuple[Iterable[int], Iterable[int]]]) -> Spheromorphism:
     """Build an element from raw (source, target) pairs, canonicalizing."""
+    return _reduced(arity, _checked_pieces(arity, pieces))
+
+
+def _checked_pieces(arity: int, pieces: Iterable[tuple[Iterable[int], Iterable[int]]]) -> list[Piece]:
+    """The pieces as address pairs, checked to pair two complete prefix codes."""
     check_arity(arity)
     raw = [
         (validate_address(u, arity, "table source"), validate_address(v, arity, "table target"))
         for u, v in pieces
     ]
-    if len({u for u, _ in raw}) != len(raw):
-        raise ValidationError("duplicate source in table")
-    if len({v for _, v in raw}) != len(raw):
-        raise ValidationError("duplicate target in table")
-    for u, v in raw:
-        if not u or not v:
-            raise ValidationError("table pieces cannot use the root address")
+    for side, name in ((0, "source"), (1, "target")):
+        seen = set()
+        for piece in raw:
+            leaf = piece[side]
+            if not leaf:
+                raise ValidationError("table pieces cannot use the root address")
+            if leaf in seen:
+                raise ValidationError(f"duplicate {name} {format_address(leaf)} in table")
+            seen.add(leaf)
     require_prefix_code((u for u, _ in raw), arity, "domain code")
     require_prefix_code((v for _, v in raw), arity, "range code")
-    return Spheromorphism(arity, _canonical_pieces(arity, raw))
+    return raw
 
 
 def identity(arity: int) -> Spheromorphism:
@@ -160,17 +145,18 @@ def compose(g: Spheromorphism, h: Spheromorphism) -> Spheromorphism:
     """The element acting as h first, then g."""
     if g.arity != h.arity:
         raise DomainError(f"arity mismatch: {g.arity} vs {h.arity}")
-    mid = refine(h.targets, g.sources, g.arity)
     pieces = []
-    for m in mid:
+    for m in common_refinement(h.targets, g.sources):
         hu, hv = h.piece_for_target(m)
         gs, gt = g.piece_for_source(m)
         pieces.append((hu + m[len(hv) :], gt + m[len(gs) :]))
-    return from_pieces(g.arity, pieces)
+    return _reduced(g.arity, pieces)
 
 
 def invert(g: Spheromorphism) -> Spheromorphism:
-    return from_pieces(g.arity, [(v, u) for u, v in g.pieces])
+    # a literal family maps onto a literal family both ways, so the
+    # reversed table is already reduced
+    return trusted(Spheromorphism, g.arity, tuple(sorted((v, u) for u, v in g.pieces)))
 
 
 def equals(g: Spheromorphism, h: Spheromorphism) -> bool:
@@ -206,12 +192,11 @@ def conjugate(g: Spheromorphism, h: Spheromorphism) -> Spheromorphism:
 def act_on_clopen(g: Spheromorphism, omega: ClopenSet) -> ClopenSet:
     if g.arity != omega.arity:
         raise DomainError(f"arity mismatch: {g.arity} vs {omega.arity}")
-    code = refine(omega.carrier, g.sources, g.arity)
     flags = {}
-    for leaf in code:
+    for leaf in common_refinement(omega.carrier, g.sources):
         u, v = g.piece_for_source(leaf)
         flags[v + leaf[len(u) :]] = omega.contains_word(leaf)
-    return ClopenSet.from_marks(g.arity, flags)
+    return normal_clopen(g.arity, flags)
 
 
 def act_on_ball(g: Spheromorphism, ball: Ball) -> tuple[Ball, ...]:
@@ -239,33 +224,7 @@ def truncated_action(g: Spheromorphism, depth: int) -> dict[Address, Address]:
         raise DomainError(
             f"depth {depth} is below the table depth {g.depth()}"
         )
-    out = {}
-    for u, v in g.pieces:
-        for tail in _tails(g.arity, depth - len(u)):
-            out[u + tail] = v + tail
-    return out
-
-
-def _tails(arity: int, length: int):
-    if length == 0:
-        yield ()
-        return
-    for tail in _tails(arity, length - 1):
-        for c in range(arity):
-            yield tail + (c,)
-
-
-def displacement_parity(g: Spheromorphism) -> int | None:
-    """Common parity of the depth displacement len(v) - len(u), if constant.
-
-    Parity 0 plays the role of the color-preserving (index-two) subgroup of
-    the automorphism group; the identification is a tested hypothesis, not a
-    structural guarantee.  None means the parity differs between pieces.
-    """
-    parities = {(len(v) - len(u)) % 2 for u, v in g.pieces}
-    if len(parities) == 1:
-        return parities.pop()
-    return None
+    return {word: g.apply_word(word) for word in all_words(g.arity, depth)}
 
 
 def preserves_all_balls(g: Spheromorphism, extra_depth: int = 2) -> bool:
@@ -280,7 +239,7 @@ def preserves_all_balls(g: Spheromorphism, extra_depth: int = 2) -> bool:
     for element in (g, invert(g)):
         bound = element.depth() + extra_depth
         for depth in range(1, bound + 1):
-            for word in _all_cuts(element.arity, depth):
+            for word in all_words(element.arity, depth):
                 balls = act_on_ball(element, down(word))
                 if len(balls) == 1:
                     continue
@@ -288,12 +247,6 @@ def preserves_all_balls(g: Spheromorphism, extra_depth: int = 2) -> bool:
                 if not image.is_single_ball():
                     return False
     return True
-
-
-def _all_cuts(arity: int, depth: int):
-    for first in range(arity + 1):
-        for tail in _tails(arity, depth - 1):
-            yield (first,) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +283,7 @@ def finitary_automorphism(
             perms[addr] = p
     depth = 1 + max((len(v) for v in perms), default=0)
     pieces = []
-    for word in _all_cuts(arity, depth):
+    for word in all_words(arity, depth):
         image = [rp[word[0]]]
         for k in range(1, len(word)):
             perm = perms.get(word[:k])

@@ -34,7 +34,7 @@ from .thorn import (
     require_class_code,
     subthorn_from_balls,
 )
-from .tree import Address, Ball, ClopenSet, balls_disjoint, check_arity, down, tree_path, up
+from .tree import Address, Ball, ClopenSet, balls_disjoint, check_arity, down, tree_path, trusted, up
 
 LUMP_LABEL = "P"
 
@@ -127,7 +127,7 @@ class TransitionCounts:
         flipped = tuple(
             tuple(self.matrix[j][i] for j in range(size)) for i in range(size)
         )
-        return TransitionCounts(self.table, flipped)
+        return trusted(TransitionCounts, self.table, flipped)
 
 
 def _moved(g: Spheromorphism, table: ClassTable) -> Iterator[
@@ -158,7 +158,7 @@ def _moved(g: Spheromorphism, table: ClassTable) -> Iterator[
     def code_of(text: str) -> ThornCode:
         code = codes.get(text)
         if code is None:
-            code = codes[text] = ThornCode(arity, text)
+            code = codes[text] = trusted(ThornCode, arity, text)
         return code
 
     for pattern in table.tracked:
@@ -229,7 +229,7 @@ def _tabulate(table: ClassTable, transitions) -> TransitionCounts:
         tuple(None if i == j else counts[i][j] for j in range(size))
         for i in range(size)
     )
-    return TransitionCounts(table, matrix)
+    return trusted(TransitionCounts, table, matrix)
 
 
 def theta(g: Spheromorphism, table: ClassTable) -> TransitionCounts:

@@ -32,7 +32,7 @@ from .element import Spheromorphism, compose, equals, invert
 from .errors import DomainError, InternalError, ValidationError
 from .orbitstats import ClassTable, class_pairs, theta
 from .thorn import ThornCode, enumerate_class_codes, require_class_code
-from .tree import check_arity
+from .tree import check_arity, trusted
 
 Vector = tuple[float, ...]
 Matrix = tuple[tuple[float, ...], ...]
@@ -236,8 +236,8 @@ class TensorSpec:
 
     @cached_property
     def tracking_table(self) -> ClassTable:
-        return ClassTable(
-            self.arity, self.iota, enumerate_class_codes(self.arity, self.iota, self.cap)
+        return trusted(
+            ClassTable, self.arity, self.iota, enumerate_class_codes(self.arity, self.iota, self.cap)
         )
 
     def vector_for(self, code: ThornCode) -> Vector:
@@ -256,7 +256,7 @@ class TensorSpec:
             tuple(1.0 if i == j else _dot(a, b) for j, b in enumerate(vecs))
             for i, a in enumerate(vecs)
         )
-        return SphericalSpec(self.tracking_table, rows)
+        return trusted(SphericalSpec, self.tracking_table, rows)
 
 
 @dataclass(frozen=True)

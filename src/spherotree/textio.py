@@ -268,31 +268,32 @@ def format_tensor_spec(tspec: TensorSpec) -> str:
 def parse_tensor_spec(text: str, source: str = "<tensor-spec>") -> TensorSpec:
     """Read a vector assignment: arity/iota/cap/limit lines plus 'vector' lines."""
     arity, rest = _header_arity(_content_lines(text), source)
-    iota: int | None = None
-    cap: int | None = None
-    limit: tuple[float, ...] | None = None
+    settings: dict[str, object] = {}
     vectors: list[tuple[ThornCode, tuple[float, ...]]] = []
     last = 0
     for lineno, line in rest:
         last = lineno
         fields = line.split()
         key = fields[0]
-        if key == "iota" and len(fields) == 2:
-            iota = _parse_int(fields[1], source, lineno, "iota")
-        elif key == "cap" and len(fields) == 2:
-            cap = _parse_int(fields[1], source, lineno, "cap")
-        elif key == "limit" and len(fields) >= 2:
-            limit = tuple(_parse_float(f, source, lineno, "limit entry") for f in fields[1:])
-        elif key == "vector" and len(fields) >= 3:
+        if key == "vector" and len(fields) >= 3:
             code = _parse_code_field(fields[1], arity, source, lineno)
             vec = tuple(_parse_float(f, source, lineno, "vector entry") for f in fields[2:])
             vectors.append((code, vec))
-        else:
+            continue
+        if not (key in ("iota", "cap") and len(fields) == 2 or key == "limit" and len(fields) >= 2):
             _fail(source, lineno, f"unexpected line {line!r} in a tensor spec file")
-    for name, value in (("iota", iota), ("cap", cap), ("limit", limit)):
-        if value is None:
+        if key in settings:
+            _fail(source, lineno, f"{key} given twice")
+        if key == "limit":
+            settings[key] = tuple(_parse_float(f, source, lineno, "limit entry") for f in fields[1:])
+        else:
+            settings[key] = _parse_int(fields[1], source, lineno, key)
+    for name in ("iota", "cap", "limit"):
+        if name not in settings:
             _fail(source, last, f"missing '{name}' line")
-    return _build(source, last, TensorSpec, arity, iota, cap, tuple(vectors), limit)
+    return _build(
+        source, last, TensorSpec, arity, settings["iota"], settings["cap"], tuple(vectors), settings["limit"]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ center-rooted string (``ThornCode``).
 from __future__ import annotations
 
 import binascii
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import DomainError, InternalError, ValidationError
 from .tree import (
@@ -35,6 +36,7 @@ from .tree import (
     is_prefix,
     neighbors,
     tree_path,
+    trusted,
     up,
     validate_address,
 )
@@ -175,15 +177,9 @@ class SubThorn:
         """No reduction move applies (see ``reduce_subthorn``)."""
         if self.is_empty:
             return True
-        return _find_reduction_vertex(self) is None and not (
+        return _find_reduction_vertex(self.vertices, self.spikes, self.arity) is None and not (
             len(self.vertices) == 1 and len(self.spikes) == self.arity + 1
         )
-
-    def meets(self, other: "SubThorn") -> bool:
-        """Cell-level intersection: shared vertices or shared mid-edge points."""
-        if self.vertices & other.vertices:
-            return True
-        return bool(self.midpoint_cells() & other.midpoint_cells())
 
     def sort_key(self) -> tuple:
         return (tuple(sorted(self.vertices)), tuple(sorted(self.spikes)))
@@ -237,14 +233,17 @@ def subthorn_from_balls(balls: Sequence[Ball], arity: int) -> SubThorn:
         verts.update(tree_path(base, a))
     # close up: the spanned set of a vertex family is the union of pairwise
     # paths; paths through the base vertex cover all of them
-    thorn = SubThorn(arity, frozenset(verts), frozenset(spikes))
-    return thorn
+    return trusted(SubThorn, arity, frozenset(verts), frozenset(spikes))
 
 
-def _find_reduction_vertex(t: SubThorn) -> Address | None:
+def _find_reduction_vertex(
+    vertices: Collection[Address], spikes: Collection[Spike], arity: int
+) -> Address | None:
     """A vertex carrying exactly n spikes with at most one internal edge."""
-    for v in sorted(t.vertices):
-        if len(t.spikes_at(v)) == t.arity and len(t.internal_neighbors(v)) <= 1:
+    for v in sorted(vertices):
+        if sum(1 for s in spikes if s[0] == v) == arity and (
+            sum(1 for w in neighbors(v, arity) if w in vertices) <= 1
+        ):
             return v
     return None
 
@@ -261,13 +260,6 @@ def reduce_subthorn(t: SubThorn) -> SubThorn:
     verts = set(t.vertices)
     spikes = set(t.spikes)
     arity = t.arity
-
-    def spike_count(v: Address) -> int:
-        return sum(1 for s in spikes if s[0] == v)
-
-    def internal_nbrs(v: Address) -> list[Address]:
-        return [w for w in neighbors(v, arity) if w in verts]
-
     while True:
         if not verts:
             return empty_subthorn(arity)
@@ -290,21 +282,17 @@ def reduce_subthorn(t: SubThorn) -> SubThorn:
                 spikes = {spike_toward(w, a)}
                 continue
             break
-        cut = None
-        for a in sorted(verts):
-            if spike_count(a) == arity and len(internal_nbrs(a)) <= 1:
-                cut = a
-                break
+        cut = _find_reduction_vertex(verts, spikes, arity)
         if cut is None:
             break
-        nbrs = internal_nbrs(cut)
+        nbrs = [w for w in neighbors(cut, arity) if w in verts]
         if len(nbrs) != 1:
             raise InternalError("reduction vertex in a multi-vertex thorn must be a skeleton leaf")
         b = nbrs[0]
         verts.remove(cut)
         spikes = {s for s in spikes if s[0] != cut}
         spikes.add(spike_toward(b, cut))
-    return SubThorn(arity, frozenset(verts), frozenset(spikes))
+    return trusted(SubThorn, arity, frozenset(verts), frozenset(spikes))
 
 
 def clopen_of_subthorn(t: SubThorn):
@@ -325,43 +313,15 @@ def clopen_of_subthorn(t: SubThorn):
 
 @dataclass(frozen=True)
 class AbstractThorn:
-    """A thorn up to embedding: skeleton adjacency plus spike counts."""
+    """A thorn up to embedding: skeleton adjacency plus spike counts.
+
+    Only the library builds these, from sub-thorns, parsed code texts and
+    class enumeration, so the constructor checks nothing.
+    """
 
     arity: int
     adjacency: tuple[frozenset[int], ...]
     spike_counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        check_arity(self.arity)
-        V = len(self.adjacency)
-        if len(self.spike_counts) != V:
-            raise ValidationError("spike counts and adjacency disagree on size")
-        edge_count = sum(len(a) for a in self.adjacency)
-        if V and edge_count != 2 * (V - 1):
-            raise ValidationError("skeleton is not a tree")
-        for i, nbrs in enumerate(self.adjacency):
-            for j in nbrs:
-                if not 0 <= j < V or i == j or i not in self.adjacency[j]:
-                    raise ValidationError("broken adjacency")
-            if len(nbrs) + self.spike_counts[i] > self.arity + 1:
-                raise ValidationError(f"vertex {i} exceeds valence {self.arity + 1}")
-            if self.spike_counts[i] < 0:
-                raise ValidationError("negative spike count")
-        if V:
-            self._check_tree_connected()
-
-    def _check_tree_connected(self) -> None:
-        V = len(self.adjacency)
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for w in self.adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if len(seen) != V:
-            raise ValidationError("skeleton is not connected")
 
     @property
     def vertex_count(self) -> int:
@@ -370,28 +330,6 @@ class AbstractThorn:
     @property
     def spike_count(self) -> int:
         return sum(self.spike_counts)
-
-    def skeleton_diameter(self) -> int:
-        V = len(self.adjacency)
-        if V <= 1:
-            return 0
-        far, _ = self._farthest(0)
-        _, diam = self._farthest(far)
-        return diam
-
-    def _farthest(self, start: int) -> tuple[int, int]:
-        dist = {start: 0}
-        frontier = [start]
-        best = (start, 0)
-        while frontier:
-            v = frontier.pop(0)
-            for w in self.adjacency[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    if dist[w] > best[1]:
-                        best = (w, dist[w])
-                    frontier.append(w)
-        return best
 
     @staticmethod
     def from_subthorn(t: SubThorn) -> "AbstractThorn":
@@ -421,7 +359,7 @@ class ThornCode:
 
     def __post_init__(self) -> None:
         check_arity(self.arity)
-        _parse_code_text(self.text)  # validates
+        _ = self._counts  # parsing validates the text
 
     @property
     def token(self) -> str:
@@ -429,13 +367,7 @@ class ThornCode:
 
     @staticmethod
     def from_token(token: str) -> "ThornCode":
-        try:
-            arity_part, hex_part = token.split("x", 1)
-            arity = int(arity_part)
-            text = binascii.unhexlify(hex_part.encode("ascii")).decode("ascii")
-        except (ValueError, binascii.Error) as err:
-            raise ValidationError(f"bad thorn code token {token!r}: {err}") from None
-        return ThornCode(arity, text)
+        return ThornCode(*decode_token(token, "x", "thorn code"))
 
     @property
     def is_empty(self) -> bool:
@@ -443,7 +375,8 @@ class ThornCode:
 
     @cached_property
     def _counts(self) -> tuple[int, int, int]:
-        return _parse_code_text(self.text)
+        adjacency, counts, diameter = _parse_code(self.text, self.arity)
+        return len(adjacency), sum(counts), diameter
 
     @property
     def vertex_count(self) -> int:
@@ -462,54 +395,63 @@ class ThornCode:
         return self.spike_count % (self.arity - 1)
 
 
-def _parse_code_text(text: str) -> tuple[int, int, int]:
-    """Validate a code string; return (vertices, spikes, skeleton diameter)."""
+def decode_token(token: str, sep: str, what: str) -> tuple[int, str]:
+    """(arity, text) of a ``<arity><sep><hex of text>`` token."""
+    try:
+        arity_part, hex_part = token.split(sep, 1)
+        return int(arity_part), binascii.unhexlify(hex_part.encode("ascii")).decode("ascii")
+    except (ValueError, binascii.Error) as err:
+        raise ValidationError(f"bad {what} token {token!r}: {err}") from None
+
+
+_VERTEX_OPEN = re.compile(r"\(([0-9]+):")
+
+
+def _parse_code(text: str, arity: int) -> tuple[tuple[frozenset[int], ...], tuple[int, ...], int]:
+    """Validate a code text; return (adjacency, spike counts, skeleton diameter).
+
+    Vertices are numbered in text order, and none may exceed valence n+1.
+    """
     if text == EMPTY_CODE_TEXT:
-        return (0, 0, 0)
+        return (), (), 0
+    adjacency: list[set[int]] = []
+    counts: list[int] = []
     pos = 0
 
-    def parse_vertex() -> tuple[int, int, int, int]:
-        # returns (vertices, spikes, height, diameter) of the parsed subtree
+    def parse_vertex(parent: int | None) -> tuple[int, int]:
+        # returns (height, diameter) of the parsed subtree
         nonlocal pos
-        if pos >= len(text) or text[pos] != "(":
+        opening = _VERTEX_OPEN.match(text, pos)
+        if opening is None:
             raise ValidationError(f"bad thorn code text {text!r} at {pos}")
-        pos += 1
-        digits = ""
-        while pos < len(text) and text[pos].isdigit():
-            digits += text[pos]
-            pos += 1
-        if not digits or pos >= len(text) or text[pos] != ":":
-            raise ValidationError(f"bad thorn code text {text!r} at {pos}")
-        pos += 1
-        spikes = int(digits)
-        verts = 1
-        heights = []
+        pos = opening.end()
+        me = len(adjacency)
+        adjacency.append(set() if parent is None else {parent})
+        counts.append(int(opening.group(1)))
+        heights = [0, 0]
         diam = 0
-        while pos < len(text) and text[pos] == "(":
-            v, s, h, d = parse_vertex()
-            verts += v
-            spikes += s
+        while text.startswith("(", pos):
+            adjacency[me].add(len(adjacency))
+            h, d = parse_vertex(me)
             heights.append(h + 1)
             diam = max(diam, d)
-        if pos >= len(text) or text[pos] != ")":
+        if not text.startswith(")", pos):
             raise ValidationError(f"bad thorn code text {text!r} at {pos}")
         pos += 1
+        if len(adjacency[me]) + counts[me] > arity + 1:
+            raise ValidationError(f"vertex {me} of {text!r} exceeds valence {arity + 1}")
         heights.sort(reverse=True)
-        top2 = (heights + [0, 0])[:2]
-        diam = max(diam, top2[0] + top2[1])
-        return (verts, spikes, top2[0], diam)
+        return heights[0], max(diam, heights[0] + heights[1])
 
-    verts, spikes, _, diam = parse_vertex()
+    _, diam = parse_vertex(None)
     if pos != len(text):
         raise ValidationError(f"trailing junk in thorn code text {text!r}")
-    return (verts, spikes, diam)
+    return tuple(frozenset(a) for a in adjacency), tuple(counts), diam
 
 
 def canonical_code(t: AbstractThorn | SubThorn) -> ThornCode:
     """Center-rooted canonical code; equal codes mean isomorphic thorns."""
     if isinstance(t, SubThorn):
-        if t.is_empty:
-            return ThornCode(t.arity, EMPTY_CODE_TEXT)
         t = AbstractThorn.from_subthorn(t)
     return _code_of_abstract(t)
 
@@ -517,17 +459,16 @@ def canonical_code(t: AbstractThorn | SubThorn) -> ThornCode:
 @lru_cache(maxsize=65536)
 def _code_of_abstract(t: AbstractThorn) -> ThornCode:
     if t.vertex_count == 0:
-        return ThornCode(t.arity, EMPTY_CODE_TEXT)
-    return ThornCode(t.arity, _center_rooted_text(t.adjacency, t.spike_counts))
+        return trusted(ThornCode, t.arity, EMPTY_CODE_TEXT)
+    return trusted(ThornCode, t.arity, _center_rooted_text(t.adjacency, t.spike_counts))
 
 
 def _center_rooted_text(
     adjacency: Sequence[Iterable[int]], spike_counts: Sequence[int]
 ) -> str:
     """Least rooted text over the skeleton centers: the canonical code text."""
-    return min(
-        _rooted_text(adjacency, spike_counts, c) for c in _skeleton_centers(adjacency)
-    )
+    text = rooted_encoder(adjacency, spike_counts)
+    return min(text(c) for c in _skeleton_centers(adjacency))
 
 
 def _skeleton_centers(adjacency: Sequence[frozenset[int]]) -> list[int]:
@@ -551,49 +492,33 @@ def _skeleton_centers(adjacency: Sequence[frozenset[int]]) -> list[int]:
     return sorted(alive)
 
 
-def _rooted_text(
-    adjacency: Sequence[Iterable[int]], spike_counts: Sequence[int], root: int
-) -> str:
-    def encode(v: int, parent: int | None) -> str:
-        kids = sorted(encode(w, v) for w in adjacency[v] if w != parent)
-        return f"({spike_counts[v]}:" + "".join(kids) + ")"
+def rooted_encoder(
+    adjacency: Sequence[Iterable[int]], spike_counts: Sequence[int]
+) -> Callable[..., str]:
+    """Memoised rooted encoding of a skeleton (Aho-Hopcroft-Ullman style).
 
-    return encode(root, None)
+    ``text(v, parent)`` is the canonical text of the subtree at v on the far
+    side of the edge to ``parent`` (the whole thorn rooted at v when parent
+    is None): ``(k:`` with k the spike count of v, the sorted texts of its
+    children, then ``)``.  Equal texts mean isomorphic rooted subtrees.
+    """
+    memo: dict[tuple[int, int | None], str] = {}
+
+    def text(v: int, parent: int | None = None) -> str:
+        found = memo.get((v, parent))
+        if found is None:
+            kids = [text(w, v) for w in adjacency[v] if w != parent]
+            kids.sort()
+            found = memo[v, parent] = f"({spike_counts[v]}:{''.join(kids)})"
+        return found
+
+    return text
 
 
 def abstract_from_code(code: ThornCode) -> AbstractThorn:
-    """Rebuild a representative abstract thorn from its code text."""
-    if code.is_empty:
-        return AbstractThorn(code.arity, (), ())
-    text = code.text
-    adjacency: list[set[int]] = []
-    counts: list[int] = []
-    pos = 0
-
-    def parse_vertex(parent: int | None) -> int:
-        nonlocal pos
-        assert text[pos] == "("
-        pos += 1
-        digits = ""
-        while text[pos].isdigit():
-            digits += text[pos]
-            pos += 1
-        assert text[pos] == ":"
-        pos += 1
-        me = len(adjacency)
-        adjacency.append(set())
-        counts.append(int(digits))
-        if parent is not None:
-            adjacency[me].add(parent)
-            adjacency[parent].add(me)
-        while text[pos] == "(":
-            parse_vertex(me)
-        assert text[pos] == ")"
-        pos += 1
-        return me
-
-    parse_vertex(None)
-    return AbstractThorn(code.arity, tuple(frozenset(a) for a in adjacency), tuple(counts))
+    """A representative abstract thorn of a code, vertices in text order."""
+    adjacency, counts, _ = _parse_code(code.text, code.arity)
+    return AbstractThorn(code.arity, adjacency, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -689,18 +614,25 @@ def class_code_defect(code: ThornCode) -> str | None:
     if code.is_empty:
         return "the empty code"
     t = abstract_from_code(code)
-    V = t.vertex_count
-    degs = tuple(len(nbrs) for nbrs in t.adjacency)
-    if t.spike_count == 0:
-        return "it has no spikes"
-    if all(degs[i] + t.spike_counts[i] == code.arity + 1 for i in range(V)):
-        return "it is perfect (a partition of the whole boundary)"
-    if any(t.spike_counts[i] == code.arity and degs[i] <= 1 for i in range(V)):
-        return "it is not reduced"
-    if V >= 2 and any(degs[i] == 1 and t.spike_counts[i] == 0 for i in range(V)):
-        return "it has a bare skeleton leaf"
-    if _code_of_abstract(t) != code:
+    defect = _shape_defect(tuple(len(nbrs) for nbrs in t.adjacency), t.spike_counts, code.arity)
+    if defect is None and _code_of_abstract(t) != code:
         return "the text is not in canonical center-rooted form"
+    return defect
+
+
+def _shape_defect(degs: Sequence[int], counts: Sequence[int], arity: int) -> str | None:
+    """Why skeleton degrees and spike counts fit no orbit class; None if they fit.
+
+    Every test here depends only on the multiset of (degree, count) pairs.
+    """
+    if not any(counts):
+        return "it has no spikes"
+    if all(d + k == arity + 1 for d, k in zip(degs, counts)):
+        return "it is perfect (a partition of the whole boundary)"
+    if any(k == arity and d <= 1 for d, k in zip(degs, counts)):
+        return "it is not reduced"
+    if len(degs) >= 2 and any(d == 1 and k == 0 for d, k in zip(degs, counts)):
+        return "it has a bare skeleton leaf"
     return None
 
 
@@ -736,14 +668,7 @@ def enumerate_class_codes(arity: int, iota: int, max_vertices: int) -> tuple[Tho
             degs = tuple(len(nbrs) for nbrs in adjacency)
             slot_ranges = [range(arity + 2 - d) for d in degs]
             for counts in product(*slot_ranges):
-                total = sum(counts)
-                if total == 0 or total % (arity - 1) != iota:
-                    continue
-                if all(degs[i] + counts[i] == arity + 1 for i in range(V)):
-                    continue
-                if any(counts[i] == arity and degs[i] <= 1 for i in range(V)):
-                    continue
-                if V >= 2 and any(degs[i] == 1 and counts[i] == 0 for i in range(V)):
+                if sum(counts) % (arity - 1) != iota or _shape_defect(degs, counts, arity):
                     continue
                 found.add(_code_of_abstract(AbstractThorn(arity, adjacency, counts)))
     return tuple(sorted(found, key=lambda c: (c.vertex_count, c.spike_count, c.text)))
@@ -805,9 +730,11 @@ def enumerate_embeddings(
     # can stick out of the promised neighborhood
     universe = _ball_of_vertices(seeds, radius, arity)
     model = abstract_from_code(pattern)
-    profile = tuple(
-        sorted(zip(model.spike_counts, (len(a) for a in model.adjacency)))
-    )
+    model_degs = tuple(len(a) for a in model.adjacency)
+    defect = _shape_defect(model_degs, model.spike_counts, arity)
+    if defect is not None:
+        raise DomainError(f"cannot embed {pattern.text!r}: {defect}")
+    profile = tuple(sorted(zip(model.spike_counts, model_degs)))
     results = []
     region_verts = region.vertices
     region_mids = region.midpoint_cells()
@@ -840,13 +767,10 @@ def enumerate_embeddings(
                 w for v in vlist for w in children(v, arity) if w in verts
             }
             touches = bool(internal_mids & region_mids)
-        # the spike directions do not change the isomorphism class, so shape
-        # and reducedness are settled once per spike-count vector
+        # the spike directions do not change the isomorphism class, so the
+        # shape is settled once per spike-count vector; vectors share the
+        # pattern's (count, degree) profile, hence its reducedness
         for counts in _count_vectors(free, degs, model.spike_count, profile):
-            if any(counts[i] == arity and degs[i] <= 1 for i in range(len(vlist))):
-                continue  # a reduction move would apply
-            if len(vlist) == 1 and counts[0] == arity + 1:
-                continue  # a lone full vertex is a boundary partition
             shape = AbstractThorn(arity, tuple(adjacency), counts)
             if _code_of_abstract(shape) != pattern:
                 continue
@@ -855,20 +779,9 @@ def enumerate_embeddings(
                     spike_midpoint(s) in region_mids for s in spikes
                 ):
                     continue
-                results.append(_unchecked_subthorn(arity, verts_frozen, frozenset(spikes)))
+                results.append(trusted(SubThorn, arity, verts_frozen, frozenset(spikes)))
     results.sort(key=SubThorn.sort_key)
     return tuple(results)
-
-
-def _unchecked_subthorn(
-    arity: int, vertices: frozenset[Address], spikes: frozenset[Spike]
-) -> SubThorn:
-    """Bypass validation for thorns that are sound by construction."""
-    t = object.__new__(SubThorn)
-    object.__setattr__(t, "arity", arity)
-    object.__setattr__(t, "vertices", vertices)
-    object.__setattr__(t, "spikes", spikes)
-    return t
 
 
 def _count_vectors(

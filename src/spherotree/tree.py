@@ -18,15 +18,30 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .errors import DomainError, InternalError, ValidationError
+from .errors import DomainError, ValidationError
 
 Address = tuple[int, ...]
 
 ROOT: Address = ()
 
 MAX_TEXT_ARITY = 9  # single-digit labels keep the text formats unambiguous
+
+T = TypeVar("T")
+
+
+def trusted(cls: type[T], *values) -> T:
+    """An instance of the frozen dataclass ``cls`` built without its checks.
+
+    For objects the library derives from objects that are already valid,
+    which are sound by construction.  Input from outside the library goes
+    through the validating constructor ``cls(...)`` instead.
+    """
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def check_arity(arity: int) -> int:
@@ -67,12 +82,6 @@ def parse_address(text: str, arity: int, what: str = "address") -> Address:
 
 def format_address(addr: Address) -> str:
     return "".join(str(label) for label in addr) if addr else "."
-
-
-def parent(addr: Address) -> Address:
-    if not addr:
-        raise DomainError("the root has no parent")
-    return addr[:-1]
 
 
 @lru_cache(maxsize=262144)
@@ -195,21 +204,6 @@ def balls_disjoint(a: Ball, b: Ball) -> bool:
     return ball_relation(a, b) == "disjoint"
 
 
-def split_ball(ball: Ball, arity: int) -> tuple[Ball, ...]:
-    """The n balls obtained by moving the cut one edge deeper into the branch."""
-    check_arity(arity)
-    if not ball.up:
-        return tuple(down(ball.cut + (c,)) for c in range(arity))
-    cut = ball.cut
-    if len(cut) == 1:
-        sibs = tuple(down((c,)) for c in range(arity + 1) if c != cut[0])
-        return sibs
-    last = cut[-1]
-    stem = cut[:-1]
-    sibs = tuple(down(stem + (c,)) for c in range(arity) if c != last)
-    return sibs + (up(stem),)
-
-
 # ---------------------------------------------------------------------------
 # complete prefix codes
 # ---------------------------------------------------------------------------
@@ -260,8 +254,14 @@ def require_prefix_code(leaves: Iterable[Address], arity: int, what: str = "code
 
 def refine(code_a: Iterable[Address], code_b: Iterable[Address], arity: int) -> tuple[Address, ...]:
     """Coarsest common refinement of two complete prefix codes."""
-    a = require_prefix_code(code_a, arity, "first code")
-    b = require_prefix_code(code_b, arity, "second code")
+    return common_refinement(
+        require_prefix_code(code_a, arity, "first code"),
+        require_prefix_code(code_b, arity, "second code"),
+    )
+
+
+def common_refinement(a: Sequence[Address], b: Sequence[Address]) -> tuple[Address, ...]:
+    """``refine`` without the checks, for codes known to be complete."""
     b_set = set(b)
     out = set()
     for leaf in a:
@@ -271,10 +271,33 @@ def refine(code_a: Iterable[Address], code_b: Iterable[Address], arity: int) -> 
             out.add(leaf)
         else:
             out.update(other for other in b if is_prefix(leaf, other))
-    result = tuple(sorted(out))
-    if not validate_prefix_code(result, arity):  # pragma: no cover - invariant
-        raise InternalError("refinement produced a broken code")
-    return result
+    return tuple(sorted(out))
+
+
+def merge_families(arity: int, table: dict[Address, T], rule: Callable[[list[T]], T | None]) -> dict[Address, T]:
+    """Merge complete sibling families of a leaf-keyed table to a fixpoint.
+
+    ``rule`` gets the values of a complete family under a non-root stem, in
+    child order, and returns the stem's value, or None to keep the family
+    apart.  The root family is never merged.  A family's values are fixed
+    once all its members exist and merges touch disjoint families, so the
+    fixpoint does not depend on the order.  ``table`` is changed in place.
+    """
+    pending = sorted(table, key=len)
+    while pending:
+        leaf = pending.pop()
+        if len(leaf) < 2 or leaf not in table:
+            continue
+        stem = leaf[:-1]
+        family = children(stem, arity)
+        if all(c in table for c in family):
+            merged = rule([table[c] for c in family])
+            if merged is not None:
+                for c in family:
+                    del table[c]
+                table[stem] = merged
+                pending.append(stem)
+    return table
 
 
 def root_code(arity: int) -> tuple[Address, ...]:
@@ -324,13 +347,9 @@ class ClopenSet:
         code = require_prefix_code(table.keys(), arity, "carrier")
         if len(code) != len(table):
             raise ValidationError("carrier has repeated leaves")
-        flags = {validate_address(k, arity, "leaf"): bool(v) for k, v in table.items()}
-        carrier, marks = _normalize(arity, flags)
-        if not marks:
-            raise DomainError("clopen set is empty")
-        if len(marks) == len(carrier):
-            raise DomainError("clopen set is the full boundary")
-        return ClopenSet(arity, carrier, frozenset(marks))
+        return normal_clopen(
+            arity, {validate_address(k, arity, "leaf"): bool(v) for k, v in table.items()}
+        )
 
     @staticmethod
     def from_balls(arity: int, balls: Iterable[Ball]) -> "ClopenSet":
@@ -353,21 +372,15 @@ class ClopenSet:
                 stack.extend(children(leaf, arity))
             else:
                 carrier.append(leaf)
-        flags = {}
-        for leaf in carrier:
-            flags[leaf] = any(
-                (is_prefix(b.cut, leaf) != b.up) for b in blist
-            )
-        return ClopenSet.from_marks(arity, flags)
+        return normal_clopen(
+            arity, {leaf: any(is_prefix(b.cut, leaf) != b.up for b in blist) for leaf in carrier}
+        )
 
     def leaf_flags(self) -> tuple[tuple[Address, bool], ...]:
         return tuple((leaf, leaf in self.marks) for leaf in self.carrier)
 
     def marked_leaves(self) -> tuple[Address, ...]:
         return tuple(leaf for leaf in self.carrier if leaf in self.marks)
-
-    def unmarked_leaves(self) -> tuple[Address, ...]:
-        return tuple(leaf for leaf in self.carrier if leaf not in self.marks)
 
     def contains_word(self, word: Address) -> bool:
         """Cylinder membership; the word must reach carrier depth."""
@@ -390,28 +403,19 @@ class ClopenSet:
         return len(self.marks) == 1 or len(self.carrier) - len(self.marks) == 1
 
 
-def _normalize(arity: int, flags: dict[Address, bool]) -> tuple[tuple[Address, ...], set[Address]]:
-    work = dict(flags)
-    by_depth = sorted(work, key=len, reverse=True)
-    pending = list(by_depth)
-    while pending:
-        leaf = pending.pop(0)
-        if leaf not in work or not leaf:
-            continue
-        if len(leaf) == 1:
-            continue  # never merge the root family
-        stem = leaf[:-1]
-        family = children(stem, arity)
-        if all(f in work for f in family):
-            val = work[family[0]]
-            if all(work[f] == val for f in family):
-                for f in family:
-                    del work[f]
-                work[stem] = val
-                pending.insert(0, stem)
-    carrier = tuple(sorted(work))
-    marks = {leaf for leaf, v in work.items() if v}
-    return carrier, marks
+def normal_clopen(arity: int, flags: dict[Address, bool]) -> ClopenSet:
+    """Normal form of the set marked on a complete prefix code (unchecked).
+
+    ``flags`` is merged in place.  Raises ``DomainError`` when the marks
+    select nothing or everything.
+    """
+    merge_families(arity, flags, lambda marks: marks[0] if len(set(marks)) == 1 else None)
+    marks = frozenset(leaf for leaf, marked in flags.items() if marked)
+    if not marks:
+        raise DomainError("clopen set is empty")
+    if len(marks) == len(flags):
+        raise DomainError("clopen set is the full boundary")
+    return ClopenSet(arity, tuple(sorted(flags)), marks)
 
 
 def complement(omega: ClopenSet) -> ClopenSet:

@@ -10,7 +10,6 @@ from spherotree.element import (
     act_on_clopen,
     compose,
     conjugate,
-    displacement_parity,
     equals,
     finitary_automorphism,
     from_pieces,
@@ -25,6 +24,7 @@ from spherotree.element import (
     witness_nonautomorphism,
     witness_translation,
 )
+from spherotree.bithorn import is_automorphism
 from spherotree.errors import DomainError, ValidationError
 from spherotree.tree import (
     ClopenSet,
@@ -381,7 +381,6 @@ def test_finitary_elements_preserve_balls():
             perms[vertex] = p
         g = finitary_automorphism(arity, rp, perms)
         assert preserves_all_balls(g)
-        assert displacement_parity(g) == 0
 
 
 def test_witnesses():
@@ -390,22 +389,6 @@ def test_witnesses():
     h = witness_translation()
     assert preserves_all_balls(h)
     assert not is_identity(h)
-    assert displacement_parity(h) == 1
-    assert displacement_parity(g) is None
-
-
-def test_displacement_parity_additive():
-    rng = random.Random(71)
-    found = 0
-    for trial in range(200):
-        g = random_element(2, 8, 1200 + trial)
-        h = random_element(2, 8, 1300 + trial)
-        pg, ph = displacement_parity(g), displacement_parity(h)
-        if pg is None or ph is None:
-            continue
-        found += 1
-        assert displacement_parity(compose(g, h)) == (pg + ph) % 2
-    assert found >= 20
 
 
 def test_thompson_generators():
@@ -436,13 +419,13 @@ def test_random_element_deterministic_and_valid():
 
 
 def test_random_element_mixes_kinds():
-    parities = set()
+    kinds = set()
     sizes = set()
     for seed in range(80):
         g = random_element(2, 9, seed)
-        parities.add(displacement_parity(g))
+        kinds.add(is_automorphism(g))
         sizes.add(len(g.pieces))
-    assert 0 in parities  # finitary draws occur
+    assert True in kinds  # finitary draws occur
     assert max(sizes) > 3  # proper splittings occur
 
 

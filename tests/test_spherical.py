@@ -1,7 +1,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from spherotree.bithorn import coset_code, is_automorphism
@@ -82,6 +81,7 @@ def _random_finitary_aut(rng, arity):
 
 
 def test_jacobi_against_numpy():
+    np = pytest.importorskip("numpy")
     rng = random.Random("jacobi-oracle")
     for trial in range(60):
         n = rng.randint(1, 12)
@@ -342,6 +342,7 @@ def test_gram_all_automorphisms_is_all_ones():
     report = gram_psd_check(els, nessonov_evaluator(spec))
     assert all(x == 1.0 for row in report.matrix for x in row)
     assert report.ok
+    np = pytest.importorskip("numpy")
     ref = sorted(np.linalg.eigvalsh(np.array(report.matrix)))
     assert abs(report.min_eigenvalue - ref[0]) <= 1e-9
     assert abs(max(symmetric_eigenvalues(report.matrix)) - len(els)) <= 1e-9
@@ -365,6 +366,7 @@ def test_gram_duplicate_warning():
 
 
 def test_gram_random_suites_pass():
+    np = pytest.importorskip("numpy")
     rng = random.Random("gram-random")
     table = ClassTable(2, 0, (BALL, PAIR))
     for trial in range(4):

@@ -164,6 +164,13 @@ def test_tensor_spec_round_trip():
         parse_tensor_spec("arity 2\niota 0\ncap 1\nlimit 1.0\nrow 1.0\n")
 
 
+@pytest.mark.parametrize("key, line", [("iota", "iota 0"), ("cap", "cap 2"), ("limit", "limit 0.6 0.8")])
+def test_tensor_spec_rejects_repeated_settings(key, line):
+    text = "arity 2\niota 0\ncap 1\nlimit 1.0 0.0\n" + line + "\n"
+    with pytest.raises(ValidationError, match=f"^spec.txt:5: {key} given twice$"):
+        parse_tensor_spec(text, source="spec.txt")
+
+
 def test_transition_counts_format():
     table = ClassTable(2, 0, (BALL,))
     counts = theta(witness_nonautomorphism(), table)

@@ -32,10 +32,11 @@ from spherotree.tree import (
     depth_members,
     down,
     parse_address,
-    split_ball,
     up,
     upsilon,
 )
+
+from oracles import meets, skeleton_diameter, split_ball
 
 
 def A(text, arity=2):
@@ -307,7 +308,7 @@ def test_code_round_trip():
         assert canonical_code(again) == code
         assert again.vertex_count == code.vertex_count
         assert again.spike_count == code.spike_count
-        assert again.skeleton_diameter() == code.diameter
+        assert skeleton_diameter(again) == code.diameter
         assert ThornCode.from_token(code.token) == code
 
 
@@ -493,7 +494,7 @@ def test_enumerate_single_spike_around_edge():
     assert len(found) == 6
     for t in found:
         assert canonical_code(t) == pattern
-        assert t.meets(region)
+        assert meets(t, region)
 
 
 def test_enumerate_two_vertex_class_at_root():
@@ -523,7 +524,7 @@ def test_enumerate_is_exhaustive_by_random_probe():
         t = _random_subthorn(rng, 2, max_v=3, allow_empty_spikes=False)
         if canonical_code(t) != pattern or not t.is_reduced:
             continue
-        if t.meets(region):
+        if meets(t, region):
             assert t in found
             hits += 1
         else:

@@ -19,11 +19,12 @@ from spherotree.tree import (
     parse_ball,
     refine,
     root_code,
-    split_ball,
     up,
     upsilon,
     validate_prefix_code,
 )
+
+from oracles import split_ball
 
 
 def A(text):
