@@ -411,42 +411,48 @@ def _parse_code(text: str, arity: int) -> tuple[tuple[frozenset[int], ...], tupl
     """Validate a code text; return (adjacency, spike counts, skeleton diameter).
 
     Vertices are numbered in text order, and none may exceed valence n+1.
+    The parse keeps its open vertices on a list, so nesting depth is not
+    bounded by the interpreter's recursion limit.
     """
     if text == EMPTY_CODE_TEXT:
         return (), (), 0
     adjacency: list[set[int]] = []
     counts: list[int] = []
+    # per open vertex: [index, tallest child height, second tallest, diameter]
+    open_vertices: list[list[int]] = []
     pos = 0
-
-    def parse_vertex(parent: int | None) -> tuple[int, int]:
-        # returns (height, diameter) of the parsed subtree
-        nonlocal pos
+    while True:
         opening = _VERTEX_OPEN.match(text, pos)
         if opening is None:
             raise ValidationError(f"bad thorn code text {text!r} at {pos}")
         pos = opening.end()
         me = len(adjacency)
-        adjacency.append(set() if parent is None else {parent})
+        adjacency.append(set())
+        if open_vertices:
+            parent = open_vertices[-1][0]
+            adjacency[parent].add(me)
+            adjacency[me].add(parent)
         counts.append(int(opening.group(1)))
-        heights = [0, 0]
-        diam = 0
-        while text.startswith("(", pos):
-            adjacency[me].add(len(adjacency))
-            h, d = parse_vertex(me)
-            heights.append(h + 1)
-            diam = max(diam, d)
-        if not text.startswith(")", pos):
+        open_vertices.append([me, 0, 0, 0])
+        while text.startswith(")", pos):
+            pos += 1
+            me, h1, h2, diam = open_vertices.pop()
+            if len(adjacency[me]) + counts[me] > arity + 1:
+                raise ValidationError(f"vertex {me} of {text!r} exceeds valence {arity + 1}")
+            diam = max(diam, h1 + h2)
+            if not open_vertices:
+                if pos != len(text):
+                    raise ValidationError(f"trailing junk in thorn code text {text!r}")
+                return tuple(frozenset(a) for a in adjacency), tuple(counts), diam
+            up_one = open_vertices[-1]
+            h1 += 1
+            if h1 > up_one[1]:
+                up_one[1], up_one[2] = h1, up_one[1]
+            elif h1 > up_one[2]:
+                up_one[2] = h1
+            up_one[3] = max(up_one[3], diam)
+        if not text.startswith("(", pos):
             raise ValidationError(f"bad thorn code text {text!r} at {pos}")
-        pos += 1
-        if len(adjacency[me]) + counts[me] > arity + 1:
-            raise ValidationError(f"vertex {me} of {text!r} exceeds valence {arity + 1}")
-        heights.sort(reverse=True)
-        return heights[0], max(diam, heights[0] + heights[1])
-
-    _, diam = parse_vertex(None)
-    if pos != len(text):
-        raise ValidationError(f"trailing junk in thorn code text {text!r}")
-    return tuple(frozenset(a) for a in adjacency), tuple(counts), diam
 
 
 def canonical_code(t: AbstractThorn | SubThorn) -> ThornCode:
@@ -506,11 +512,20 @@ def rooted_encoder(
 
     def text(v: int, parent: int | None = None) -> str:
         found = memo.get((v, parent))
-        if found is None:
-            kids = [text(w, v) for w in adjacency[v] if w != parent]
+        if found is not None:
+            return found
+        # breadth-first list of the directed edges not yet encoded; reversed,
+        # it has every child edge before its parent's
+        order = [(v, parent)]
+        for u, p in order:
+            for w in adjacency[u]:
+                if w != p and (w, u) not in memo:
+                    order.append((w, u))
+        for u, p in reversed(order):
+            kids = [memo[w, u] for w in adjacency[u] if w != p]
             kids.sort()
-            found = memo[v, parent] = f"({spike_counts[v]}:{''.join(kids)})"
-        return found
+            memo[u, p] = f"({spike_counts[u]}:{''.join(kids)})"
+        return memo[v, parent]
 
     return text
 
@@ -652,48 +667,47 @@ def require_class_code(code: ThornCode) -> ThornCode:
 def enumerate_class_codes(arity: int, iota: int, max_vertices: int) -> tuple[ThornCode, ...]:
     """All orbit-class codes of the residue sector with at most V vertices.
 
-    Exhaustive: every labeled tree shape (Prüfer decoding) is combined with
-    every admissible spike assignment, filtered to classification outputs,
-    and deduplicated through the canonical code.  Cost grows quickly with
-    ``max_vertices``; intended for small bounds.
+    Each unlabelled tree on at most V vertices (``_free_trees``) is taken
+    once and combined with every spike-count vector that fits its degrees,
+    lies in the residue sector and passes ``_shape_defect``; the centre-
+    rooted text then merges vectors that differ by a skeleton automorphism.
+    Codes come sorted by (vertex count, spike count, text).  The text is
+    computed directly, not through the code cache of ``canonical_code``.
     """
     check_arity(arity)
     if not 0 <= iota <= arity - 2:
         raise ValidationError(f"residue {iota} is out of range for arity {arity}")
     if max_vertices < 1:
         raise ValidationError("class enumeration needs at least one vertex")
-    found: set[ThornCode] = set()
-    for V in range(1, max_vertices + 1):
-        for adjacency in _labeled_trees(V):
+    found: set[tuple[int, int, str]] = set()
+    for V, trees in enumerate(_free_trees(max_vertices), start=1):
+        for adjacency in trees:
             degs = tuple(len(nbrs) for nbrs in adjacency)
-            slot_ranges = [range(arity + 2 - d) for d in degs]
-            for counts in product(*slot_ranges):
-                if sum(counts) % (arity - 1) != iota or _shape_defect(degs, counts, arity):
+            for counts in product(*(range(arity + 2 - d) for d in degs)):
+                spikes = sum(counts)
+                if spikes % (arity - 1) != iota or _shape_defect(degs, counts, arity):
                     continue
-                found.add(_code_of_abstract(AbstractThorn(arity, adjacency, counts)))
-    return tuple(sorted(found, key=lambda c: (c.vertex_count, c.spike_count, c.text)))
+                found.add((V, spikes, _center_rooted_text(adjacency, counts)))
+    return tuple(trusted(ThornCode, arity, text) for _, _, text in sorted(found))
 
 
-def _labeled_trees(V: int) -> Iterator[tuple[frozenset[int], ...]]:
-    """Adjacency lists of every labeled tree on V vertices (Prüfer decoding)."""
-    if V == 1:
-        yield (frozenset(),)
-        return
-    for seq in product(range(V), repeat=V - 2):
-        degree = [1] * V
-        for x in seq:
-            degree[x] += 1
-        adj: list[set[int]] = [set() for _ in range(V)]
-        for x in seq:
-            leaf = min(i for i in range(V) if degree[i] == 1)
-            adj[leaf].add(x)
-            adj[x].add(leaf)
-            degree[leaf] = 0
-            degree[x] -= 1
-        a, b = (i for i in range(V) if degree[i] == 1)
-        adj[a].add(b)
-        adj[b].add(a)
-        yield tuple(frozenset(s) for s in adj)
+def _free_trees(max_vertices: int) -> Iterator[list[tuple[frozenset[int], ...]]]:
+    """Per V = 1 .. max_vertices, each unlabelled tree on V vertices once.
+
+    Every tree on V + 1 vertices is a tree on V vertices with a leaf added;
+    the centre-rooted text of the bare skeleton drops the repeats.
+    """
+    trees = [(frozenset(),)]
+    for V in range(1, max_vertices + 1):
+        yield trees
+        if V == max_vertices:
+            return
+        grown: dict[str, tuple[frozenset[int], ...]] = {}
+        for adjacency in trees:
+            for v in range(V):
+                bigger = adjacency[:v] + (adjacency[v] | {V},) + adjacency[v + 1 :] + (frozenset({v}),)
+                grown.setdefault(_center_rooted_text(bigger, (0,) * (V + 1)), bigger)
+        trees = list(grown.values())
 
 
 # ---------------------------------------------------------------------------

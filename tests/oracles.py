@@ -1,6 +1,9 @@
 """Reference helpers that only the tests need, kept apart from the library."""
 
-from spherotree.thorn import AbstractThorn, SubThorn
+from itertools import product
+from typing import Iterator
+
+from spherotree.thorn import AbstractThorn, SubThorn, ThornCode, _shape_defect, canonical_code
 from spherotree.tree import Ball, down, up
 
 
@@ -42,3 +45,43 @@ def _farthest(t: AbstractThorn, start: int) -> tuple[int, int]:
                     best = (w, dist[w])
                 frontier.append(w)
     return best
+
+
+def pruefer_class_codes(arity: int, iota: int, max_vertices: int) -> tuple[ThornCode, ...]:
+    """``enumerate_class_codes`` by brute force over labelled trees.
+
+    Every labelled tree (Prüfer decoding) with every admissible spike-count
+    vector, deduplicated through ``canonical_code``; V^(V-2) trees per size,
+    so only small bounds finish.
+    """
+    found: set[ThornCode] = set()
+    for V in range(1, max_vertices + 1):
+        for adjacency in labeled_trees(V):
+            degs = tuple(len(nbrs) for nbrs in adjacency)
+            for counts in product(*(range(arity + 2 - d) for d in degs)):
+                if sum(counts) % (arity - 1) != iota or _shape_defect(degs, counts, arity):
+                    continue
+                found.add(canonical_code(AbstractThorn(arity, adjacency, counts)))
+    return tuple(sorted(found, key=lambda c: (c.vertex_count, c.spike_count, c.text)))
+
+
+def labeled_trees(V: int) -> Iterator[tuple[frozenset[int], ...]]:
+    """Adjacency lists of every labelled tree on V vertices (Prüfer decoding)."""
+    if V == 1:
+        yield (frozenset(),)
+        return
+    for seq in product(range(V), repeat=V - 2):
+        degree = [1] * V
+        for x in seq:
+            degree[x] += 1
+        adj: list[set[int]] = [set() for _ in range(V)]
+        for x in seq:
+            leaf = min(i for i in range(V) if degree[i] == 1)
+            adj[leaf].add(x)
+            adj[x].add(leaf)
+            degree[leaf] = 0
+            degree[x] -= 1
+        a, b = (i for i in range(V) if degree[i] == 1)
+        adj[a].add(b)
+        adj[b].add(a)
+        yield tuple(frozenset(s) for s in adj)

@@ -85,6 +85,23 @@ def test_validate_rejects_broken_file(tmp_path, capsys):
     assert "bad.txt" in err and "error:" in err
 
 
+def test_validate_table_with_deeply_nested_code(tmp_path, capsys):
+    # a 1,202-vertex path nests deeper than the interpreter's recursion limit
+    n = 1202
+    end_rooted = "(1:" + "(0:" * (n - 2) + "(1:)" + ")" * (n - 1)
+    near = "(0:" * (n // 2 - 1) + "(1:)" + ")" * (n // 2 - 1)
+    far = "(0:" * (n // 2) + "(1:)" + ")" * (n // 2)
+    verdicts = {}
+    for name, text in (("centred", "(0:" + far + near + ")"), ("end", end_rooted)):
+        table = tmp_path / f"{name}.txt"
+        table.write_text(f"arity 2\niota 0\nclass {text}\n")
+        verdicts[name] = _run(capsys, "validate", str(table), "--kind", "table")
+    assert verdicts["centred"] == (0, "ok table arity=2 iota=0 classes=1\n", "")
+    code, out, err = verdicts["end"]
+    assert code == 1 and out == ""
+    assert "end.txt:3:" in err and "not in canonical center-rooted form" in err
+
+
 def test_compose_invert_equals_round_trip(work, capsys, tmp_path):
     code, out, _ = _run(capsys, "invert", work["r1"])
     assert code == 0

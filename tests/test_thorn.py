@@ -1,10 +1,14 @@
 import random
+import sys
 
 import pytest
 
 from spherotree.errors import DomainError, ValidationError
 from spherotree.thorn import (
     UP,
+    _center_rooted_text,
+    _code_of_abstract,
+    _free_trees,
     AbstractThorn,
     SubThorn,
     ThornCode,
@@ -15,7 +19,9 @@ from spherotree.thorn import (
     classify_clopen,
     clopen_of_subthorn,
     empty_subthorn,
+    enumerate_class_codes,
     enumerate_embeddings,
+    is_class_code,
     maximal_balls,
     reduce_subthorn,
     single_spike_subthorn,
@@ -36,7 +42,7 @@ from spherotree.tree import (
     upsilon,
 )
 
-from oracles import meets, skeleton_diameter, split_ball
+from oracles import labeled_trees, meets, pruefer_class_codes, skeleton_diameter, split_ball
 
 
 def A(text, arity=2):
@@ -321,6 +327,20 @@ def test_code_text_validation():
     assert ThornCode(2, "E").is_empty
 
 
+def test_deeply_nested_code_texts():
+    # a path nested far deeper than the interpreter's recursion limit
+    n = 3001
+    assert n > sys.getrecursionlimit()
+    end_rooted = ThornCode(2, "(1:" + "(0:" * (n - 2) + "(1:)" + ")" * (n - 1))
+    assert (end_rooted.vertex_count, end_rooted.spike_count, end_rooted.diameter) == (n, 2, n - 1)
+    assert not is_class_code(end_rooted)
+    branch = "(0:" * (n // 2 - 1) + "(1:)" + ")" * (n // 2 - 1)
+    centred = canonical_code(abstract_from_code(end_rooted))
+    assert centred.text == "(0:" + branch + branch + ")"
+    assert is_class_code(centred)
+    assert centred.diameter == n - 1
+
+
 def test_star_code_counts():
     t = subthorn_from_balls(
         [down(A("00")), down(A("10")), down(A("20"))], 2
@@ -558,8 +578,6 @@ def test_class_code_acceptance_and_defects():
 
 
 def test_enumerate_class_codes_small():
-    from spherotree.thorn import enumerate_class_codes, is_class_code
-
     assert [c.text for c in enumerate_class_codes(2, 0, 2)] == ["(1:)", "(1:(1:))"]
     assert [c.text for c in enumerate_class_codes(2, 0, 3)] == [
         "(1:)",
@@ -582,8 +600,6 @@ def test_enumerate_class_codes_small():
 
 
 def test_enumerated_codes_are_realized_by_clopen_sets():
-    from spherotree.thorn import enumerate_class_codes
-
     region = SubThorn(2, frozenset({ROOT}), frozenset())
     for code in enumerate_class_codes(2, 0, 4):
         found = enumerate_embeddings(code, region, code.diameter + 1)
@@ -593,10 +609,8 @@ def test_enumerated_codes_are_realized_by_clopen_sets():
 
 
 def test_random_classifications_appear_in_enumeration():
-    from spherotree.thorn import enumerate_class_codes, is_class_code
-
     rng = random.Random("classification-census")
-    for arity, bound in ((2, 6), (3, 5)):
+    for arity, bound in ((2, 8), (3, 6)):
         universe = {c.text for c in enumerate_class_codes(arity, 0, bound)}
         if arity > 2:
             universe |= {c.text for c in enumerate_class_codes(arity, 1, bound)}
@@ -607,3 +621,53 @@ def test_random_classifications_appear_in_enumeration():
             assert code.residue() == upsilon(omega)
             if code.vertex_count <= bound:
                 assert code.text in universe
+
+
+ORACLE_GRID = (
+    [(2, 0, 6), (3, 0, 5), (3, 1, 5)]
+    + [(4, iota, 4) for iota in range(3)]
+    + [(5, iota, 3) for iota in range(4)]
+    + [(6, iota, 3) for iota in range(5)]
+)
+
+
+@pytest.mark.parametrize("arity, iota, max_vertices", ORACLE_GRID)
+def test_enumerate_class_codes_match_pruefer_oracle(arity, iota, max_vertices):
+    assert enumerate_class_codes(arity, iota, max_vertices) == pruefer_class_codes(
+        arity, iota, max_vertices
+    )
+
+
+def _skeleton_texts(trees):
+    return [_center_rooted_text(adjacency, [0] * len(adjacency)) for adjacency in trees]
+
+
+def test_free_trees_counts():
+    # OEIS A000055: unlabelled trees on 1..10 vertices
+    layers = list(_free_trees(10))
+    assert [len(trees) for trees in layers] == [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
+    for V, trees in enumerate(layers, start=1):
+        assert all(len(adjacency) == V for adjacency in trees)
+        assert len(set(_skeleton_texts(trees))) == len(trees)
+    # the labelled trees fall into exactly these classes
+    for V in range(1, 7):
+        assert set(_skeleton_texts(labeled_trees(V))) == set(_skeleton_texts(layers[V - 1]))
+
+
+def test_free_trees_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for V, trees in enumerate(_free_trees(10), start=1):
+        reference = []
+        for graph in nx.nonisomorphic_trees(V):
+            nodes = sorted(graph.nodes)
+            index = {v: i for i, v in enumerate(nodes)}
+            reference.append(tuple(frozenset(index[w] for w in graph[v]) for v in nodes))
+        assert sorted(_skeleton_texts(reference)) == sorted(_skeleton_texts(trees))
+
+
+def test_class_enumeration_leaves_the_code_cache_alone():
+    enumerate_class_codes.cache_clear()
+    before = _code_of_abstract.cache_info()
+    codes = enumerate_class_codes(4, 0, 5)
+    assert len(codes) == 233
+    assert _code_of_abstract.cache_info() == before
