@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
+from math import factorial
 from typing import Iterator
 
 from .element import Spheromorphism
@@ -267,57 +268,100 @@ def _validate_coset_text(arity: int, text: str) -> None:
         raise ValidationError("arc multiplicities disagree with the range shape")
 
 
-def _canonical_numberings(t: SubThorn) -> tuple[str, dict[Address, int], list[tuple[int, ...]]]:
-    """The minimal rooted shape text of a side and the numberings it allows.
+class _Side:
+    """The minimal rooted shape text of one side and the numberings it allows.
 
     Vertices are indexed in address order; a numbering gives each index its
     place in a preorder from a vertex achieving the minimal text, with
     sibling subtrees in sorted shape order.  Equal shapes may be swapped,
     so every valid index assignment of the shape is produced.
     """
-    index = {v: i for i, v in enumerate(sorted(t.vertices))}
-    model = AbstractThorn.from_subthorn(t)
-    text = rooted_encoder(model.adjacency, model.spike_counts)
-    best = min(text(v) for v in index.values())
 
-    def rec(v: int, parent: int | None) -> Iterator[tuple[int, ...]]:
-        kids = [w for w in sorted(model.adjacency[v]) if w != parent]
-        if not kids:
-            yield (v,)
-            return
+    def __init__(self, t: SubThorn) -> None:
+        self.index = {v: i for i, v in enumerate(sorted(t.vertices))}
+        model = AbstractThorn.from_subthorn(t)
+        self.adjacency = model.adjacency
+        self.text = rooted_encoder(model.adjacency, model.spike_counts)
+        texts = [self.text(v) for v in range(len(self.index))]
+        self.shape = min(texts)
+        self.roots = [v for v, text in enumerate(texts) if text == self.shape]
+
+    def _groups(self, v: int, parent: int | None) -> list[list[int]]:
+        """Children of v away from parent, grouped by equal shape, groups sorted."""
         groups: dict[str, list[int]] = {}
-        for w in kids:
-            groups.setdefault(text(w, v), []).append(w)
-        keys = sorted(groups)
-        for choice in product(*[list(permutations(groups[k])) for k in keys]):
-            ordered = [w for group in choice for w in group]
-            for parts in product(*[list(rec(w, v)) for w in ordered]):
-                yield (v,) + tuple(x for part in parts for x in part)
+        for w in sorted(self.adjacency[v]):
+            if w != parent:
+                groups.setdefault(self.text(w, v), []).append(w)
+        return [groups[key] for key in sorted(groups)]
 
-    numberings = []
-    for root in index.values():
-        if text(root) == best:
+    def numbering_count(self) -> int:
+        """How many numberings ``numberings`` lists, counted without listing them.
+
+        Minimal roots are isomorphic as rooted trees, so the count is their
+        number times the product of m! over every group of m equal child
+        shapes below one of them.
+        """
+        count = len(self.roots)
+        stack: list[tuple[int, int | None]] = [(self.roots[0], None)]
+        while stack:
+            v, parent = stack.pop()
+            for group in self._groups(v, parent):
+                count *= factorial(len(group))
+                stack.extend((w, v) for w in group)
+        return count
+
+    def numberings(self) -> list[tuple[int, ...]]:
+        def rec(v: int, parent: int | None) -> Iterator[tuple[int, ...]]:
+            groups = self._groups(v, parent)
+            if not groups:
+                yield (v,)
+                return
+            for choice in product(*[list(permutations(group)) for group in groups]):
+                ordered = [w for group in choice for w in group]
+                for parts in product(*[list(rec(w, v)) for w in ordered]):
+                    yield (v,) + tuple(x for part in parts for x in part)
+
+        numberings = []
+        for root in self.roots:
             for preorder in rec(root, None):
-                place = [0] * len(index)
+                place = [0] * len(self.index)
                 for i, v in enumerate(preorder):
                     place[v] = i
                 numberings.append(tuple(place))
-    return best, index, numberings
+        return numberings
 
 
 def canonical_coset_code(b: BiThorn) -> CosetCode:
     if b.is_empty:
         return trusted(CosetCode, b.arity, EMPTY_CODE_TEXT)
-    shape_dom, dom_index, dom_numberings = _canonical_numberings(b.dom)
-    shape_ran, ran_index, ran_numberings = _canonical_numberings(b.ran)
-    arcs = [(dom_index[s[0]], ran_index[q[0]]) for s, q in b.pairing]
+    return _search(b, _Side(b.dom), _Side(b.ran))
+
+
+def bounded_coset_code(b: BiThorn, max_numberings: int) -> CosetCode | None:
+    """``canonical_coset_code(b)``, or None if its search is too large.
+
+    The search compares every pair of a domain and a range numbering; when
+    there are more than ``max_numberings`` pairs, None is returned without
+    searching.  Counting the pairs is linear in the bi-thorn.
+    """
+    if b.is_empty:
+        return trusted(CosetCode, b.arity, EMPTY_CODE_TEXT)
+    dom, ran = _Side(b.dom), _Side(b.ran)
+    if dom.numbering_count() * ran.numbering_count() > max_numberings:
+        return None
+    return _search(b, dom, ran)
+
+
+def _search(b: BiThorn, dom: _Side, ran: _Side) -> CosetCode:
+    arcs = [(dom.index[s[0]], ran.index[q[0]]) for s, q in b.pairing]
+    ran_numberings = ran.numberings()
     best = min(
         sorted((dom_place[i], ran_place[j]) for i, j in arcs)
-        for dom_place in dom_numberings
+        for dom_place in dom.numberings()
         for ran_place in ran_numberings
     )
     arc_text = ",".join(f"{i}>{j}" for i, j in best)
-    return trusted(CosetCode, b.arity, f"{shape_dom}|{shape_ran}|{arc_text}")
+    return trusted(CosetCode, b.arity, f"{dom.shape}|{ran.shape}|{arc_text}")
 
 
 def coset_code(g: Spheromorphism) -> CosetCode:

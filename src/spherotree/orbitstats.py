@@ -13,16 +13,25 @@ recomputes the counts by sweeping every tracked-class set of bounded carrier
 depth and classifying through validated thorns (``subthorn_from_balls``,
 ``reduce_subthorn``, ``canonical_code``), as an independent, much slower
 oracle.
+
+The class pairs, and with them θ, are the same for every element of a
+double coset of the automorphism group, so ``class_pairs`` returns them in
+a canonical order and memoises them on (coset code, table) in a bounded
+least-recently-used memo of ``MEMO_SIZE`` entries.  The coset code search
+still tries every pair of sibling orderings of the two sides; a coset whose
+search would compare more than ``MAX_NUMBERINGS`` numbering pairs is
+computed directly instead, and so are automorphisms, which move nothing.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from typing import Iterator
 
-from .bithorn import minimal_bithorn
+from .bithorn import BiThorn, CosetCode, bounded_coset_code, minimal_bithorn
 from .element import Spheromorphism, act_on_ball, invert
 from .errors import DomainError, InternalError, ValidationError
 from .thorn import (
@@ -130,12 +139,13 @@ class TransitionCounts:
         return trusted(TransitionCounts, self.table, flipped)
 
 
-def _moved(g: Spheromorphism, table: ClassTable) -> Iterator[
+def _moved(g: Spheromorphism, pair: BiThorn, table: ClassTable) -> Iterator[
     tuple[tuple[Ball, ...], ThornCode, tuple[Ball, ...], ThornCode]
 ]:
     """Each clopen set involving a tracked class whose class changes under g.
 
-    Yields (set balls, class before, image balls, class after) once per set.
+    Yields (set balls, class before, image balls, class after) once per set;
+    ``pair`` is the minimal bi-thorn of g.
     Covers both directions: tracked sets leaving their class, and lumped
     sets entering a tracked class.  A set whose class changes must have its
     reduced thorn touch the minimal matched pair of the element (sets whose
@@ -144,9 +154,6 @@ def _moved(g: Spheromorphism, table: ClassTable) -> Iterator[
     classified directly by ``classify_balls``, and sets are told apart by
     the spike set of their reduced thorn.
     """
-    if g.arity != table.arity:
-        raise DomainError(f"arity mismatch: {g.arity} vs {table.arity}")
-    pair = minimal_bithorn(g)
     if pair.is_empty:
         return
     arity = g.arity
@@ -187,16 +194,89 @@ def _ball_image(g: Spheromorphism, balls: tuple[Ball, ...]) -> tuple[Ball, ...]:
     return tuple(sorted(chain.from_iterable(act_on_ball(g, b) for b in balls)))
 
 
-@lru_cache(maxsize=1024)
-def class_pairs(
-    g: Spheromorphism, table: ClassTable
-) -> tuple[tuple[ThornCode, ThornCode], ...]:
-    """(before, after) classes of every set g moves, in enumeration order.
+ClassPairs = tuple[tuple[ThornCode, ThornCode], ...]
 
-    This is all that ``theta`` and ``phi_tensor`` need.  Both arguments are
-    immutable, so results are cached.
+MEMO_SIZE = 4096
+# ``canonical_coset_code`` compares every pair of a domain and a range
+# numbering, which grows with the factorials of equal sibling shapes; a
+# coset with more pairs than this is not memoised, since finding its code
+# would cost far more than θ itself.
+MAX_NUMBERINGS = 4096
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _CosetMemo:
+    """Least-recently-used class pairs per (coset code, table), ``MEMO_SIZE`` at most."""
+
+    def __init__(self) -> None:
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        self.entries: dict[tuple[CosetCode, ClassTable], ClassPairs] = {}
+        self.hits = self.misses = 0
+
+    def cache_info(self) -> CacheInfo:
+        """Hits, misses, bound and current size, as ``functools.lru_cache`` reports them."""
+        return CacheInfo(self.hits, self.misses, MEMO_SIZE, len(self.entries))
+
+    def get(self, key: tuple[CosetCode, ClassTable]) -> ClassPairs | None:
+        found = self.entries.pop(key, None)
+        if found is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        self.entries[key] = found  # now the most recently used
+        return found
+
+    def put(self, key: tuple[CosetCode, ClassTable], pairs: ClassPairs) -> None:
+        while len(self.entries) >= MEMO_SIZE:
+            del self.entries[next(iter(self.entries))]
+        self.entries[key] = pairs
+
+
+_memo = _CosetMemo()
+
+
+def class_pairs(g: Spheromorphism, table: ClassTable) -> ClassPairs:
+    """(before, after) classes of every set g moves, sorted by their texts.
+
+    This is all that ``theta`` and ``phi_tensor`` need.  For automorphisms
+    a and b, the sets a·g·b moves are the preimages under b of the sets g
+    moves, with the same classes, so the sorted pairs depend only on the
+    double coset of g.  They are memoised on (coset code, table);
+    ``class_pairs.cache_info()`` and ``class_pairs.cache_clear()`` report
+    and empty the memo.  Automorphisms move nothing and skip it, and so
+    does a coset whose code search would compare more than
+    ``MAX_NUMBERINGS`` numbering pairs: its pairs are computed every time.
     """
-    return tuple((before, after) for _, before, _, after in _moved(g, table))
+    if g.arity != table.arity:
+        raise DomainError(f"arity mismatch: {g.arity} vs {table.arity}")
+    pair = minimal_bithorn(g)
+    if pair.is_empty:
+        return ()
+    code = bounded_coset_code(pair, MAX_NUMBERINGS)
+    if code is None:
+        return _sorted_pairs(g, pair, table)
+    key = (code, table)
+    pairs = _memo.get(key)
+    if pairs is None:
+        pairs = _sorted_pairs(g, pair, table)
+        _memo.put(key, pairs)
+    return pairs
+
+
+class_pairs.cache_info = _memo.cache_info  # type: ignore[attr-defined]
+class_pairs.cache_clear = _memo.cache_clear  # type: ignore[attr-defined]
+
+
+def _sorted_pairs(g: Spheromorphism, pair: BiThorn, table: ClassTable) -> ClassPairs:
+    return tuple(
+        sorted(
+            ((before, after) for _, before, _, after in _moved(g, pair, table)),
+            key=lambda classes: (classes[0].text, classes[1].text),
+        )
+    )
 
 
 def moved_sets(g: Spheromorphism, table: ClassTable) -> tuple[MovedSet, ...]:
@@ -206,6 +286,8 @@ def moved_sets(g: Spheromorphism, table: ClassTable) -> tuple[MovedSet, ...]:
     clopen normal forms, ordered by the set's carrier flags.  ``theta``
     itself classifies ball tuples directly and builds no clopen set.
     """
+    if g.arity != table.arity:
+        raise DomainError(f"arity mismatch: {g.arity} vs {table.arity}")
     records = [
         MovedSet(
             ClopenSet.from_balls(g.arity, omega),
@@ -213,7 +295,7 @@ def moved_sets(g: Spheromorphism, table: ClassTable) -> tuple[MovedSet, ...]:
             ClopenSet.from_balls(g.arity, image),
             after,
         )
-        for omega, before, image, after in _moved(g, table)
+        for omega, before, image, after in _moved(g, minimal_bithorn(g), table)
     ]
     return tuple(sorted(records, key=lambda rec: rec.omega.leaf_flags()))
 

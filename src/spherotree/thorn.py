@@ -659,7 +659,11 @@ def is_class_code(code: ThornCode) -> bool:
 def require_class_code(code: ThornCode) -> ThornCode:
     defect = class_code_defect(code)
     if defect is not None:
-        raise ValidationError(f"code {code.text!r} is not an orbit class: {defect}")
+        # a code text grows with its vertex count; quote only its start
+        text = code.text if len(code.text) <= 60 else code.text[:60] + "..."
+        raise ValidationError(
+            f"code {text!r} ({code.vertex_count} vertices) is not an orbit class: {defect}"
+        )
     return code
 
 

@@ -1,10 +1,49 @@
 """Reference helpers that only the tests need, kept apart from the library."""
 
+import random
 from itertools import product
 from typing import Iterator
 
+from spherotree.bithorn import minimal_bithorn
+from spherotree.element import Spheromorphism, finitary_automorphism, from_pieces
 from spherotree.thorn import AbstractThorn, SubThorn, ThornCode, _shape_defect, canonical_code
 from spherotree.tree import Ball, down, up
+
+
+def random_finitary(rng: random.Random, arity: int) -> Spheromorphism:
+    """A random automorphism: root branches permuted, up to two deeper swaps."""
+    rp = list(range(arity + 1))
+    rng.shuffle(rp)
+    perms = {}
+    for _ in range(rng.randint(0, 2)):
+        vertex = (rng.randrange(arity + 1),) + tuple(
+            rng.randrange(arity) for _ in range(rng.randint(0, 1))
+        )
+        p = list(range(arity))
+        rng.shuffle(p)
+        perms[vertex] = p
+    return finitary_automorphism(arity, rp, perms)
+
+
+def irreducible_uniform_pairing(arity: int, depths: tuple[int, ...], seed: int) -> Spheromorphism:
+    """The uniform prefix code of the given root-branch depths, paired with
+    itself by a seeded shuffle whose minimal bi-thorn keeps every vertex of
+    the code's tree: the symmetric case where coset codes are most costly."""
+    code = []
+    for child, depth in enumerate(depths):
+        level = [(child,)]
+        for _ in range(depth - 1):
+            level = [w + (k,) for w in level for k in range(arity)]
+        code.extend(level)
+    vertices = len({w[:i] for w in code for i in range(len(w))})
+    rng = random.Random(seed)
+    for _ in range(1000):
+        targets = code[:]
+        rng.shuffle(targets)
+        g = from_pieces(arity, list(zip(code, targets)))
+        if minimal_bithorn(g).vertex_count == vertices:
+            return g
+    raise RuntimeError(f"no irreducible pairing of the code {depths}")
 
 
 def split_ball(ball: Ball, arity: int) -> tuple[Ball, ...]:

@@ -7,7 +7,9 @@ import pytest
 from spherotree.bithorn import (
     BiThorn,
     CosetCode,
+    _Side,
     bithorn_of,
+    bounded_coset_code,
     canonical_coset_code,
     coset_code,
     empty_bithorn,
@@ -31,23 +33,11 @@ from spherotree.errors import ValidationError
 from spherotree.thorn import UP, SubThorn, empty_subthorn
 from spherotree.tree import parse_address
 
+from oracles import irreducible_uniform_pairing, random_finitary
+
 
 def A(text: str, arity: int = 2):
     return parse_address(text, arity)
-
-
-def random_finitary(rng: random.Random, arity: int):
-    rp = list(range(arity + 1))
-    rng.shuffle(rp)
-    perms = {}
-    for _ in range(rng.randint(0, 2)):
-        vertex = (rng.randrange(arity + 1),) + tuple(
-            rng.randrange(arity) for _ in range(rng.randint(0, 1))
-        )
-        p = list(range(arity))
-        rng.shuffle(p)
-        perms[vertex] = p
-    return finitary_automorphism(arity, rp, perms)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +191,32 @@ def test_inverse_flips_the_pair():
         g = random_element(2, 9, 5000 + seed)
         assert bithorn_of(invert(g)) == bithorn_of(g).flip()
         assert minimal_bithorn(invert(g)) == minimal_bithorn(g).flip()
+
+
+def test_numbering_count_matches_the_search():
+    """The count that bounds a coset code search is the number it compares."""
+    pairs = [
+        minimal_bithorn(random_element(arity, 10, 4000 + seed))
+        for arity in (2, 3)
+        for seed in range(30)
+    ]
+    symmetric = minimal_bithorn(irreducible_uniform_pairing(2, (3, 3, 3), 0))
+    pairs.append(symmetric)
+    # one minimal root, 3! orders of its children, 2! below each of them
+    assert _Side(symmetric.dom).numbering_count() == 48
+    checked = 0
+    for pair in pairs:
+        if pair.is_empty:
+            continue
+        checked += 1
+        dom, ran = _Side(pair.dom), _Side(pair.ran)
+        assert dom.numbering_count() == len(dom.numberings())
+        assert ran.numbering_count() == len(ran.numberings())
+        compared = dom.numbering_count() * ran.numbering_count()
+        assert bounded_coset_code(pair, compared) == canonical_coset_code(pair)
+        assert bounded_coset_code(pair, compared - 1) is None
+    assert checked >= 30
+    assert bounded_coset_code(empty_bithorn(2), 0) == CosetCode(2, "E")
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 import hashlib
 import random
+import time
 
 import pytest
 
-from spherotree.bithorn import coset_code, is_automorphism
+from spherotree import orbitstats
+from spherotree.bithorn import _Side, coset_code, is_automorphism, minimal_bithorn
 from spherotree.element import (
     compose,
+    equals,
     finitary_automorphism,
     identity,
     invert,
@@ -28,6 +31,8 @@ from spherotree.orbitstats import (
 from spherotree.spherical import SphericalSpec, phi_nessonov
 from spherotree.thorn import ThornCode, classify_clopen, enumerate_class_codes
 from spherotree.tree import ClopenSet, down, parse_address, up, upsilon
+
+from oracles import irreducible_uniform_pairing, random_finitary
 
 BALL = ThornCode(2, "(1:)")
 PAIR = ThornCode(2, "(1:(1:))")
@@ -247,11 +252,32 @@ def _distinct_cosets(arity, budget, max_depth, count, tag):
 
 
 def _check_against_bruteforce(table, elements):
+    """theta equals the brute force on each element and on coset mates a·g·b.
+
+    The mates are checked with the coset memo emptied before every call, so
+    that each computes its own class pairs, and then warm, where every mate
+    after g is a memo hit.
+    """
     max_diameter = max(code.diameter for code in table.tracked)
+    rng = random.Random(5)
     moved = 0
     for g in elements:
-        exact = theta(g, table)
-        assert theta_bruteforce(g, table, g.depth() + max_diameter + 1) == exact
+        exact = theta_bruteforce(g, table, g.depth() + max_diameter + 1)
+        mates = [
+            compose(random_finitary(rng, g.arity), compose(g, random_finitary(rng, g.arity)))
+            for _ in range(3)
+        ]
+        assert any(not equals(h, g) for h in mates)
+        class_pairs.cache_clear()
+        pairs = class_pairs(g, table)
+        for h in [g] + mates:
+            class_pairs.cache_clear()
+            assert class_pairs(h, table) == pairs  # the same pairs in the same order
+            assert theta(h, table) == exact
+        class_pairs.cache_clear()
+        for k, h in enumerate([g] + mates):
+            assert theta(h, table) == exact
+            assert class_pairs.cache_info()[:2] == (k, 1)  # hits, misses
         moved += sum(v for row in exact.matrix for v in row if v is not None)
     assert moved > 0
 
@@ -272,6 +298,33 @@ def test_theta_matches_bruteforce_with_three_vertex_classes():
     assert any(
         theta(g, table).matrix[i][j] for g in elements for i in big for j in range(5) if i != j
     )
+
+
+def test_coset_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(orbitstats, "MEMO_SIZE", 3)
+    elements = _distinct_cosets(2, 7, 3, 5, "memo-bound")
+    class_pairs.cache_clear()
+    for g in elements:
+        theta(g, COMBINED_TABLE)
+        assert class_pairs.cache_info().currsize <= 3
+    assert class_pairs.cache_info() == (0, 5, 3, 3)
+    theta(elements[-1], COMBINED_TABLE)  # among the three most recent
+    theta(elements[0], COMBINED_TABLE)  # evicted, so computed again
+    assert class_pairs.cache_info() == (1, 6, 3, 3)
+
+
+def test_large_coset_search_bypasses_the_memo():
+    """A symmetric pairing whose coset code would compare 3072 x 3072
+    numberings: theta computes its pairs directly instead of searching."""
+    g = irreducible_uniform_pairing(2, (4, 4, 4), 0)
+    pair = minimal_bithorn(g)
+    assert _Side(pair.dom).numbering_count() == _Side(pair.ran).numbering_count() == 3072
+    class_pairs.cache_clear()
+    start = time.perf_counter()
+    exact = theta(g, COMBINED_TABLE)
+    assert time.perf_counter() - start < 2.0
+    assert class_pairs.cache_info()[:2] == (0, 0)  # no memo lookup
+    assert exact == theta_bruteforce(g, COMBINED_TABLE, g.depth() + 2)
 
 
 def test_bruteforce_span_bound_keeps_every_tracked_set():
