@@ -19,9 +19,7 @@ import binascii
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations, product
-from math import factorial
-from typing import Iterator
+from operator import itemgetter
 
 from .element import Spheromorphism
 from .errors import ValidationError
@@ -269,12 +267,11 @@ def _validate_coset_text(arity: int, text: str) -> None:
 
 
 class _Side:
-    """The minimal rooted shape text of one side and the numberings it allows.
+    """The minimal rooted shape text of one side and its minimal roots.
 
-    Vertices are indexed in address order; a numbering gives each index its
-    place in a preorder from a vertex achieving the minimal text, with
-    sibling subtrees in sorted shape order.  Equal shapes may be swapped,
-    so every valid index assignment of the shape is produced.
+    Vertices are indexed in address order.  A numbering gives each index its
+    place in a preorder from a minimal root, with sibling subtrees in sorted
+    shape order; equal shapes may come in any order.
     """
 
     def __init__(self, t: SubThorn) -> None:
@@ -286,81 +283,113 @@ class _Side:
         self.shape = min(texts)
         self.roots = [v for v, text in enumerate(texts) if text == self.shape]
 
-    def _groups(self, v: int, parent: int | None) -> list[list[int]]:
-        """Children of v away from parent, grouped by equal shape, groups sorted."""
-        groups: dict[str, list[int]] = {}
-        for w in sorted(self.adjacency[v]):
-            if w != parent:
-                groups.setdefault(self.text(w, v), []).append(w)
-        return [groups[key] for key in sorted(groups)]
-
-    def numbering_count(self) -> int:
-        """How many numberings ``numberings`` lists, counted without listing them.
-
-        Minimal roots are isomorphic as rooted trees, so the count is their
-        number times the product of m! over every group of m equal child
-        shapes below one of them.
-        """
-        count = len(self.roots)
-        stack: list[tuple[int, int | None]] = [(self.roots[0], None)]
-        while stack:
-            v, parent = stack.pop()
-            for group in self._groups(v, parent):
-                count *= factorial(len(group))
-                stack.extend((w, v) for w in group)
-        return count
-
-    def numberings(self) -> list[tuple[int, ...]]:
-        def rec(v: int, parent: int | None) -> Iterator[tuple[int, ...]]:
-            groups = self._groups(v, parent)
-            if not groups:
-                yield (v,)
-                return
-            for choice in product(*[list(permutations(group)) for group in groups]):
-                ordered = [w for group in choice for w in group]
-                for parts in product(*[list(rec(w, v)) for w in ordered]):
-                    yield (v,) + tuple(x for part in parts for x in part)
-
-        numberings = []
-        for root in self.roots:
-            for preorder in rec(root, None):
-                place = [0] * len(self.index)
-                for i, v in enumerate(preorder):
-                    place[v] = i
-                numberings.append(tuple(place))
-        return numberings
+    def rooted(self, root: int) -> dict[int, list[list[int]]]:
+        """Each vertex's children away from root, grouped by equal shape with
+        the groups in shape order; parents come before their children."""
+        kids: dict[int, list[list[int]]] = {}
+        order: list[tuple[int, int | None]] = [(root, None)]
+        for v, parent in order:
+            groups: dict[str, list[int]] = {}
+            for w in sorted(self.adjacency[v]):
+                if w != parent:
+                    groups.setdefault(self.text(w, v), []).append(w)
+            kids[v] = [groups[key] for key in sorted(groups)]
+            order.extend((w, v) for group in kids[v] for w in group)
+        return kids
 
 
 def canonical_coset_code(b: BiThorn) -> CosetCode:
-    if b.is_empty:
-        return trusted(CosetCode, b.arity, EMPTY_CODE_TEXT)
-    return _search(b, _Side(b.dom), _Side(b.ran))
+    """The least sorted arc list of (domain place, range place) over numberings.
 
-
-def bounded_coset_code(b: BiThorn, max_numberings: int) -> CosetCode | None:
-    """``canonical_coset_code(b)``, or None if its search is too large.
-
-    The search compares every pair of a domain and a range numbering; when
-    there are more than ``max_numberings`` pairs, None is returned without
-    searching.  Counting the pairs is linear in the bi-thorn.
+    For a fixed range numbering τ the arc lists compare as the blocks K(v),
+    the sorted τ-places of v's partners, in domain preorder, and the least
+    sequence below v is K(v) and then, group by group, the least sequences
+    of its equal-shape children in ascending order: one bottom-up pass per
+    minimal domain root.  τ is fixed by each range vertex's rank among its
+    equal-shape siblings and found by branch and bound over ranks (McKay and
+    Piperno, "Practical graph isomorphism, II", 2014): a rank not yet given
+    out counts as the least one left, which bounds places and sequence from
+    below.  A branch ends when its bound reaches the best sequence or holds
+    only exact places, and splits on the topmost open rank above the first
+    inexact entry.
     """
     if b.is_empty:
         return trusted(CosetCode, b.arity, EMPTY_CODE_TEXT)
     dom, ran = _Side(b.dom), _Side(b.ran)
-    if dom.numbering_count() * ran.numbering_count() > max_numberings:
-        return None
-    return _search(b, dom, ran)
+    partners: list[list[int]] = [[] for _ in dom.index]
+    for s, q in b.pairing:
+        partners[dom.index[s[0]]].append(ran.index[q[0]])
+    passes = []
+    for root in dom.roots:
+        dom_kids = dom.rooted(root)
+        passes.append([(v, partners[v], dom_kids[v]) for v in reversed(dom_kids)])
+    best = [len(partners)]  # above every sequence: all places are smaller
 
+    def least(place: list[int], top: list[int | None]) -> tuple[list[int], int | None]:
+        """The least sequence and the ``top`` of its first inexact entry."""
+        found = []
+        for order in passes:
+            seq: dict[int, tuple[list[int], int | None]] = {}
+            for v, near, groups in order:
+                block = sorted((place[j], j) for j in near)
+                values = [x for x, _ in block]
+                split = next((top[j] for _, j in block if top[j] is not None), None)
+                for group in groups:
+                    for part, below in sorted((seq.pop(w) for w in group), key=itemgetter(0)):
+                        values += part
+                        split = below if split is None else split
+                seq[v] = values, split
+            found.append(seq[v])
+        return min(found, key=itemgetter(0))
 
-def _search(b: BiThorn, dom: _Side, ran: _Side) -> CosetCode:
-    arcs = [(dom.index[s[0]], ran.index[q[0]]) for s, q in b.pairing]
-    ran_numberings = ran.numberings()
-    best = min(
-        sorted((dom_place[i], ran_place[j]) for i, j in arcs)
-        for dom_place in dom.numberings()
-        for ran_place in ran_numberings
-    )
-    arc_text = ",".join(f"{i}>{j}" for i, j in best)
+    def bound() -> tuple[list[int], int | None]:
+        # top[w]: the topmost vertex at or above w whose rank is open, if any
+        place = [0] * len(partners)
+        top: list[int | None] = [None] * len(partners)
+        for v, groups in kids.items():
+            at = place[v] + 1
+            for group in groups:
+                size, ranked = sizes[group[0]], chosen[group[0]]
+                for w in group:
+                    known = w in ranked
+                    place[w] = at + (ranked.index(w) if known else len(ranked)) * size
+                    open_rank = not known and len(group) - len(ranked) > 1
+                    top[w] = w if top[v] is None and open_rank else top[v]
+                at += len(group) * size
+        return least(place, top)
+
+    def search(values: list[int], split: int | None) -> None:
+        nonlocal best
+        if values >= best:
+            return
+        if split is None:
+            best = values
+            return
+        group = home[split]
+        ranked = chosen[group[0]]
+        branches = []
+        for w in group:
+            if w not in ranked:
+                ranked.append(w)
+                branches.append((*bound(), w))
+                ranked.pop()
+        branches.sort(key=itemgetter(0))
+        for values, split, w in branches:
+            ranked.append(w)
+            search(values, split)
+            ranked.pop()
+
+    for root in ran.roots:  # the state below describes the current rooting
+        kids = ran.rooted(root)
+        home = {w: group for groups in kids.values() for group in groups for w in group}
+        chosen: dict[int, list[int]] = {group[0]: [] for group in home.values()}
+        sizes: dict[int, int] = {}
+        for v in reversed(kids):
+            sizes[v] = 1 + sum(sizes[w] for group in kids[v] for w in group)
+        search(*bound())
+    shape = abstract_from_code(trusted(ThornCode, b.arity, dom.shape))
+    firsts = [p for p, count in enumerate(shape.spike_counts) for _ in range(count)]
+    arc_text = ",".join(f"{i}>{j}" for i, j in zip(firsts, best))
     return trusted(CosetCode, b.arity, f"{dom.shape}|{ran.shape}|{arc_text}")
 
 

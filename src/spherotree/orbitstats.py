@@ -17,10 +17,8 @@ oracle.
 The class pairs, and with them θ, are the same for every element of a
 double coset of the automorphism group, so ``class_pairs`` returns them in
 a canonical order and memoises them on (coset code, table) in a bounded
-least-recently-used memo of ``MEMO_SIZE`` entries.  The coset code search
-still tries every pair of sibling orderings of the two sides; a coset whose
-search would compare more than ``MAX_NUMBERINGS`` numbering pairs is
-computed directly instead, and so are automorphisms, which move nothing.
+least-recently-used memo of ``MEMO_SIZE`` entries.  Automorphisms move
+nothing and skip the memo.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterator
 
-from .bithorn import BiThorn, CosetCode, bounded_coset_code, minimal_bithorn
+from .bithorn import BiThorn, CosetCode, canonical_coset_code, minimal_bithorn
 from .element import Spheromorphism, act_on_ball, invert
 from .errors import DomainError, InternalError, ValidationError
 from .thorn import (
@@ -169,8 +167,7 @@ def _moved(g: Spheromorphism, pair: BiThorn, table: ClassTable) -> Iterator[
         return code
 
     for pattern in table.tracked:
-        radius = pattern.diameter + 1
-        for thorn in enumerate_embeddings(pattern, pair.dom, radius):
+        for thorn in enumerate_embeddings(pattern, pair.dom):
             balls = thorn.balls()
             image = _ball_image(g, balls)
             if image == balls:
@@ -179,7 +176,7 @@ def _moved(g: Spheromorphism, pair: BiThorn, table: ClassTable) -> Iterator[
             if text != pattern.text and thorn.spikes not in seen:
                 seen.add(thorn.spikes)
                 yield balls, pattern, image, code_of(text)
-        for thorn in enumerate_embeddings(pattern, pair.ran, radius):
+        for thorn in enumerate_embeddings(pattern, pair.ran):
             balls = thorn.balls()
             source = _ball_image(inverse, balls)
             if source == balls:
@@ -197,11 +194,6 @@ def _ball_image(g: Spheromorphism, balls: tuple[Ball, ...]) -> tuple[Ball, ...]:
 ClassPairs = tuple[tuple[ThornCode, ThornCode], ...]
 
 MEMO_SIZE = 4096
-# ``canonical_coset_code`` compares every pair of a domain and a range
-# numbering, which grows with the factorials of equal sibling shapes; a
-# coset with more pairs than this is not memoised, since finding its code
-# would cost far more than θ itself.
-MAX_NUMBERINGS = 4096
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
@@ -246,37 +238,24 @@ def class_pairs(g: Spheromorphism, table: ClassTable) -> ClassPairs:
     moves, with the same classes, so the sorted pairs depend only on the
     double coset of g.  They are memoised on (coset code, table);
     ``class_pairs.cache_info()`` and ``class_pairs.cache_clear()`` report
-    and empty the memo.  Automorphisms move nothing and skip it, and so
-    does a coset whose code search would compare more than
-    ``MAX_NUMBERINGS`` numbering pairs: its pairs are computed every time.
+    and empty the memo.  Automorphisms move nothing and skip it.
     """
     if g.arity != table.arity:
         raise DomainError(f"arity mismatch: {g.arity} vs {table.arity}")
     pair = minimal_bithorn(g)
     if pair.is_empty:
         return ()
-    code = bounded_coset_code(pair, MAX_NUMBERINGS)
-    if code is None:
-        return _sorted_pairs(g, pair, table)
-    key = (code, table)
+    key = (canonical_coset_code(pair), table)
     pairs = _memo.get(key)
     if pairs is None:
-        pairs = _sorted_pairs(g, pair, table)
+        moved = ((before, after) for _, before, _, after in _moved(g, pair, table))
+        pairs = tuple(sorted(moved, key=lambda classes: (classes[0].text, classes[1].text)))
         _memo.put(key, pairs)
     return pairs
 
 
 class_pairs.cache_info = _memo.cache_info  # type: ignore[attr-defined]
 class_pairs.cache_clear = _memo.cache_clear  # type: ignore[attr-defined]
-
-
-def _sorted_pairs(g: Spheromorphism, pair: BiThorn, table: ClassTable) -> ClassPairs:
-    return tuple(
-        sorted(
-            ((before, after) for _, before, _, after in _moved(g, pair, table)),
-            key=lambda classes: (classes[0].text, classes[1].text),
-        )
-    )
 
 
 def moved_sets(g: Spheromorphism, table: ClassTable) -> tuple[MovedSet, ...]:

@@ -719,15 +719,12 @@ def _free_trees(max_vertices: int) -> Iterator[list[tuple[frozenset[int], ...]]]
 # ---------------------------------------------------------------------------
 
 
-def enumerate_embeddings(
-    pattern: ThornCode, region: SubThorn, radius: int
-) -> tuple[SubThorn, ...]:
+def enumerate_embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn, ...]:
     """All reduced sub-thorns of the given class having a cell in the region.
 
-    Every returned thorn lies inside the ``radius``-neighborhood of the
-    region.  The radius must be at least the pattern diameter so that the
-    listing is exhaustive: a connected thorn that touches the region cannot
-    reach further out than its own diameter.
+    A connected thorn that touches the region reaches no further out than
+    its own diameter, so the candidates come from the neighborhood of radius
+    diameter + 1 around the region's vertices and mid-edge points.
     """
     if pattern.arity != region.arity:
         raise DomainError("pattern and region arity differ")
@@ -735,18 +732,12 @@ def enumerate_embeddings(
         return ()
     if pattern.is_empty:
         raise DomainError("cannot embed the empty pattern")
-    if radius < pattern.diameter + 1:
-        raise DomainError(
-            f"radius {radius} is too small for a pattern of diameter {pattern.diameter}"
-        )
     arity = pattern.arity
     seeds = set(region.vertices)
     for mid in region.midpoint_cells():
         seeds.add(mid)
         seeds.add(mid[:-1])
-    # every universe vertex sits within the radius of a seed, so no candidate
-    # can stick out of the promised neighborhood
-    universe = _ball_of_vertices(seeds, radius, arity)
+    universe = _ball_of_vertices(seeds, pattern.diameter + 1, arity)
     model = abstract_from_code(pattern)
     model_degs = tuple(len(a) for a in model.adjacency)
     defect = _shape_defect(model_degs, model.spike_counts, arity)

@@ -1,12 +1,20 @@
 """Reference helpers that only the tests need, kept apart from the library."""
 
 import random
-from itertools import product
+from itertools import permutations, product
 from typing import Iterator
 
-from spherotree.bithorn import minimal_bithorn
+from spherotree.bithorn import BiThorn, CosetCode, minimal_bithorn
 from spherotree.element import Spheromorphism, finitary_automorphism, from_pieces
-from spherotree.thorn import AbstractThorn, SubThorn, ThornCode, _shape_defect, canonical_code
+from spherotree.thorn import (
+    EMPTY_CODE_TEXT,
+    AbstractThorn,
+    SubThorn,
+    ThornCode,
+    _shape_defect,
+    canonical_code,
+    rooted_encoder,
+)
 from spherotree.tree import Ball, down, up
 
 
@@ -44,6 +52,59 @@ def irreducible_uniform_pairing(arity: int, depths: tuple[int, ...], seed: int) 
         if minimal_bithorn(g).vertex_count == vertices:
             return g
     raise RuntimeError(f"no irreducible pairing of the code {depths}")
+
+
+def exhaustive_coset_code(b: BiThorn) -> CosetCode:
+    """``canonical_coset_code`` by comparing every domain numbering with every
+    range numbering.
+
+    A numbering gives each vertex (indexed in address order) its place in a
+    preorder from a vertex of minimal rooted text, with sibling subtrees in
+    sorted shape order and equal shapes in every order.  The code's arcs are
+    the least sorted list of (domain place, range place) over all pairs, so
+    the cost is the product of the two sides' numbering counts.
+    """
+    if b.is_empty:
+        return CosetCode(b.arity, EMPTY_CODE_TEXT)
+    dom_index, dom_shape, dom_numberings = _side_numberings(b.dom)
+    ran_index, ran_shape, ran_numberings = _side_numberings(b.ran)
+    arcs = [(dom_index[s[0]], ran_index[q[0]]) for s, q in b.pairing]
+    best = min(
+        sorted((dom_place[i], ran_place[j]) for i, j in arcs)
+        for dom_place in dom_numberings
+        for ran_place in ran_numberings
+    )
+    arc_text = ",".join(f"{i}>{j}" for i, j in best)
+    return CosetCode(b.arity, f"{dom_shape}|{ran_shape}|{arc_text}")
+
+
+def _side_numberings(t: SubThorn):
+    """(vertex index, minimal shape text, every numbering) of one side."""
+    index = {v: i for i, v in enumerate(sorted(t.vertices))}
+    model = AbstractThorn.from_subthorn(t)
+    text = rooted_encoder(model.adjacency, model.spike_counts)
+    texts = [text(v) for v in range(len(index))]
+    shape = min(texts)
+
+    def rec(v: int, parent: int | None) -> Iterator[tuple[int, ...]]:
+        groups: dict[str, list[int]] = {}
+        for w in sorted(model.adjacency[v]):
+            if w != parent:
+                groups.setdefault(text(w, v), []).append(w)
+        choices = [list(permutations(groups[key])) for key in sorted(groups)]
+        for choice in product(*choices):
+            ordered = [w for group in choice for w in group]
+            for parts in product(*[list(rec(w, v)) for w in ordered]):
+                yield (v,) + tuple(x for part in parts for x in part)
+
+    numberings = []
+    for root in (v for v, t_v in enumerate(texts) if t_v == shape):
+        for preorder in rec(root, None):
+            place = [0] * len(index)
+            for i, v in enumerate(preorder):
+                place[v] = i
+            numberings.append(tuple(place))
+    return index, shape, numberings
 
 
 def split_ball(ball: Ball, arity: int) -> tuple[Ball, ...]:

@@ -7,9 +7,7 @@ import pytest
 from spherotree.bithorn import (
     BiThorn,
     CosetCode,
-    _Side,
     bithorn_of,
-    bounded_coset_code,
     canonical_coset_code,
     coset_code,
     empty_bithorn,
@@ -33,7 +31,7 @@ from spherotree.errors import ValidationError
 from spherotree.thorn import UP, SubThorn, empty_subthorn
 from spherotree.tree import parse_address
 
-from oracles import irreducible_uniform_pairing, random_finitary
+from oracles import exhaustive_coset_code, irreducible_uniform_pairing, random_finitary
 
 
 def A(text: str, arity: int = 2):
@@ -193,30 +191,37 @@ def test_inverse_flips_the_pair():
         assert minimal_bithorn(invert(g)) == minimal_bithorn(g).flip()
 
 
-def test_numbering_count_matches_the_search():
-    """The count that bounds a coset code search is the number it compares."""
-    pairs = [
-        minimal_bithorn(random_element(arity, 10, 4000 + seed))
-        for arity in (2, 3)
-        for seed in range(30)
+# shuffled self-pairings of uniform prefix codes the exhaustive search finishes
+UNIFORM_CASES = (
+    (2, (3, 3, 3)),
+    (2, (3, 3, 4)),
+    (2, (3, 3, 2)),
+    (2, (3, 2, 3)),
+    (3, (2, 2, 2, 2)),
+    (3, (2, 2, 2, 3)),
+    (4, (2, 2, 2, 2, 2)),
+)
+
+
+def test_coset_code_matches_the_exhaustive_search():
+    """The pruned one-sided search finds the code that comparing every
+    domain numbering with every range numbering finds."""
+    rng = random.Random(29)
+    pairs = []
+    for arity in (2, 3, 4):
+        for seed in range(40):
+            g = random_element(arity, 10, 4100 + seed)
+            mate = compose(random_finitary(rng, arity), compose(g, random_finitary(rng, arity)))
+            pairs += [minimal_bithorn(g), minimal_bithorn(mate)]
+    pairs += [
+        minimal_bithorn(irreducible_uniform_pairing(arity, depths, seed))
+        for arity, depths in UNIFORM_CASES
+        for seed in range(3)
     ]
-    symmetric = minimal_bithorn(irreducible_uniform_pairing(2, (3, 3, 3), 0))
-    pairs.append(symmetric)
-    # one minimal root, 3! orders of its children, 2! below each of them
-    assert _Side(symmetric.dom).numbering_count() == 48
-    checked = 0
+    pairs += [pair.flip() for pair in pairs]  # the inverse elements
+    assert sum(not pair.is_empty for pair in pairs) >= 250
     for pair in pairs:
-        if pair.is_empty:
-            continue
-        checked += 1
-        dom, ran = _Side(pair.dom), _Side(pair.ran)
-        assert dom.numbering_count() == len(dom.numberings())
-        assert ran.numbering_count() == len(ran.numberings())
-        compared = dom.numbering_count() * ran.numbering_count()
-        assert bounded_coset_code(pair, compared) == canonical_coset_code(pair)
-        assert bounded_coset_code(pair, compared - 1) is None
-    assert checked >= 30
-    assert bounded_coset_code(empty_bithorn(2), 0) == CosetCode(2, "E")
+        assert canonical_coset_code(pair) == exhaustive_coset_code(pair)
 
 
 # ---------------------------------------------------------------------------

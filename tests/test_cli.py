@@ -1,5 +1,8 @@
 """End-to-end tests for the command-line front end (exit codes and bytes)."""
 
+import random
+import time
+
 import pytest
 
 from spherotree import (
@@ -8,6 +11,7 @@ from spherotree import (
     TensorSpec,
     ThornCode,
     InternalError,
+    compose,
     identity,
     random_element,
     thompson_generators,
@@ -23,6 +27,8 @@ from spherotree.textio import (
     parse_element,
 )
 from spherotree.tree import ClopenSet, down
+
+from oracles import irreducible_uniform_pairing, random_finitary
 
 BALL = ThornCode(2, "(1:)")
 PAIR = ThornCode(2, "(1:(1:))")
@@ -144,6 +150,24 @@ def test_canon_dot_output(work, capsys):
     token, rest = out.split("\n", 1)
     assert token.startswith("2c")
     assert rest.startswith("graph bithorn {")
+
+
+def test_canon_of_a_symmetric_pairing_is_fast(tmp_path, capsys):
+    """31,104 numberings a side, yet a coset mate prints the same token at once."""
+    g = irreducible_uniform_pairing(3, (3, 3, 3, 3), 0)
+    rng = random.Random(37)
+    mate = compose(random_finitary(rng, 3), compose(g, random_finitary(rng, 3)))
+    tokens = []
+    for name, h in (("g", g), ("mate", mate)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(format_element(h))
+        start = time.perf_counter()
+        code, out, _ = _run(capsys, "canon", str(path))
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        tokens.append(out)
+    assert tokens[0] == tokens[1]
+    assert tokens[0].startswith("3c")
 
 
 def test_is_aut(work, capsys):

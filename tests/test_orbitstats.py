@@ -7,7 +7,7 @@ import time
 import pytest
 
 from spherotree import orbitstats
-from spherotree.bithorn import _Side, coset_code, is_automorphism, minimal_bithorn
+from spherotree.bithorn import coset_code, is_automorphism
 from spherotree.element import (
     compose,
     equals,
@@ -313,18 +313,20 @@ def test_coset_memo_stays_within_its_bound(monkeypatch):
     assert class_pairs.cache_info() == (1, 6, 3, 3)
 
 
-def test_large_coset_search_bypasses_the_memo():
-    """A symmetric pairing whose coset code would compare 3072 x 3072
-    numberings: theta computes its pairs directly instead of searching."""
+def test_large_symmetric_coset_goes_through_the_memo():
+    """A symmetric pairing with 3,072 numberings a side: its coset code is
+    found quickly, so theta memoises it like any other coset."""
     g = irreducible_uniform_pairing(2, (4, 4, 4), 0)
-    pair = minimal_bithorn(g)
-    assert _Side(pair.dom).numbering_count() == _Side(pair.ran).numbering_count() == 3072
+    rng = random.Random(31)
+    mate = compose(random_finitary(rng, 2), compose(g, random_finitary(rng, 2)))
+    assert not equals(mate, g)
     class_pairs.cache_clear()
     start = time.perf_counter()
     exact = theta(g, COMBINED_TABLE)
     assert time.perf_counter() - start < 2.0
-    assert class_pairs.cache_info()[:2] == (0, 0)  # no memo lookup
     assert exact == theta_bruteforce(g, COMBINED_TABLE, g.depth() + 2)
+    assert theta(mate, COMBINED_TABLE) == exact
+    assert class_pairs.cache_info()[:2] == (1, 1)
 
 
 def test_bruteforce_span_bound_keeps_every_tracked_set():

@@ -510,7 +510,7 @@ def test_classify_balls_lone_vertex_cases():
 def test_enumerate_single_spike_around_edge():
     region = SubThorn(2, frozenset({ROOT, (0,)}), frozenset())
     pattern = ThornCode(2, "(1:)")
-    found = enumerate_embeddings(pattern, region, radius=2)
+    found = enumerate_embeddings(pattern, region)
     assert len(found) == 6
     for t in found:
         assert canonical_code(t) == pattern
@@ -520,17 +520,11 @@ def test_enumerate_single_spike_around_edge():
 def test_enumerate_two_vertex_class_at_root():
     region = SubThorn(2, frozenset({ROOT}), frozenset())
     pattern = ThornCode(2, "(1:(1:))")
-    found = enumerate_embeddings(pattern, region, radius=2)
+    found = enumerate_embeddings(pattern, region)
     assert len(found) == 12
     for t in found:
         assert ROOT in t.vertices
         assert canonical_code(t) == pattern
-
-
-def test_enumerate_rejects_small_radius():
-    region = SubThorn(2, frozenset({ROOT}), frozenset())
-    with pytest.raises(DomainError):
-        enumerate_embeddings(ThornCode(2, "(1:(1:))"), region, radius=1)
 
 
 def test_enumerate_is_exhaustive_by_random_probe():
@@ -538,7 +532,7 @@ def test_enumerate_is_exhaustive_by_random_probe():
     rng = random.Random(4242)
     region = SubThorn(2, frozenset({(0,)}), frozenset({((0,), 0)}))
     pattern = ThornCode(2, "(1:(1:))")
-    found = set(enumerate_embeddings(pattern, region, radius=3))
+    found = set(enumerate_embeddings(pattern, region))
     hits = 0
     for _ in range(400):
         t = _random_subthorn(rng, 2, max_v=3, allow_empty_spikes=False)
@@ -602,7 +596,7 @@ def test_enumerate_class_codes_small():
 def test_enumerated_codes_are_realized_by_clopen_sets():
     region = SubThorn(2, frozenset({ROOT}), frozenset())
     for code in enumerate_class_codes(2, 0, 4):
-        found = enumerate_embeddings(code, region, code.diameter + 1)
+        found = enumerate_embeddings(code, region)
         assert found, code.text
         omega = clopen_of_subthorn(found[0])
         assert classify_clopen(omega) == code
