@@ -19,12 +19,13 @@ import binascii
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import DomainError, InternalError, ValidationError
 from .tree import (
     FULL_BOUNDARY,
+    ROOT,
     Address,
     Ball,
     ClopenSet,
@@ -547,10 +548,6 @@ def maximal_ball_thorn(omega: ClopenSet) -> SubThorn:
     return reduce_subthorn(thorn)
 
 
-def maximal_balls(omega: ClopenSet) -> tuple[Ball, ...]:
-    return maximal_ball_thorn(omega).balls()
-
-
 def classify_clopen(omega: ClopenSet) -> ThornCode:
     """Orbit invariant of a proper clopen set: the code of its reduced thorn."""
     if not isinstance(omega, ClopenSet):
@@ -722,9 +719,21 @@ def _free_trees(max_vertices: int) -> Iterator[list[tuple[frozenset[int], ...]]]
 def enumerate_embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn, ...]:
     """All reduced sub-thorns of the given class having a cell in the region.
 
-    A connected thorn that touches the region reaches no further out than
-    its own diameter, so the candidates come from the neighborhood of radius
-    diameter + 1 around the region's vertices and mid-edge points.
+    The pattern is placed vertex by vertex in the order of its code text,
+    which roots it at vertex 0, a centre, and lists each vertex after its
+    parent.  A child goes to a neighbour of its parent's image other than
+    the grandparent's image, so every placement embeds the skeleton.  Each
+    thorn is built once: equal sibling subtrees sit next to each other in the
+    text and take increasing addresses, and when the halves on either side
+    of a bicentre are equal, the other centre takes the larger address.
+
+    A thorn that touches the region has a vertex among the seeds, the
+    region's vertices and both ends of its mid-edges: a shared vertex is a
+    region vertex, a shared internal mid-edge has both its ends in the thorn,
+    and a shared spike mid-edge has the spike's vertex at one end.  No
+    vertex lies further from vertex 0 than the pattern's height from it, so
+    vertex 0 goes only to vertices within that height of a seed, and a
+    placement that misses the seeds is dropped before its spikes are chosen.
     """
     if pattern.arity != region.arity:
         raise DomainError("pattern and region arity differ")
@@ -732,92 +741,80 @@ def enumerate_embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn
         return ()
     if pattern.is_empty:
         raise DomainError("cannot embed the empty pattern")
-    arity = pattern.arity
-    seeds = set(region.vertices)
-    for mid in region.midpoint_cells():
-        seeds.add(mid)
-        seeds.add(mid[:-1])
-    universe = _ball_of_vertices(seeds, pattern.diameter + 1, arity)
-    model = abstract_from_code(pattern)
-    model_degs = tuple(len(a) for a in model.adjacency)
-    defect = _shape_defect(model_degs, model.spike_counts, arity)
+    defect = class_code_defect(pattern)
     if defect is not None:
         raise DomainError(f"cannot embed {pattern.text!r}: {defect}")
-    profile = tuple(sorted(zip(model.spike_counts, model_degs)))
-    results = []
+    arity = pattern.arity
+    model = abstract_from_code(pattern)
+    adjacency, counts = model.adjacency, model.spike_counts
+    V = len(adjacency)
+    # text order is a preorder: a vertex's one smaller neighbour is its parent
+    parent = [0] + [min(adjacency[v]) for v in range(1, V)]
+    # above[v]: the vertex whose image v's image must exceed, if any
+    above: list[int | None] = [None] * V
+    text = rooted_encoder(adjacency, counts)
+    for v in range(V):
+        kids = sorted(w for w in adjacency[v] if w > v)
+        for a, b in zip(kids, kids[1:]):
+            if text(a, v) == text(b, v):
+                above[b] = a
+    for w in adjacency[0]:
+        if text(w, 0) == text(0, w):
+            above[w] = 0
     region_verts = region.vertices
     region_mids = region.midpoint_cells()
-    for verts in _connected_subsets(universe, model.vertex_count, arity):
-        vlist = sorted(verts)
-        index = {v: i for i, v in enumerate(vlist)}
-        free: list[list[int]] = []
-        adjacency = []
-        for v in vlist:
-            dirs: Iterable[int]
-            if v:
-                dirs = list(range(arity)) + [UP]
-            else:
-                dirs = list(range(arity + 1))
-            slots = []
-            internal = []
-            for d in dirs:
-                w = v[:-1] if d == UP else v + (d,)
-                if w in verts:
-                    internal.append(index[w])
-                else:
-                    slots.append(d)
-            free.append(slots)
-            adjacency.append(frozenset(internal))
-        degs = tuple(len(a) for a in adjacency)
-        verts_frozen = frozenset(verts)
-        touches = bool(verts & region_verts)
-        if not touches:
-            internal_mids = {
-                w for v in vlist for w in children(v, arity) if w in verts
-            }
-            touches = bool(internal_mids & region_mids)
-        # the spike directions do not change the isomorphism class, so the
-        # shape is settled once per spike-count vector; vectors share the
-        # pattern's (count, degree) profile, hence its reducedness
-        for counts in _count_vectors(free, degs, model.spike_count, profile):
-            shape = AbstractThorn(arity, tuple(adjacency), counts)
-            if _code_of_abstract(shape) != pattern:
+    seeds = set(region_verts)
+    for mid in region_mids:
+        seeds.add(mid)
+        seeds.add(mid[:-1])
+    image: list[Address] = [ROOT] * V
+    results = []
+
+    def add_spikes() -> None:
+        verts = frozenset(image)
+        if verts.isdisjoint(seeds):
+            return
+        # an internal mid-edge shared with the region has a region vertex at
+        # one end, so only a shared spike mid-edge can touch without one
+        touches = not verts.isdisjoint(region_verts)
+        pools = []
+        near: set[Spike] = set()  # the free spikes whose mid-edge is in the region
+        for x, k in zip(image, counts):
+            free = [
+                (x, d)
+                for d in (range(arity) if x else range(arity + 1))
+                if x + (d,) not in verts
+            ]
+            if x and x[:-1] not in verts:
+                free.append((x, UP))
+            near.update(s for s in free if spike_midpoint(s) in region_mids)
+            pools.append(list(combinations(free, k)))
+        if not touches and not near:
+            return
+        for pick in product(*pools):
+            spikes = frozenset(chain.from_iterable(pick))
+            if touches or not near.isdisjoint(spikes):
+                results.append(trusted(SubThorn, arity, verts, spikes))
+
+    def place(v: int) -> None:
+        if v == V:
+            add_spikes()
+            return
+        p = parent[v]
+        back = image[parent[p]] if p else None
+        low = image[above[v]] if above[v] is not None else None
+        for y in neighbors(image[p], arity):
+            if y == back or (low is not None and y <= low) or y in image[p + 1 : v]:
                 continue
-            for spikes in _direction_combos(vlist, free, counts):
-                if not touches and not any(
-                    spike_midpoint(s) in region_mids for s in spikes
-                ):
-                    continue
-                results.append(trusted(SubThorn, arity, verts_frozen, frozenset(spikes)))
+            image[v] = y
+            place(v + 1)
+
+    # the height from a centre is the radius, half the diameter rounded up
+    for root in _ball_of_vertices(seeds, (pattern.diameter + 1) // 2, arity):
+        image[0] = root
+        place(1)
     results.sort(key=SubThorn.sort_key)
     return tuple(results)
-
-
-def _count_vectors(
-    free: Sequence[Sequence[int]],
-    degs: tuple[int, ...],
-    total: int,
-    profile: tuple[tuple[int, int], ...],
-) -> Iterator[tuple[int, ...]]:
-    """Per-vertex spike counts matching a (spikes, degree) multiset exactly."""
-    for counts in product(*(range(len(slots) + 1) for slots in free)):
-        if sum(counts) != total:
-            continue
-        if tuple(sorted(zip(counts, degs))) != profile:
-            continue
-        yield counts
-
-
-def _direction_combos(
-    vlist: Sequence[Address], free: Sequence[Sequence[int]], counts: tuple[int, ...]
-) -> Iterator[tuple[Spike, ...]]:
-    pools = [
-        tuple(combinations(slots, c)) for slots, c in zip(free, counts)
-    ]
-    for pick in product(*pools):
-        yield tuple(
-            (v, d) for v, combo in zip(vlist, pick) for d in combo
-        )
 
 
 def _ball_of_vertices(seeds: set[Address], radius: int, arity: int) -> set[Address]:
@@ -832,38 +829,3 @@ def _ball_of_vertices(seeds: set[Address], radius: int, arity: int) -> set[Addre
                     nxt.add(w)
         frontier = nxt
     return out
-
-
-def _connected_subsets(universe: set[Address], size: int, arity: int) -> Iterator[frozenset[Address]]:
-    """All connected vertex sets of the given size inside the universe.
-
-    Standard rooted enumeration: each subset is produced exactly once, from
-    its smallest element, by growing with neighbors larger than the root.
-    """
-    if size <= 0:
-        return
-    order = sorted(universe)
-    rank = {v: i for i, v in enumerate(order)}
-
-    def nbrs(v: Address) -> list[Address]:
-        return [w for w in neighbors(v, arity) if w in universe]
-
-    for root in order:
-        r = rank[root]
-
-        def grow(current: set[Address], frontier: list[Address], banned: set[Address]) -> Iterator[frozenset[Address]]:
-            if len(current) == size:
-                yield frozenset(current)
-                return
-            local_banned = set(banned)
-            for i, v in enumerate(frontier):
-                ext = [
-                    w
-                    for w in nbrs(v)
-                    if rank[w] > r and w not in current and w not in local_banned and w not in frontier[i + 1 :]
-                ]
-                yield from grow(current | {v}, frontier[i + 1 :] + ext, local_banned)
-                local_banned.add(v)
-
-        start = [w for w in nbrs(root) if rank[w] > r]
-        yield from grow({root}, start, set())

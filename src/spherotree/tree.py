@@ -72,10 +72,11 @@ def validate_address(word: Iterable[int], arity: int, what: str = "address") -> 
 
 
 def parse_address(text: str, arity: int, what: str = "address") -> Address:
-    """Parse a digit string; '.' denotes the root."""
+    """Parse a string of ASCII digits; '.' denotes the root."""
     if text == ".":
         return ROOT
-    if not text or not text.isdigit():
+    # str.isdigit alone admits other scripts' digits and superscripts
+    if not text or not text.isascii() or not text.isdigit():
         raise ValidationError(f"{what} {text!r} is not a digit string")
     return validate_address(tuple(int(ch) for ch in text), arity, what)
 

@@ -1,21 +1,28 @@
 """Reference helpers that only the tests need, kept apart from the library."""
 
 import random
-from itertools import permutations, product
-from typing import Iterator
+from itertools import combinations, permutations, product
+from typing import Iterable, Iterator, Sequence
 
 from spherotree.bithorn import BiThorn, CosetCode, minimal_bithorn
 from spherotree.element import Spheromorphism, finitary_automorphism, from_pieces
+from spherotree.errors import DomainError
 from spherotree.thorn import (
     EMPTY_CODE_TEXT,
+    UP,
     AbstractThorn,
+    Spike,
     SubThorn,
     ThornCode,
+    _ball_of_vertices,
+    _code_of_abstract,
     _shape_defect,
+    abstract_from_code,
     canonical_code,
     rooted_encoder,
+    spike_midpoint,
 )
-from spherotree.tree import Ball, down, up
+from spherotree.tree import Address, Ball, children, down, neighbors, trusted, up
 
 
 def random_finitary(rng: random.Random, arity: int) -> Spheromorphism:
@@ -185,3 +192,140 @@ def labeled_trees(V: int) -> Iterator[tuple[frozenset[int], ...]]:
         adj[a].add(b)
         adj[b].add(a)
         yield tuple(frozenset(s) for s in adj)
+
+
+def subset_embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn, ...]:
+    """``enumerate_embeddings`` by generate and filter, its former algorithm.
+
+    All reduced sub-thorns of the given class having a cell in the region.
+    A connected thorn that touches the region reaches no further out than
+    its own diameter, so the candidates come from the neighborhood of radius
+    diameter + 1 around the region's vertices and mid-edge points.
+    """
+    if pattern.arity != region.arity:
+        raise DomainError("pattern and region arity differ")
+    if region.is_empty:
+        return ()
+    if pattern.is_empty:
+        raise DomainError("cannot embed the empty pattern")
+    arity = pattern.arity
+    seeds = set(region.vertices)
+    for mid in region.midpoint_cells():
+        seeds.add(mid)
+        seeds.add(mid[:-1])
+    universe = _ball_of_vertices(seeds, pattern.diameter + 1, arity)
+    model = abstract_from_code(pattern)
+    model_degs = tuple(len(a) for a in model.adjacency)
+    defect = _shape_defect(model_degs, model.spike_counts, arity)
+    if defect is not None:
+        raise DomainError(f"cannot embed {pattern.text!r}: {defect}")
+    profile = tuple(sorted(zip(model.spike_counts, model_degs)))
+    results = []
+    region_verts = region.vertices
+    region_mids = region.midpoint_cells()
+    for verts in _connected_subsets(universe, model.vertex_count, arity):
+        vlist = sorted(verts)
+        index = {v: i for i, v in enumerate(vlist)}
+        free: list[list[int]] = []
+        adjacency = []
+        for v in vlist:
+            dirs: Iterable[int]
+            if v:
+                dirs = list(range(arity)) + [UP]
+            else:
+                dirs = list(range(arity + 1))
+            slots = []
+            internal = []
+            for d in dirs:
+                w = v[:-1] if d == UP else v + (d,)
+                if w in verts:
+                    internal.append(index[w])
+                else:
+                    slots.append(d)
+            free.append(slots)
+            adjacency.append(frozenset(internal))
+        degs = tuple(len(a) for a in adjacency)
+        verts_frozen = frozenset(verts)
+        touches = bool(verts & region_verts)
+        if not touches:
+            internal_mids = {
+                w for v in vlist for w in children(v, arity) if w in verts
+            }
+            touches = bool(internal_mids & region_mids)
+        # the spike directions do not change the isomorphism class, so the
+        # shape is settled once per spike-count vector; vectors share the
+        # pattern's (count, degree) profile, hence its reducedness
+        for counts in _count_vectors(free, degs, model.spike_count, profile):
+            shape = AbstractThorn(arity, tuple(adjacency), counts)
+            if _code_of_abstract(shape) != pattern:
+                continue
+            for spikes in _direction_combos(vlist, free, counts):
+                if not touches and not any(
+                    spike_midpoint(s) in region_mids for s in spikes
+                ):
+                    continue
+                results.append(trusted(SubThorn, arity, verts_frozen, frozenset(spikes)))
+    results.sort(key=SubThorn.sort_key)
+    return tuple(results)
+
+
+def _count_vectors(
+    free: Sequence[Sequence[int]],
+    degs: tuple[int, ...],
+    total: int,
+    profile: tuple[tuple[int, int], ...],
+) -> Iterator[tuple[int, ...]]:
+    """Per-vertex spike counts matching a (spikes, degree) multiset exactly."""
+    for counts in product(*(range(len(slots) + 1) for slots in free)):
+        if sum(counts) != total:
+            continue
+        if tuple(sorted(zip(counts, degs))) != profile:
+            continue
+        yield counts
+
+
+def _direction_combos(
+    vlist: Sequence[Address], free: Sequence[Sequence[int]], counts: tuple[int, ...]
+) -> Iterator[tuple[Spike, ...]]:
+    pools = [
+        tuple(combinations(slots, c)) for slots, c in zip(free, counts)
+    ]
+    for pick in product(*pools):
+        yield tuple(
+            (v, d) for v, combo in zip(vlist, pick) for d in combo
+        )
+
+
+def _connected_subsets(universe: set[Address], size: int, arity: int) -> Iterator[frozenset[Address]]:
+    """All connected vertex sets of the given size inside the universe.
+
+    Standard rooted enumeration: each subset is produced exactly once, from
+    its smallest element, by growing with neighbors larger than the root.
+    """
+    if size <= 0:
+        return
+    order = sorted(universe)
+    rank = {v: i for i, v in enumerate(order)}
+
+    def nbrs(v: Address) -> list[Address]:
+        return [w for w in neighbors(v, arity) if w in universe]
+
+    for root in order:
+        r = rank[root]
+
+        def grow(current: set[Address], frontier: list[Address], banned: set[Address]) -> Iterator[frozenset[Address]]:
+            if len(current) == size:
+                yield frozenset(current)
+                return
+            local_banned = set(banned)
+            for i, v in enumerate(frontier):
+                ext = [
+                    w
+                    for w in nbrs(v)
+                    if rank[w] > r and w not in current and w not in local_banned and w not in frontier[i + 1 :]
+                ]
+                yield from grow(current | {v}, frontier[i + 1 :] + ext, local_banned)
+                local_banned.add(v)
+
+        start = [w for w in nbrs(root) if rank[w] > r]
+        yield from grow({root}, start, set())

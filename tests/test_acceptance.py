@@ -49,8 +49,10 @@ from spherotree import (
     witness_nonautomorphism,
     witness_translation,
 )
-from spherotree.thorn import _connected_subsets, enumerate_class_codes
+from spherotree.thorn import enumerate_class_codes
 from spherotree.tree import children
+
+from oracles import _connected_subsets
 
 BALL2 = ThornCode(2, "(1:)")
 PAIR2 = ThornCode(2, "(1:(1:))")

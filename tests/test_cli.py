@@ -91,6 +91,15 @@ def test_validate_rejects_broken_file(tmp_path, capsys):
     assert "bad.txt" in err and "error:" in err
 
 
+def test_validate_rejects_non_ascii_digits(tmp_path, capsys):
+    for name, source in (("superscript", "0\u00b2 -> 0"), ("arabic", "\u0661 -> 1")):
+        bad = tmp_path / f"{name}.txt"
+        bad.write_text(f"arity 2\n{source}\n0 -> 0\n2 -> 2\n", encoding="utf-8")
+        code, out, err = _run(capsys, "validate", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {bad}:2: ")
+
+
 def test_validate_table_with_deeply_nested_code(tmp_path, capsys):
     # a 1,202-vertex path nests deeper than the interpreter's recursion limit
     n = 1202

@@ -3,6 +3,8 @@ import sys
 
 import pytest
 
+from spherotree.bithorn import minimal_bithorn
+from spherotree.element import random_element
 from spherotree.errors import DomainError, ValidationError
 from spherotree.thorn import (
     UP,
@@ -22,7 +24,7 @@ from spherotree.thorn import (
     enumerate_class_codes,
     enumerate_embeddings,
     is_class_code,
-    maximal_balls,
+    maximal_ball_thorn,
     reduce_subthorn,
     single_spike_subthorn,
     subthorn_from_balls,
@@ -42,7 +44,14 @@ from spherotree.tree import (
     upsilon,
 )
 
-from oracles import labeled_trees, meets, pruefer_class_codes, skeleton_diameter, split_ball
+from oracles import (
+    labeled_trees,
+    meets,
+    pruefer_class_codes,
+    skeleton_diameter,
+    split_ball,
+    subset_embeddings,
+)
 
 
 def A(text, arity=2):
@@ -370,7 +379,7 @@ def test_classify_simple_cases():
 def test_classify_up_ball():
     omega = ClopenSet.from_marks(2, {A("0"): False, A("1"): True, A("2"): True})
     assert omega.is_single_ball()
-    assert maximal_balls(omega) == (up(A("0")),)
+    assert maximal_ball_thorn(omega).balls() == (up(A("0")),)
     assert classify_clopen(omega).text == "(1:)"
 
 
@@ -415,7 +424,7 @@ def test_maximal_balls_against_exhaustive_search():
             for b in inside
             if not any(ball_relation(b, c) == "subset" for c in inside if c != b)
         }
-        got = maximal_balls(omega)
+        got = maximal_ball_thorn(omega).balls()
         assert set(got) == expected
         # the maximal balls partition the set
         union = set()
@@ -431,7 +440,7 @@ def test_classify_presentation_independent():
     for _ in range(120):
         arity = rng.choice([2, 3])
         omega = _random_clopen(rng, arity)
-        rebuilt = ClopenSet.from_balls(arity, maximal_balls(omega))
+        rebuilt = ClopenSet.from_balls(arity, maximal_ball_thorn(omega).balls())
         assert rebuilt == omega
         assert classify_clopen(rebuilt) == classify_clopen(omega)
 
@@ -477,7 +486,7 @@ def _check_classify_balls(balls, arity):
         assert (spikes, text) == (frozenset(), "E")
         return
     assert text == classify_clopen(omega).text
-    assert sorted(ball_of_spike(s) for s in spikes) == list(maximal_balls(omega))
+    assert sorted(ball_of_spike(s) for s in spikes) == list(maximal_ball_thorn(omega).balls())
 
 
 def test_classify_balls_matches_clopen_classification():
@@ -530,20 +539,56 @@ def test_enumerate_two_vertex_class_at_root():
 def test_enumerate_is_exhaustive_by_random_probe():
     # every reduced thorn of the class that meets the region must be listed
     rng = random.Random(4242)
-    region = SubThorn(2, frozenset({(0,)}), frozenset({((0,), 0)}))
-    pattern = ThornCode(2, "(1:(1:))")
-    found = set(enumerate_embeddings(pattern, region))
-    hits = 0
-    for _ in range(400):
-        t = _random_subthorn(rng, 2, max_v=3, allow_empty_spikes=False)
-        if canonical_code(t) != pattern or not t.is_reduced:
-            continue
-        if meets(t, region):
-            assert t in found
-            hits += 1
-        else:
-            assert t not in found
-    assert hits > 0
+    cases = [
+        (SubThorn(2, frozenset({(0,)}), frozenset({((0,), 0)})), ThornCode(2, "(1:(1:))")),
+        (SubThorn(3, frozenset({ROOT, (1,)}), frozenset({(ROOT, 0)})), ThornCode(3, "(1:(2:))")),
+    ]
+    for region, pattern in cases:
+        found = set(enumerate_embeddings(pattern, region))
+        hits = 0
+        for _ in range(400):
+            t = _random_subthorn(rng, region.arity, max_v=3, allow_empty_spikes=False)
+            if canonical_code(t) != pattern or not t.is_reduced:
+                continue
+            if meets(t, region):
+                assert t in found
+                hits += 1
+            else:
+                assert t not in found
+        assert hits > 0
+
+
+def test_enumerate_rejects_what_is_no_class():
+    region = SubThorn(2, frozenset({ROOT}), frozenset())
+    with pytest.raises(DomainError, match="arity"):
+        enumerate_embeddings(ThornCode(3, "(1:)"), region)
+    with pytest.raises(DomainError, match="empty pattern"):
+        enumerate_embeddings(ThornCode(2, "E"), region)
+    assert enumerate_embeddings(ThornCode(2, "E"), empty_subthorn(2)) == ()
+    for text, hint in (("(2:)", "not reduced"), ("(0:(1:))", "bare skeleton leaf"), ("(1:(0:(1:)))", "canonical")):
+        with pytest.raises(DomainError, match=hint):
+            enumerate_embeddings(ThornCode(2, text), region)
+
+
+def _bithorn_sides(arity, count):
+    """Both sides of the minimal bi-thorns of ``count`` seeded non-automorphisms."""
+    sides = []
+    seed = 0
+    while len(sides) < 2 * count:
+        b = minimal_bithorn(random_element(arity, 8, seed=f"embed-{arity}-{seed}"))
+        seed += 1
+        if not b.is_empty:
+            sides += [b.dom, b.ran]
+    return sides
+
+
+@pytest.mark.parametrize("arity, max_vertices, elements", [(2, 4, 5), (3, 3, 2), (4, 2, 3)])
+def test_enumerate_matches_subset_oracle(arity, max_vertices, elements):
+    # tuple equality: the same thorns, each once, in the same order
+    codes = [c for iota in range(arity - 1) for c in enumerate_class_codes(arity, iota, max_vertices)]
+    for region in _bithorn_sides(arity, elements):
+        for code in codes:
+            assert enumerate_embeddings(code, region) == subset_embeddings(code, region), code.text
 
 
 # ---------------------------------------------------------------------------

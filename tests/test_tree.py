@@ -43,6 +43,10 @@ def test_address_validation():
         parse_address("31", 2)  # first letter must be <= n
     with pytest.raises(ValidationError):
         parse_address("x1", 2)
+    # only ASCII digits: a superscript two, an Arabic-Indic one
+    for text in ("0\u00b2", "\u0661"):
+        with pytest.raises(ValidationError):
+            parse_address(text, 2)
 
 
 def test_prefix_code_validation():
