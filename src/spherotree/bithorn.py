@@ -25,6 +25,7 @@ from .element import Spheromorphism
 from .errors import ValidationError
 from .thorn import (
     EMPTY_CODE_TEXT,
+    UP,
     AbstractThorn,
     Spike,
     SubThorn,
@@ -33,7 +34,6 @@ from .thorn import (
     decode_token,
     empty_subthorn,
     rooted_encoder,
-    spike_toward,
 )
 from .tree import Address, check_arity, children, merge_families, root_code, trusted
 
@@ -135,7 +135,7 @@ def bithorn_of(g: Spheromorphism) -> BiThorn:
 def _cut_leaf(t: SubThorn, a: Address) -> tuple[SubThorn, Spike]:
     """Remove a skeleton leaf; its former edge becomes a spike at the neighbor."""
     (r,) = t.internal_neighbors(a)
-    new_spike = spike_toward(r, a)
+    new_spike = (r, UP) if r[:-1] == a else (r, a[-1])
     verts = t.vertices - {a}
     spikes = frozenset(s for s in t.spikes if s[0] != a) | {new_spike}
     return trusted(SubThorn, t.arity, verts, spikes), new_spike
@@ -248,7 +248,8 @@ def _validate_coset_text(arity: int, text: str) -> None:
     arcs = []
     for chunk in arc_part.split(","):
         left, sep, right = chunk.partition(">")
-        if not sep or not left.isdigit() or not right.isdigit():
+        # str.isdigit alone admits other scripts' digits and superscripts
+        if not sep or not chunk.isascii() or not left.isdigit() or not right.isdigit():
             raise ValidationError(f"bad arc {chunk!r} in coset code")
         arcs.append((int(left), int(right)))
     if arcs != sorted(arcs):

@@ -9,10 +9,9 @@ ball tuples of each candidate set and its image directly (``classify_balls``)
 and builds no clopen set.  ``theta`` tabulates the resulting class pairs,
 and ``moved_sets`` lists the same sets with ``omega``/``image`` built as
 clopen normal forms; only ``moved_sets`` builds them.  ``theta_bruteforce``
-recomputes the counts by sweeping every tracked-class set of bounded carrier
-depth and classifying through validated thorns (``subthorn_from_balls``,
-``reduce_subthorn``, ``canonical_code``), as an independent, much slower
-oracle.
+sweeps every tracked-class set of bounded carrier depth, moves it with
+``act_on_clopen`` and matches the thorn of its maximal balls against the
+tracked codes by an isomorphism test: an independent, much slower oracle.
 
 The class pairs, and with them θ, are the same for every element of a
 double coset of the automorphism group, so ``class_pairs`` returns them in
@@ -23,25 +22,24 @@ nothing and skip the memo.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .bithorn import BiThorn, CosetCode, canonical_coset_code, minimal_bithorn
-from .element import Spheromorphism, act_on_ball, invert
+from .element import Spheromorphism, act_on_ball, act_on_clopen, invert
 from .errors import DomainError, InternalError, ValidationError
 from .thorn import (
+    AbstractThorn,
     ThornCode,
-    canonical_code,
+    abstract_from_code,
     classify_balls,
     enumerate_embeddings,
-    reduce_subthorn,
     require_class_code,
-    subthorn_from_balls,
 )
-from .tree import Address, Ball, ClopenSet, balls_disjoint, check_arity, down, tree_path, trusted, up
+from .tree import Address, Ball, ClopenSet, all_words, balls_disjoint, check_arity, down, neighbors, trusted, up
 
 LUMP_LABEL = "P"
 
@@ -309,67 +307,120 @@ def theta(g: Spheromorphism, table: ClassTable) -> TransitionCounts:
 # ---------------------------------------------------------------------------
 
 
-def _all_balls(arity: int, depth: int) -> tuple[Ball, ...]:
-    cuts = [(c,) for c in range(arity + 1)]
-    balls = []
-    for _ in range(depth):
-        balls.extend(chain.from_iterable((down(u), up(u)) for u in cuts))
-        cuts = [u + (c,) for u in cuts for c in range(arity)]
-    return tuple(balls)
-
-
-@lru_cache(maxsize=32)
-def _classified_unions(
-    arity: int, depth: int, count: int, max_vertices: int
-) -> tuple[tuple[tuple[Ball, ...], ThornCode], ...]:
-    """Unions of ``count`` disjoint balls of cut depth <= depth, classified.
-
-    Each entry is (maximal balls of the set, class code); distinct entries
-    are distinct sets.  Unions covering the whole boundary are dropped, and
-    so are unions whose balls hang off more than ``max_vertices`` vertices
-    (the span of their anchors): reduction never adds vertices, and a set of
-    ``count`` maximal balls is its own reduced thorn, so every set with
-    ``count`` spikes and at most ``max_vertices`` vertices is still listed.
-    """
-    balls = _all_balls(arity, depth)
-    results: dict[tuple[Ball, ...], ThornCode] = {}
-
-    def extend(start: int, chosen: list[Ball], span: frozenset[Address]) -> None:
-        if len(chosen) == count:
-            if count == 2 and chosen[0].cut == chosen[1].cut:
-                return  # the two halves of one mid-edge cover everything
-            thorn = reduce_subthorn(subthorn_from_balls(chosen, arity))
-            if thorn.is_empty or thorn.is_perfect:
-                return  # the union is the whole boundary
-            key = thorn.balls()
-            if key not in results:
-                results[key] = canonical_code(thorn)
-            return
-        for i in range(start, len(balls)):
-            candidate = balls[i]
-            if not all(balls_disjoint(candidate, b) for b in chosen):
-                continue
-            anchor = _anchor(candidate)
-            if chosen:
-                wider = span.union(tree_path(_anchor(chosen[0]), anchor))
-            else:
-                wider = frozenset({anchor})
-            if len(wider) <= max_vertices:
-                chosen.append(candidate)
-                extend(i + 1, chosen, wider)
-                chosen.pop()
-
-    extend(0, [], frozenset())
-    return tuple(sorted(results.items(), key=lambda item: item[0]))
-
-
 def _anchor(ball: Ball) -> Address:
     """The vertex a ball's spike hangs off: the near end of its cut edge."""
     return ball.cut if ball.up else ball.cut[:-1]
 
 
-def _classify_balls(balls: tuple[Ball, ...], arity: int) -> ThornCode:
-    return canonical_code(reduce_subthorn(subthorn_from_balls(balls, arity)))
+def _span(words: Iterable[Address]) -> set[Address]:
+    """Every prefix of the words at least as long as their longest common one,
+    which is that of the least and the greatest word.  For spike anchors this
+    is their thorn's vertex set: every path between them runs through it."""
+    words = set(words)
+    low, high = min(words), max(words)
+    meet = next((k for k, (a, b) in enumerate(zip(low, high)) if a != b), min(len(low), len(high)))
+    return {w[:k] for w in words for k in range(meet, len(w) + 1)}
+
+
+def _maximal_balls(omega: ClopenSet) -> tuple[Ball, ...]:
+    """The balls inside omega that lie in no larger ball inside omega.
+
+    ``down(u)`` lies inside when u starts no unmarked carrier leaf, and
+    ``up(u)`` when u starts every one of them.  So the one maximal up ball,
+    if any, is cut at the stem of the unmarked leaves (their longest common
+    prefix), and each marked leaf below the stem lies in the down ball of its
+    shortest prefix past the stem that starts no unmarked leaf.
+    """
+    near = _span(leaf for leaf in omega.carrier if leaf not in omega.marks)
+    stem = min(near)
+    found = {up(stem)} if stem else set()
+    for leaf in omega.marks:
+        if leaf[: len(stem)] == stem:
+            k = len(stem) + 1
+            while leaf[:k] in near:
+                k += 1
+            found.add(down(leaf[:k]))
+    return tuple(sorted(found))
+
+
+def _shape(balls: Sequence[Ball], arity: int) -> AbstractThorn:
+    """Skeleton and spike counts of the thorn whose spikes are the balls.
+
+    Vertices are numbered in address order, which puts the anchors' common
+    prefix first and every other vertex after its parent.
+    """
+    anchors = Counter(_anchor(b) for b in balls)
+    order = sorted(_span(anchors))
+    index = {v: i for i, v in enumerate(order)}
+    adjacency: list[set[int]] = [set() for _ in order]
+    for i, v in enumerate(order[1:], start=1):
+        adjacency[i].add(index[v[:-1]])
+        adjacency[index[v[:-1]]].add(i)
+    return AbstractThorn(arity, tuple(map(frozenset, adjacency)), tuple(anchors[v] for v in order))
+
+
+def _isomorphic(a: AbstractThorn, b: AbstractThorn) -> bool:
+    """True iff a bijection between the vertices keeps edges and spike counts.
+
+    The vertices of a are placed in index order, each on a free vertex of b
+    with its spike count and its adjacency to the vertices placed before.
+    """
+
+    def place(image: list[int]) -> bool:
+        v = len(image)
+        return v == a.vertex_count or any(
+            place(image + [x])
+            for x in range(a.vertex_count)
+            if x not in image
+            and b.spike_counts[x] == a.spike_counts[v]
+            and all((image[u] in b.adjacency[x]) == (u in a.adjacency[v]) for u in range(v))
+        )
+
+    return a.vertex_count == b.vertex_count and place([])
+
+
+@lru_cache(maxsize=32)
+def _classified_unions(
+    arity: int, depth: int, count: int, max_vertices: int
+) -> tuple[tuple[ClopenSet, AbstractThorn], ...]:
+    """Sets of ``count`` maximal balls of cut depth <= depth, with their thorns.
+
+    A set's maximal balls are the spikes of its reduced thorn, so each set
+    whose reduced thorn has ``count`` spikes, at most ``max_vertices``
+    vertices and carrier depth at most ``depth`` is listed once, in the
+    order of its balls.  The anchors of such balls span at most
+    ``max_vertices`` vertices, so all lie within ``max_vertices - 1`` edges
+    of the first one, and none is deeper than ``depth``.
+    """
+    balls = [Ball(raised, cut) for k in range(depth) for cut in all_words(arity, k + 1) for raised in (False, True)]
+    at: dict[Address, list[int]] = {}
+    for i, ball in enumerate(balls):
+        at.setdefault(_anchor(ball), []).append(i)
+    found = {}
+
+    def extend(chosen: list[Ball], candidates: list[int]) -> None:
+        if len(chosen) == count:
+            key = tuple(sorted(chosen))
+            try:
+                omega = ClopenSet.from_balls(arity, key)
+            except DomainError:
+                return  # the union is the whole boundary
+            if _maximal_balls(omega) == key:
+                found[key] = (omega, _shape(key, arity))
+            return
+        for k, i in enumerate(candidates):
+            wider = chosen + [balls[i]]
+            if all(balls_disjoint(balls[i], b) for b in chosen) and (
+                len(_span(map(_anchor, wider))) <= max_vertices
+            ):
+                extend(wider, candidates[k + 1 :])
+
+    for i, first in enumerate(balls):
+        near = {_anchor(first)}
+        for _ in range(min(max_vertices - 1, 2 * depth)):
+            near |= {w for v in near for w in neighbors(v, arity) if len(w) <= depth}
+        extend([first], sorted(j for v in near for j in at.get(v, ()) if j > i))
+    return tuple(found[key] for key in sorted(found))
 
 
 def theta_bruteforce(g: Spheromorphism, table: ClassTable, depth: int) -> TransitionCounts:
@@ -388,27 +439,26 @@ def theta_bruteforce(g: Spheromorphism, table: ClassTable, depth: int) -> Transi
         raise DomainError(
             f"depth {depth} cannot certify this element; it needs at least {needed}"
         )
-    tracked = {code: i + 1 for i, code in enumerate(table.tracked)}
-    pool: dict[tuple[Ball, ...], ThornCode] = {}
+    models = [abstract_from_code(code) for code in table.tracked]
+
+    def class_of(thorn: AbstractThorn) -> int:
+        """Matrix index of a thorn's class: 1.. for tracked, 0 for lumped."""
+        return next((i + 1 for i, model in enumerate(models) if _isomorphic(thorn, model)), 0)
+
     max_vertices = max(code.vertex_count for code in table.tracked)
-    for count in sorted({code.spike_count for code in table.tracked}):
-        for key, code in _classified_unions(g.arity, depth, count, max_vertices):
-            if code in tracked:
-                pool[key] = code
     inverse = invert(g)
     transitions = []
-    for balls, code in pool.items():
-        i = tracked[code]
-        image = tuple(sorted(chain.from_iterable(act_on_ball(g, b) for b in balls)))
-        if image != balls:
-            after = _classify_balls(image, g.arity)
-            if after != code:
-                transitions.append((i, tracked.get(after, 0)))
-        source = tuple(
-            sorted(chain.from_iterable(act_on_ball(inverse, b) for b in balls))
-        )
-        if source != balls:
-            before = _classify_balls(source, g.arity)
-            if before not in tracked:
+    for count in sorted({code.spike_count for code in table.tracked}):
+        for omega, thorn in _classified_unions(g.arity, depth, count, max_vertices):
+            i = class_of(thorn)
+            if not i:
+                continue
+            image = act_on_clopen(g, omega)
+            if image != omega:
+                after = class_of(_shape(_maximal_balls(image), g.arity))
+                if after != i:
+                    transitions.append((i, after))
+            source = act_on_clopen(inverse, omega)
+            if source != omega and not class_of(_shape(_maximal_balls(source), g.arity)):
                 transitions.append((0, i))
     return _tabulate(table, transitions)

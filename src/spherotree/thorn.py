@@ -20,9 +20,9 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, product
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import DomainError, InternalError, ValidationError
+from .errors import DomainError, ValidationError
 from .tree import (
     FULL_BOUNDARY,
     ROOT,
@@ -34,7 +34,6 @@ from .tree import (
     children,
     down,
     format_address,
-    is_prefix,
     neighbors,
     tree_path,
     trusted,
@@ -68,15 +67,6 @@ def ball_of_spike(spike: Spike) -> Ball:
     if direction == UP:
         return up(vertex)
     return down(vertex + (direction,))
-
-
-def spike_toward(vertex: Address, target: Address) -> Spike:
-    """The spike at ``vertex`` pointing along the edge toward ``target``."""
-    if vertex and target == vertex[:-1]:
-        return (vertex, UP)
-    if len(target) == len(vertex) + 1 and is_prefix(vertex, target):
-        return (vertex, target[-1])
-    raise InternalError(f"{format_address(target)} is not adjacent to {format_address(vertex)}")
 
 
 @dataclass(frozen=True)
@@ -176,11 +166,7 @@ class SubThorn:
     @property
     def is_reduced(self) -> bool:
         """No reduction move applies (see ``reduce_subthorn``)."""
-        if self.is_empty:
-            return True
-        return _find_reduction_vertex(self.vertices, self.spikes, self.arity) is None and not (
-            len(self.vertices) == 1 and len(self.spikes) == self.arity + 1
-        )
+        return reduce_subthorn(self) == self
 
     def sort_key(self) -> tuple:
         return (tuple(sorted(self.vertices)), tuple(sorted(self.spikes)))
@@ -188,14 +174,6 @@ class SubThorn:
 
 def empty_subthorn(arity: int) -> SubThorn:
     return SubThorn(arity, frozenset(), frozenset())
-
-
-def single_spike_subthorn(arity: int, ball: Ball) -> SubThorn:
-    """The one-vertex thorn whose only spike stands for the given ball."""
-    if ball.up:
-        return SubThorn(arity, frozenset({ball.cut}), frozenset({(ball.cut, UP)}))
-    v = ball.cut[:-1]
-    return SubThorn(arity, frozenset({v}), frozenset({(v, ball.cut[-1])}))
 
 
 def subthorn_from_balls(balls: Sequence[Ball], arity: int) -> SubThorn:
@@ -218,35 +196,33 @@ def subthorn_from_balls(balls: Sequence[Ball], arity: int) -> SubThorn:
         raise DomainError(
             "a two-ball partition of the whole boundary has no thorn vertex"
         )
-    anchors = []
-    spikes = []
-    for b in blist:
+    return _subthorn_of(_spanned(blist), arity)
+
+
+def _spanned(balls: Iterable[Ball]) -> dict[Address, set[int]]:
+    """{vertex: spike directions} of the minimal thorn whose spikes are the balls.
+
+    The balls must be nonempty, pairwise disjoint and not the two halves of
+    one mid-edge.  The vertices are the span of the spike anchors: the union
+    of the paths from one anchor to all the others.
+    """
+    spikes_at: dict[Address, set[int]] = {}
+    for b in balls:
         if b.up:
-            anchors.append(b.cut)
-            spikes.append((b.cut, UP))
+            spikes_at.setdefault(b.cut, set()).add(UP)
         else:
-            anchors.append(b.cut[:-1])
-            spikes.append((b.cut[:-1], b.cut[-1]))
-    verts: set[Address] = set()
-    base = anchors[0]
-    verts.add(base)
-    for a in anchors[1:]:
-        verts.update(tree_path(base, a))
-    # close up: the spanned set of a vertex family is the union of pairwise
-    # paths; paths through the base vertex cover all of them
-    return trusted(SubThorn, arity, frozenset(verts), frozenset(spikes))
+            spikes_at.setdefault(b.cut[:-1], set()).add(b.cut[-1])
+    anchors = iter(tuple(spikes_at))
+    base = next(anchors)
+    for a in anchors:
+        for v in tree_path(base, a):
+            spikes_at.setdefault(v, set())
+    return spikes_at
 
 
-def _find_reduction_vertex(
-    vertices: Collection[Address], spikes: Collection[Spike], arity: int
-) -> Address | None:
-    """A vertex carrying exactly n spikes with at most one internal edge."""
-    for v in sorted(vertices):
-        if sum(1 for s in spikes if s[0] == v) == arity and (
-            sum(1 for w in neighbors(v, arity) if w in vertices) <= 1
-        ):
-            return v
-    return None
+def _subthorn_of(spikes_at: dict[Address, set[int]], arity: int) -> SubThorn:
+    spikes = frozenset((v, d) for v, dirs in spikes_at.items() for d in dirs)
+    return trusted(SubThorn, arity, frozenset(spikes_at), spikes)
 
 
 def reduce_subthorn(t: SubThorn) -> SubThorn:
@@ -258,42 +234,45 @@ def reduce_subthorn(t: SubThorn) -> SubThorn:
     vertex with all n+1 spikes is a partition of the whole boundary and
     reduces to the empty thorn.
     """
-    verts = set(t.vertices)
-    spikes = set(t.spikes)
-    arity = t.arity
-    while True:
-        if not verts:
-            return empty_subthorn(arity)
-        if len(verts) == 1:
-            (a,) = verts
-            at = sorted(s for s in spikes if s[0] == a)
-            if len(at) == arity + 1:
-                return empty_subthorn(arity)
-            if len(at) == arity:
-                # a lone vertex with n spikes stands for a single ball: the
-                # complement of its one unused direction
-                used = {s[1] for s in at}
-                dirs = set(range(arity + 1)) if not a else set(range(arity)) | {UP}
-                free = sorted(dirs - used)
-                if len(free) != 1:
-                    raise InternalError("lone vertex with n spikes must have one free direction")
-                d = free[0]
-                w = a[:-1] if d == UP else a + (d,)
-                verts = {w}
-                spikes = {spike_toward(w, a)}
-                continue
-            break
-        cut = _find_reduction_vertex(verts, spikes, arity)
-        if cut is None:
-            break
-        nbrs = [w for w in neighbors(cut, arity) if w in verts]
-        if len(nbrs) != 1:
-            raise InternalError("reduction vertex in a multi-vertex thorn must be a skeleton leaf")
-        b = nbrs[0]
-        verts.remove(cut)
-        spikes = {s for s in spikes if s[0] != cut}
-        spikes.add(spike_toward(b, cut))
-    return trusted(SubThorn, arity, frozenset(verts), frozenset(spikes))
+    spikes_at: dict[Address, set[int]] = {v: set() for v in t.vertices}
+    for v, d in t.spikes:
+        spikes_at[v].add(d)
+    return _subthorn_of(_reduce(spikes_at, t.arity), t.arity)
+
+
+def _reduce(spikes_at: dict[Address, set[int]], arity: int) -> dict[Address, set[int]]:
+    """The moves of ``reduce_subthorn`` on {vertex: spike directions}, in place.
+
+    In a thorn of two or more vertices, the one direction a vertex with n
+    spikes leaves free is its one internal edge.  The empty thorn comes back
+    as an empty dict.  The moves are confluent, so their order does not
+    matter.
+    """
+    pending = [v for v, dirs in spikes_at.items() if len(dirs) == arity]
+    while pending and len(spikes_at) > 1:
+        w, back = _across(pending.pop(), spikes_at, arity)
+        dirs = spikes_at[w]
+        dirs.add(back)
+        if len(dirs) == arity:
+            pending.append(w)
+    if len(spikes_at) == 1:
+        ((v, dirs),) = spikes_at.items()
+        if len(dirs) == arity + 1:
+            return {}
+        if len(dirs) == arity:
+            w, back = _across(v, spikes_at, arity)
+            return {w: {back}}
+    return spikes_at
+
+
+def _across(v: Address, spikes_at: dict[Address, set[int]], arity: int) -> tuple[Address, int]:
+    """Pop v, whose spikes use every direction but one; return the neighbour
+    across that direction and the direction from it back to v."""
+    used = spikes_at.pop(v)
+    for d in range(arity) if v else range(arity + 1):
+        if d not in used:
+            return v + (d,), UP
+    return v[:-1], v[-1]
 
 
 def clopen_of_subthorn(t: SubThorn):
@@ -544,8 +523,8 @@ def abstract_from_code(code: ThornCode) -> AbstractThorn:
 
 def maximal_ball_thorn(omega: ClopenSet) -> SubThorn:
     """Reduced sub-thorn of the partition of omega into maximal sub-balls."""
-    thorn = subthorn_from_balls([down(leaf) for leaf in omega.marked_leaves()], omega.arity)
-    return reduce_subthorn(thorn)
+    spikes_at = _spanned(down(leaf) for leaf in omega.marked_leaves())
+    return _subthorn_of(_reduce(spikes_at, omega.arity), omega.arity)
 
 
 def classify_clopen(omega: ClopenSet) -> ThornCode:
@@ -558,43 +537,16 @@ def classify_clopen(omega: ClopenSet) -> ThornCode:
 def classify_balls(balls: Iterable[Ball], arity: int) -> tuple[frozenset[Spike], str]:
     """Spike set and code text of the reduced thorn of a union of balls.
 
-    The trusted counterpart of ``canonical_code(reduce_subthorn(
-    subthorn_from_balls(balls, arity)))`` for internal callers, on bare
-    vertex and spike sets: no thorn, abstract thorn or clopen object is
-    built and nothing is validated.  The balls must be pairwise disjoint
-    and must not be the two halves of one mid-edge.  The spike set lists the
-    maximal balls of the union, so it identifies the set; a partition of the
-    whole boundary gives no spikes and the empty code text.
+    Works on bare vertex and spike sets for internal callers: no thorn,
+    abstract thorn or clopen object is built and nothing is validated.  The
+    balls must be pairwise disjoint and must not be the two halves of one
+    mid-edge.  The spike set lists the maximal balls of the union, so it
+    identifies the set; a partition of the whole boundary gives no spikes
+    and the empty code text.
     """
-    spikes_at: dict[Address, set[int]] = {}
-    for b in balls:
-        if b.up:
-            spikes_at.setdefault(b.cut, set()).add(UP)
-        else:
-            spikes_at.setdefault(b.cut[:-1], set()).add(b.cut[-1])
-    anchors = iter(tuple(spikes_at))
-    base = next(anchors)
-    for a in anchors:
-        for v in tree_path(base, a):
-            spikes_at.setdefault(v, set())
-    # a vertex whose n spikes leave one direction free stands for the single
-    # ball across that direction; in a thorn of two or more vertices the free
-    # direction is its one internal edge, so the vertex is cut away
-    pending = [v for v, dirs in spikes_at.items() if len(dirs) == arity]
-    while pending and len(spikes_at) > 1:
-        v = pending.pop()
-        w = spike_neighbor((v, _free_direction(v, spikes_at.pop(v), arity)))
-        dirs = spikes_at[w]
-        dirs.add(spike_toward(w, v)[1])
-        if len(dirs) == arity:
-            pending.append(w)
-    if len(spikes_at) == 1:
-        ((v, dirs),) = spikes_at.items()
-        if len(dirs) == arity + 1:
-            return frozenset(), EMPTY_CODE_TEXT
-        if len(dirs) == arity:
-            w = spike_neighbor((v, _free_direction(v, dirs, arity)))
-            spikes_at = {w: {spike_toward(w, v)[1]}}
+    spikes_at = _reduce(_spanned(balls), arity)
+    if not spikes_at:
+        return frozenset(), EMPTY_CODE_TEXT
     spikes = frozenset((v, d) for v, dirs in spikes_at.items() for d in dirs)
     if len(spikes_at) == 1:
         return spikes, f"({len(spikes)}:)"
@@ -604,14 +556,6 @@ def classify_balls(balls: Iterable[Ball], arity: int) -> tuple[frozenset[Spike],
     ]
     counts = [len(dirs) for dirs in spikes_at.values()]
     return spikes, _center_rooted_text(adjacency, counts)
-
-
-def _free_direction(v: Address, used: set[int], arity: int) -> int:
-    """The one direction at v not in ``used``, which holds all the others."""
-    for d in range(arity) if v else range(arity + 1):
-        if d not in used:
-            return d
-    return UP
 
 
 def class_code_defect(code: ThornCode) -> str | None:

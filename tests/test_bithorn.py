@@ -259,3 +259,16 @@ def test_coset_code_validation_and_tokens():
         CosetCode(2, "(1:(2:))|(2:(2:))|0>0,1>0,1>1")
     with pytest.raises(ValidationError):
         CosetCode.from_token("zzz")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(3:)|(3:)|0>0,0>0,0>\u00b2",  # a superscript two, which int() refuses
+        "(3:)|(3:)|0>0,0>0,0>\u0660",  # an Arabic-Indic zero, which int() reads as 0
+        "(2:(2:))|(2:(2:))|0>0,0>\u0661,1>0,1>1",  # an Arabic-Indic one, read as 1
+    ],
+)
+def test_coset_code_rejects_non_ascii_digits(text):
+    with pytest.raises(ValidationError):
+        CosetCode(2, text)

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 import time
 
 import pytest
@@ -278,6 +279,7 @@ def _check_against_bruteforce(table, elements):
         for k, h in enumerate([g] + mates):
             assert theta(h, table) == exact
             assert class_pairs.cache_info()[:2] == (k, 1)  # hits, misses
+        assert theta(invert(g), table) == exact.transpose()
         moved += sum(v for row in exact.matrix for v in row if v is not None)
     assert moved > 0
 
@@ -298,6 +300,38 @@ def test_theta_matches_bruteforce_with_three_vertex_classes():
     assert any(
         theta(g, table).matrix[i][j] for g in elements for i in big for j in range(5) if i != j
     )
+
+
+def _moves_between(table, elements, vertices):
+    """True iff some element moves a set of a tracked class with this many
+    vertices into another class or out of one."""
+    rows = [i + 1 for i, code in enumerate(table.tracked) if code.vertex_count == vertices]
+    size = len(table.tracked) + 1
+    return any(
+        theta(g, table).matrix[i][j] or theta(g, table).matrix[j][i]
+        for g in elements
+        for i in rows
+        for j in range(size)
+        if i != j
+    )
+
+
+def test_theta_matches_bruteforce_at_arity_three_with_three_vertex_classes():
+    # the centre of the 3-vertex class has two different branches, so the
+    # literal text also pins the order of the encoder's child texts
+    table = ClassTable(3, 1, (ThornCode(3, "(1:)"), ThornCode(3, "(0:(1:)(2:))")))
+    elements = _distinct_cosets(3, 8, 2, 2, "arity3-three-vertex")
+    _check_against_bruteforce(table, elements)
+    assert _moves_between(table, elements, 3)
+
+
+def test_theta_matches_bruteforce_at_arity_four():
+    codes = [code for code in enumerate_class_codes(4, 2, 2) if code.spike_count == 2]
+    table = ClassTable(4, 2, tuple(codes))
+    assert [code.text for code in table.tracked] == ["(2:)", "(1:(1:))"]
+    elements = _distinct_cosets(4, 8, 2, 2, "arity4")
+    _check_against_bruteforce(table, elements)
+    assert _moves_between(table, elements, 2)
 
 
 def test_coset_memo_stays_within_its_bound(monkeypatch):
@@ -336,9 +370,10 @@ def test_bruteforce_span_bound_keeps_every_tracked_set():
     def pool(max_vertices):
         found = {}
         for count in sorted({code.spike_count for code in codes}):
-            for key, code in _classified_unions(2, 4, count, max_vertices):
+            for omega, _ in _classified_unions(2, 4, count, max_vertices):
+                code = classify_clopen(omega)
                 if code in codes:
-                    found[key] = code
+                    found[omega] = code
         return found
 
     assert pool(3) == pool(10**9)
@@ -358,3 +393,39 @@ def test_theta_and_phi_build_no_clopen_sets(monkeypatch):
     for g, exact, value in zip(elements, counts, values):
         assert exact == theta_bruteforce(g, COMBINED_TABLE, g.depth() + 2)
         assert value == phi_nessonov(g, spec)
+
+
+def test_bruteforce_shares_nothing_with_theta_classification(monkeypatch):
+    """With theta's reduction, encoding and ball-image helpers refusing to run
+    in every module that binds them, the oracle still gives the pinned counts."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the brute-force oracle reached theta's machinery")
+
+    g = witness_nonautomorphism()
+    table = ClassTable(2, 0, (BALL,))
+    names = (
+        "classify_balls",
+        "reduce_subthorn",
+        "subthorn_from_balls",
+        "canonical_code",
+        "rooted_encoder",
+        "act_on_ball",
+    )
+    modules = [
+        module
+        for key, module in sorted(sys.modules.items())
+        if key == "spherotree" or key.startswith("spherotree.")
+    ]
+    bound = [(module, name) for module in modules for name in names if hasattr(module, name)]
+    assert {name for _, name in bound} == set(names)
+    with monkeypatch.context() as patch:
+        for module, name in bound:
+            patch.setattr(module, name, refuse)
+        _classified_unions.cache_clear()
+        class_pairs.cache_clear()
+        with pytest.raises(AssertionError, match="theta's machinery"):
+            theta(g, table)  # the patches do bite
+        counts = theta_bruteforce(g, table, 5)
+    assert counts.matrix == ((None, 2), (2, None))
+    assert counts == theta(g, table)

@@ -6,6 +6,7 @@ import pytest
 from spherotree.bithorn import minimal_bithorn
 from spherotree.element import random_element
 from spherotree.errors import DomainError, ValidationError
+from spherotree.orbitstats import _maximal_balls
 from spherotree.thorn import (
     UP,
     _center_rooted_text,
@@ -26,7 +27,6 @@ from spherotree.thorn import (
     is_class_code,
     maximal_ball_thorn,
     reduce_subthorn,
-    single_spike_subthorn,
     subthorn_from_balls,
 )
 from spherotree.tree import (
@@ -169,7 +169,7 @@ def test_subthorn_validation():
 def test_single_spike_round_trip():
     for ball in [down(A("01")), up(A("2")), down(A("0")), up(A("120", 3), )]:
         arity = 3 if max(ball.cut) > 1 or len(ball.cut) > 2 else 2
-        t = single_spike_subthorn(arity, ball)
+        t = subthorn_from_balls([ball], arity)
         assert t.balls() == (ball,)
         assert t.is_reduced
         omega = clopen_of_subthorn(t)
@@ -476,17 +476,20 @@ def _star_balls(vertex, directions):
 
 
 def _check_classify_balls(balls, arity):
+    """classify_balls against the move-by-move reference reducer and, for a
+    proper set, the brute-force oracle's maximal-ball reader."""
     spikes, text = classify_balls(tuple(sorted(balls)), arity)
-    reduced = reduce_subthorn(subthorn_from_balls(balls, arity))
-    assert spikes == reduced.spikes
-    assert text == canonical_code(reduced).text
+    rng = random.Random(len(balls))
+    reference = _random_order_reduce(subthorn_from_balls(balls, arity), rng)
+    assert spikes == reference.spikes
+    assert text == canonical_code(reference).text
     try:
         omega = ClopenSet.from_balls(arity, balls)
     except DomainError:  # the balls partition the whole boundary
         assert (spikes, text) == (frozenset(), "E")
         return
     assert text == classify_clopen(omega).text
-    assert sorted(ball_of_spike(s) for s in spikes) == list(maximal_ball_thorn(omega).balls())
+    assert sorted(ball_of_spike(s) for s in spikes) == list(_maximal_balls(omega))
 
 
 def test_classify_balls_matches_clopen_classification():
