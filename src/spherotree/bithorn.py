@@ -18,18 +18,19 @@ from __future__ import annotations
 import binascii
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 
 from .element import Spheromorphism
 from .errors import ValidationError
 from .thorn import (
     EMPTY_CODE_TEXT,
-    UP,
     AbstractThorn,
     Spike,
     SubThorn,
     ThornCode,
+    _across,
+    _spike_dirs,
+    _subthorn_of,
     abstract_from_code,
     decode_token,
     empty_subthorn,
@@ -82,10 +83,6 @@ class BiThorn:
     def vertex_count(self) -> int:
         return len(self.dom.vertices)
 
-    @cached_property
-    def pair_map(self) -> dict[Spike, Spike]:
-        return dict(self.pairing)
-
     def flip(self) -> "BiThorn":
         """The pair of the inverse element: sides swapped, pairing reversed."""
         return trusted(
@@ -132,54 +129,44 @@ def bithorn_of(g: Spheromorphism) -> BiThorn:
     return trusted(BiThorn, g.arity, dom, ran, pairing)
 
 
-def _cut_leaf(t: SubThorn, a: Address) -> tuple[SubThorn, Spike]:
-    """Remove a skeleton leaf; its former edge becomes a spike at the neighbor."""
-    (r,) = t.internal_neighbors(a)
-    new_spike = (r, UP) if r[:-1] == a else (r, a[-1])
-    verts = t.vertices - {a}
-    spikes = frozenset(s for s in t.spikes if s[0] != a) | {new_spike}
-    return trusted(SubThorn, t.arity, verts, spikes), new_spike
-
-
-def _cut_similar_pair(b: BiThorn, a: Address, far: Address) -> BiThorn:
-    """Cut a domain vertex whose n spikes all meet the range vertex ``far``.
-
-    Both sides are perfect, so ``far`` carries exactly those n spikes and
-    both vertices are skeleton leaves.
-    """
-    new_dom, new_dom_spike = _cut_leaf(b.dom, a)
-    new_ran, new_ran_spike = _cut_leaf(b.ran, far)
-    pairs = [(s, q) for s, q in b.pairing if s[0] != a]
-    pairs.append((new_dom_spike, new_ran_spike))
-    return trusted(BiThorn, b.arity, new_dom, new_ran, tuple(sorted(pairs)))
-
-
 def reduce_bithorn(b: BiThorn, rng: random.Random | None = None) -> BiThorn:
     """Cut similar pairs until none remain.  The fixpoint is order-independent.
 
+    Both sides are read into {vertex: spike directions}.  A worklist holds
+    the domain vertices with n spikes; a popped vertex whose n partners all
+    sit at one range vertex ``far`` is cut together with ``far`` (both are
+    skeleton leaves, as both sides are perfect), and the two new spikes are
+    paired.  A vertex's partner spikes keep their range vertices until the
+    vertex itself is cut, so each is tested once, when it reaches n spikes.
     A single matched vertex pair matches two full branch stars, which any
     tree automorphism can align, so reaching one vertex means reaching the
-    empty pair.  Passing a random generator picks cut candidates at random
-    instead of in address order; the result is the same either way.
+    empty pair.  Passing a random generator pops the worklist at random
+    instead of from its end; the result is the same either way.
     """
-    current = b
-    while not current.is_empty:
-        if current.vertex_count == 1:
-            return empty_bithorn(current.arity)
-        pair = current.pair_map
-        candidates = []
-        for a in sorted(current.dom.vertices):
-            a_spikes = current.dom.spikes_at(a)
-            if len(a_spikes) != current.arity:
-                continue
-            far = {pair[s][0] for s in a_spikes}
-            if len(far) == 1:
-                candidates.append((a, *far))
-        if not candidates:
-            return current
-        pick = candidates[0] if rng is None else candidates[rng.randrange(len(candidates))]
-        current = _cut_similar_pair(current, *pick)
-    return current
+    if b.is_empty:
+        return b
+    arity = b.arity
+    dom, ran = _spike_dirs(b.dom), _spike_dirs(b.ran)
+    pair = dict(b.pairing)
+    pending = [a for a, dirs in dom.items() if len(dirs) == arity]
+    while pending and len(dom) > 1:
+        a = pending.pop() if rng is None else pending.pop(rng.randrange(len(pending)))
+        far = {pair[a, d][0] for d in dom[a]}
+        if len(far) > 1:
+            continue
+        for d in dom[a]:
+            del pair[a, d]
+        w, back = _across(a, dom, arity)
+        x, ran_back = _across(far.pop(), ran, arity)
+        dom[w].add(back)
+        ran[x].add(ran_back)
+        pair[w, back] = x, ran_back
+        if len(dom[w]) == arity:
+            pending.append(w)
+    if len(dom) == 1:
+        return empty_bithorn(arity)
+    pairing = tuple(sorted(pair.items()))
+    return trusted(BiThorn, arity, _subthorn_of(dom, arity), _subthorn_of(ran, arity), pairing)
 
 
 def minimal_bithorn(g: Spheromorphism) -> BiThorn:

@@ -15,15 +15,15 @@ tracked codes by an isomorphism test: an independent, much slower oracle.
 
 The class pairs, and with them θ, are the same for every element of a
 double coset of the automorphism group, so ``class_pairs`` returns them in
-a canonical order and memoises them on (coset code, table) in a bounded
-least-recently-used memo of ``MEMO_SIZE`` entries.  Automorphisms move
-nothing and skip the memo.
+a canonical order and memoises them on (coset code, table) in an
+``lru_cache`` of ``MEMO_SIZE`` entries.  Automorphisms move nothing and
+skip the memo.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
@@ -35,11 +35,12 @@ from .thorn import (
     AbstractThorn,
     ThornCode,
     abstract_from_code,
+    check_sector,
     classify_balls,
     enumerate_embeddings,
     require_class_code,
 )
-from .tree import Address, Ball, ClopenSet, all_words, balls_disjoint, check_arity, down, neighbors, trusted, up
+from .tree import Address, Ball, ClopenSet, all_words, balls_disjoint, down, neighbors, trusted, up
 
 LUMP_LABEL = "P"
 
@@ -53,11 +54,7 @@ class ClassTable:
     tracked: tuple[ThornCode, ...]
 
     def __post_init__(self) -> None:
-        check_arity(self.arity)
-        if not 0 <= self.iota <= self.arity - 2:
-            raise ValidationError(
-                f"residue {self.iota} is out of range for arity {self.arity}"
-            )
+        check_sector(self.arity, self.iota)
         if not self.tracked:
             raise ValidationError("a class table needs at least one tracked class")
         seen = set()
@@ -147,8 +144,12 @@ def _moved(g: Spheromorphism, pair: BiThorn, table: ClassTable) -> Iterator[
     reduced thorn touch the minimal matched pair of the element (sets whose
     thorns avoid it sit inside one matched ball and keep their class), so
     enumerating embeddings around the pair is exhaustive.  Ball images are
-    classified directly by ``classify_balls``, and sets are told apart by
-    the spike set of their reduced thorn.
+    classified directly by ``classify_balls``.
+
+    No set comes out twice.  A domain-side set is one embedding, and each
+    embedding is built once.  A range-side set has an untracked source, so
+    it is never a domain-side set, and g is a bijection, so distinct
+    range-side images have distinct sources.
     """
     if pair.is_empty:
         return
@@ -156,7 +157,6 @@ def _moved(g: Spheromorphism, pair: BiThorn, table: ClassTable) -> Iterator[
     inverse = invert(g)
     codes = {code.text: code for code in table.tracked}
     tracked_texts = set(codes)
-    seen: set[frozenset] = set()
 
     def code_of(text: str) -> ThornCode:
         code = codes.get(text)
@@ -170,18 +170,16 @@ def _moved(g: Spheromorphism, pair: BiThorn, table: ClassTable) -> Iterator[
             image = _ball_image(g, balls)
             if image == balls:
                 continue  # the set itself is fixed
-            _, text = classify_balls(image, arity)
-            if text != pattern.text and thorn.spikes not in seen:
-                seen.add(thorn.spikes)
+            text = classify_balls(image, arity)
+            if text != pattern.text:
                 yield balls, pattern, image, code_of(text)
         for thorn in enumerate_embeddings(pattern, pair.ran):
             balls = thorn.balls()
             source = _ball_image(inverse, balls)
             if source == balls:
                 continue
-            key, text = classify_balls(source, arity)
-            if text not in tracked_texts and key not in seen:
-                seen.add(key)
+            text = classify_balls(source, arity)
+            if text not in tracked_texts:
                 yield source, code_of(text), balls, pattern
 
 
@@ -193,39 +191,21 @@ ClassPairs = tuple[tuple[ThornCode, ThornCode], ...]
 
 MEMO_SIZE = 4096
 
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+@dataclass(frozen=True)
+class _Coset:
+    """A double coset that compares by its code alone, carrying one of its
+    elements and that element's minimal bi-thorn to compute from."""
+
+    code: CosetCode
+    g: Spheromorphism = field(compare=False)
+    pair: BiThorn = field(compare=False)
 
 
-class _CosetMemo:
-    """Least-recently-used class pairs per (coset code, table), ``MEMO_SIZE`` at most."""
-
-    def __init__(self) -> None:
-        self.cache_clear()
-
-    def cache_clear(self) -> None:
-        self.entries: dict[tuple[CosetCode, ClassTable], ClassPairs] = {}
-        self.hits = self.misses = 0
-
-    def cache_info(self) -> CacheInfo:
-        """Hits, misses, bound and current size, as ``functools.lru_cache`` reports them."""
-        return CacheInfo(self.hits, self.misses, MEMO_SIZE, len(self.entries))
-
-    def get(self, key: tuple[CosetCode, ClassTable]) -> ClassPairs | None:
-        found = self.entries.pop(key, None)
-        if found is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self.entries[key] = found  # now the most recently used
-        return found
-
-    def put(self, key: tuple[CosetCode, ClassTable], pairs: ClassPairs) -> None:
-        while len(self.entries) >= MEMO_SIZE:
-            del self.entries[next(iter(self.entries))]
-        self.entries[key] = pairs
-
-
-_memo = _CosetMemo()
+@lru_cache(maxsize=MEMO_SIZE)
+def _coset_pairs(coset: _Coset, table: ClassTable) -> ClassPairs:
+    moved = ((before, after) for _, before, _, after in _moved(coset.g, coset.pair, table))
+    return tuple(sorted(moved, key=lambda classes: (classes[0].text, classes[1].text)))
 
 
 def class_pairs(g: Spheromorphism, table: ClassTable) -> ClassPairs:
@@ -243,17 +223,11 @@ def class_pairs(g: Spheromorphism, table: ClassTable) -> ClassPairs:
     pair = minimal_bithorn(g)
     if pair.is_empty:
         return ()
-    key = (canonical_coset_code(pair), table)
-    pairs = _memo.get(key)
-    if pairs is None:
-        moved = ((before, after) for _, before, _, after in _moved(g, pair, table))
-        pairs = tuple(sorted(moved, key=lambda classes: (classes[0].text, classes[1].text)))
-        _memo.put(key, pairs)
-    return pairs
+    return _coset_pairs(_Coset(canonical_coset_code(pair), g, pair), table)
 
 
-class_pairs.cache_info = _memo.cache_info  # type: ignore[attr-defined]
-class_pairs.cache_clear = _memo.cache_clear  # type: ignore[attr-defined]
+class_pairs.cache_info = _coset_pairs.cache_info  # type: ignore[attr-defined]
+class_pairs.cache_clear = _coset_pairs.cache_clear  # type: ignore[attr-defined]
 
 
 def moved_sets(g: Spheromorphism, table: ClassTable) -> tuple[MovedSet, ...]:

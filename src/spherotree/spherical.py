@@ -31,8 +31,8 @@ from .bithorn import is_automorphism
 from .element import Spheromorphism, compose, equals, invert
 from .errors import DomainError, InternalError, ValidationError
 from .orbitstats import ClassTable, class_pairs, theta
-from .thorn import ThornCode, enumerate_class_codes, require_class_code
-from .tree import check_arity, trusted
+from .thorn import ThornCode, check_sector, enumerate_class_codes, require_class_code
+from .tree import trusted
 
 Vector = tuple[float, ...]
 Matrix = tuple[tuple[float, ...], ...]
@@ -123,19 +123,25 @@ class SpecReport:
 
 def validate_spec(spec: SphericalSpec, tol: float = DEFAULT_PSD_TOL) -> SpecReport:
     """Certify the spec matrix: min eigenvalue >= -tol * (largest |entry|)."""
-    if tol < 0:
-        raise ValidationError("tolerance must be nonnegative")
-    eigenvalues = symmetric_eigenvalues(spec.matrix)
-    scale = max(abs(x) for row in spec.matrix for x in row)
-    threshold = -tol * scale
-    low = min(eigenvalues)
+    low, threshold, ok = _psd_verdict(spec.matrix, tol)
     messages: tuple[str, ...] = ()
-    if low < threshold:
+    if not ok:
         messages = (
             f"matrix is not positive semidefinite: min eigenvalue {low:.6e} "
             f"is below the threshold {threshold:.6e}",
         )
-    return SpecReport(low >= threshold, low, threshold, messages)
+    return SpecReport(ok, low, threshold, messages)
+
+
+def _psd_verdict(matrix: Matrix, tol: float) -> tuple[float, float, bool]:
+    """(min eigenvalue, threshold, passes): it passes iff the min eigenvalue
+    is at least -tol * max|entry| (-tol for the zero matrix)."""
+    if tol < 0:
+        raise ValidationError("tolerance must be nonnegative")
+    low = min(symmetric_eigenvalues(matrix))
+    scale = max(abs(x) for row in matrix for x in row)
+    threshold = -tol * (scale if scale > 0.0 else 1.0)
+    return low, threshold, low >= threshold
 
 
 def phi_nessonov(g: Spheromorphism, spec: SphericalSpec) -> float:
@@ -194,11 +200,7 @@ class TensorSpec:
     limit: Vector
 
     def __post_init__(self) -> None:
-        check_arity(self.arity)
-        if not 0 <= self.iota <= self.arity - 2:
-            raise ValidationError(
-                f"residue {self.iota} is out of range for arity {self.arity}"
-            )
+        check_sector(self.arity, self.iota)
         if self.cap < 1:
             raise ValidationError("the class-size cap must be at least 1")
         limit = _unit_vector(self.limit, "limit vector")
@@ -412,8 +414,6 @@ def gram_psd_check(
     els = tuple(elements)
     if not els:
         raise DomainError("the Gram certificate needs at least one element")
-    if tol < 0:
-        raise ValidationError("tolerance must be nonnegative")
     arity = els[0].arity
     for g in els[1:]:
         if g.arity != arity:
@@ -434,8 +434,5 @@ def gram_psd_check(
             rows[i][j] = value
             rows[j][i] = value
     matrix = tuple(tuple(row) for row in rows)
-    eigenvalues = symmetric_eigenvalues(matrix)
-    scale = max(abs(x) for row in matrix for x in row)
-    threshold = -tol * (scale if scale > 0.0 else 1.0)
-    low = min(eigenvalues)
-    return GramReport(els, matrix, low, tol, threshold, low >= threshold, tuple(warnings))
+    low, threshold, ok = _psd_verdict(matrix, tol)
+    return GramReport(els, matrix, low, tol, threshold, ok, tuple(warnings))

@@ -86,7 +86,8 @@ class SubThorn:
         for v in self.vertices:
             validate_address(v, self.arity, "thorn vertex")
         self._check_connected()
-        seen_mid = set()
+        # a vertex has one spike per direction at most and none on an internal
+        # edge, so no valence exceeds n+1 and no two spikes share a mid-edge
         for spike in self.spikes:
             vertex, direction = spike
             if vertex not in self.vertices:
@@ -104,13 +105,6 @@ class SubThorn:
                 raise ValidationError(
                     f"spike at {format_address(vertex)} lies on an internal edge"
                 )
-            mid = spike_midpoint(spike)
-            if mid in seen_mid:
-                raise ValidationError(f"two spikes share the mid-edge {format_address(mid)}")
-            seen_mid.add(mid)
-        for v in self.vertices:
-            if self.valence(v) > self.arity + 1:
-                raise ValidationError(f"vertex {format_address(v)} exceeds valence {self.arity + 1}")
 
     def _check_connected(self) -> None:
         verts = self.vertices
@@ -129,15 +123,6 @@ class SubThorn:
     @property
     def is_empty(self) -> bool:
         return not self.vertices
-
-    def internal_neighbors(self, v: Address) -> tuple[Address, ...]:
-        return tuple(w for w in neighbors(v, self.arity) if w in self.vertices)
-
-    def spikes_at(self, v: Address) -> tuple[Spike, ...]:
-        return tuple(sorted(s for s in self.spikes if s[0] == v))
-
-    def valence(self, v: Address) -> int:
-        return len(self.internal_neighbors(v)) + len(self.spikes_at(v))
 
     def internal_edges(self) -> tuple[tuple[Address, Address], ...]:
         out = []
@@ -158,10 +143,13 @@ class SubThorn:
 
     @property
     def is_perfect(self) -> bool:
-        """Every vertex uses all n+1 directions.  Perfect thorns carry boundary partitions."""
-        return bool(self.vertices) and all(
-            self.valence(v) == self.arity + 1 for v in self.vertices
-        )
+        """Every vertex uses all n+1 directions.  Perfect thorns carry boundary partitions.
+
+        The valences sum to 2(V-1) edge ends plus the spikes and none exceeds
+        n+1, so all are n+1 exactly when there are (n-1)V + 2 spikes.
+        """
+        V = len(self.vertices)
+        return V > 0 and len(self.spikes) == (self.arity - 1) * V + 2
 
     @property
     def is_reduced(self) -> bool:
@@ -234,10 +222,27 @@ def reduce_subthorn(t: SubThorn) -> SubThorn:
     vertex with all n+1 spikes is a partition of the whole boundary and
     reduces to the empty thorn.
     """
-    spikes_at: dict[Address, set[int]] = {v: set() for v in t.vertices}
+    return _subthorn_of(_reduce(_spike_dirs(t), t.arity), t.arity)
+
+
+def _spike_dirs(t: SubThorn) -> dict[Address, set[int]]:
+    """{vertex: spike directions} of a sub-thorn, vertices in address order."""
+    spikes_at: dict[Address, set[int]] = {v: set() for v in sorted(t.vertices)}
     for v, d in t.spikes:
         spikes_at[v].add(d)
-    return _subthorn_of(_reduce(spikes_at, t.arity), t.arity)
+    return spikes_at
+
+
+def _skeleton(
+    spikes_at: dict[Address, set[int]], arity: int
+) -> tuple[tuple[frozenset[int], ...], tuple[int, ...]]:
+    """(skeleton adjacency, spike counts) of {vertex: spike directions},
+    vertices numbered in the dict's order."""
+    index = {v: i for i, v in enumerate(spikes_at)}
+    adjacency = tuple(
+        frozenset(index[w] for w in neighbors(v, arity) if w in index) for v in spikes_at
+    )
+    return adjacency, tuple(len(dirs) for dirs in spikes_at.values())
 
 
 def _reduce(spikes_at: dict[Address, set[int]], arity: int) -> dict[Address, set[int]]:
@@ -313,13 +318,8 @@ class AbstractThorn:
 
     @staticmethod
     def from_subthorn(t: SubThorn) -> "AbstractThorn":
-        order = sorted(t.vertices)
-        index = {v: i for i, v in enumerate(order)}
-        adjacency = tuple(
-            frozenset(index[w] for w in t.internal_neighbors(v)) for v in order
-        )
-        counts = tuple(len(t.spikes_at(v)) for v in order)
-        return AbstractThorn(t.arity, adjacency, counts)
+        """The skeleton of a sub-thorn, vertices numbered in address order."""
+        return AbstractThorn(t.arity, *_skeleton(_spike_dirs(t), t.arity))
 
 
 EMPTY_CODE_TEXT = "E"
@@ -534,28 +534,21 @@ def classify_clopen(omega: ClopenSet) -> ThornCode:
     return canonical_code(maximal_ball_thorn(omega))
 
 
-def classify_balls(balls: Iterable[Ball], arity: int) -> tuple[frozenset[Spike], str]:
-    """Spike set and code text of the reduced thorn of a union of balls.
+def classify_balls(balls: Iterable[Ball], arity: int) -> str:
+    """Code text of the reduced thorn of a union of balls.
 
-    Works on bare vertex and spike sets for internal callers: no thorn,
+    Works on {vertex: spike directions} for internal callers: no thorn,
     abstract thorn or clopen object is built and nothing is validated.  The
     balls must be pairwise disjoint and must not be the two halves of one
-    mid-edge.  The spike set lists the maximal balls of the union, so it
-    identifies the set; a partition of the whole boundary gives no spikes
-    and the empty code text.
+    mid-edge.  A partition of the whole boundary gives the empty code text.
     """
     spikes_at = _reduce(_spanned(balls), arity)
     if not spikes_at:
-        return frozenset(), EMPTY_CODE_TEXT
-    spikes = frozenset((v, d) for v, dirs in spikes_at.items() for d in dirs)
+        return EMPTY_CODE_TEXT
     if len(spikes_at) == 1:
-        return spikes, f"({len(spikes)}:)"
-    index = {v: i for i, v in enumerate(spikes_at)}
-    adjacency = [
-        [index[w] for w in neighbors(v, arity) if w in index] for v in spikes_at
-    ]
-    counts = [len(dirs) for dirs in spikes_at.values()]
-    return spikes, _center_rooted_text(adjacency, counts)
+        (dirs,) = spikes_at.values()
+        return f"({len(dirs)}:)"
+    return _center_rooted_text(*_skeleton(spikes_at, arity))
 
 
 def class_code_defect(code: ThornCode) -> str | None:
@@ -608,6 +601,13 @@ def require_class_code(code: ThornCode) -> ThornCode:
     return code
 
 
+def check_sector(arity: int, iota: int) -> None:
+    """Reject a bad arity, or a residue outside 0 .. n-2."""
+    check_arity(arity)
+    if not 0 <= iota <= arity - 2:
+        raise ValidationError(f"residue {iota} is out of range for arity {arity}")
+
+
 @lru_cache(maxsize=32)
 def enumerate_class_codes(arity: int, iota: int, max_vertices: int) -> tuple[ThornCode, ...]:
     """All orbit-class codes of the residue sector with at most V vertices.
@@ -619,9 +619,7 @@ def enumerate_class_codes(arity: int, iota: int, max_vertices: int) -> tuple[Tho
     Codes come sorted by (vertex count, spike count, text).  The text is
     computed directly, not through the code cache of ``canonical_code``.
     """
-    check_arity(arity)
-    if not 0 <= iota <= arity - 2:
-        raise ValidationError(f"residue {iota} is out of range for arity {arity}")
+    check_sector(arity, iota)
     if max_vertices < 1:
         raise ValidationError("class enumeration needs at least one vertex")
     found: set[tuple[int, int, str]] = set()

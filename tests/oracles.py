@@ -4,7 +4,7 @@ import random
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
 
-from spherotree.bithorn import BiThorn, CosetCode, minimal_bithorn
+from spherotree.bithorn import BiThorn, CosetCode, empty_bithorn, minimal_bithorn
 from spherotree.element import Spheromorphism, finitary_automorphism, from_pieces
 from spherotree.errors import DomainError
 from spherotree.thorn import (
@@ -38,6 +38,16 @@ def random_finitary(rng: random.Random, arity: int) -> Spheromorphism:
         rng.shuffle(p)
         perms[vertex] = p
     return finitary_automorphism(arity, rp, perms)
+
+
+def axis_translation(arity: int) -> Spheromorphism:
+    """The automorphism that moves every vertex one edge along the axis from
+    the branch ``n`` through the root into the branch ``0``: the root goes
+    to ``0``, ``0`` to ``00``, each other root branch ``i`` to ``0i`` and
+    the children of ``n`` to the root branches ``1`` .. ``n``."""
+    pieces = [((0,), (0, 0))] + [((i,), (0, i)) for i in range(1, arity)]
+    pieces += [((arity, c), (c + 1,)) for c in range(arity)]
+    return from_pieces(arity, pieces)
 
 
 def irreducible_uniform_pairing(arity: int, depths: tuple[int, ...], seed: int) -> Spheromorphism:
@@ -112,6 +122,43 @@ def _side_numberings(t: SubThorn):
                 place[v] = i
             numberings.append(tuple(place))
     return index, shape, numberings
+
+
+def scan_reduce_bithorn(b: BiThorn) -> BiThorn:
+    """``reduce_bithorn`` by its former algorithm: after every cut, rebuild
+    both sides and rescan every domain vertex for a similar pair.
+
+    The first domain vertex in address order with n spikes whose partners
+    all sit at one range vertex is cut together with that vertex: each
+    one's internal edge becomes a spike at its neighbour, and the two new
+    spikes are paired.
+    """
+    current = b
+    while not current.is_empty:
+        if len(current.dom.vertices) == 1:
+            return empty_bithorn(current.arity)
+        pair = dict(current.pairing)
+        for a in sorted(current.dom.vertices):
+            a_spikes = [s for s in current.dom.spikes if s[0] == a]
+            far = {pair[s][0] for s in a_spikes}
+            if len(a_spikes) == current.arity and len(far) == 1:
+                break
+        else:
+            return current
+        new_dom, new_dom_spike = _cut_leaf(current.dom, a)
+        new_ran, new_ran_spike = _cut_leaf(current.ran, far.pop())
+        pairs = [(s, q) for s, q in current.pairing if s[0] != a]
+        pairs.append((new_dom_spike, new_ran_spike))
+        current = trusted(BiThorn, current.arity, new_dom, new_ran, tuple(sorted(pairs)))
+    return current
+
+
+def _cut_leaf(t: SubThorn, a: Address) -> tuple[SubThorn, Spike]:
+    """Remove a skeleton leaf; its former edge becomes a spike at the neighbor."""
+    (r,) = [w for w in neighbors(a, t.arity) if w in t.vertices]
+    new_spike = (r, UP) if r[:-1] == a else (r, a[-1])
+    spikes = frozenset(s for s in t.spikes if s[0] != a) | {new_spike}
+    return trusted(SubThorn, t.arity, t.vertices - {a}, spikes), new_spike
 
 
 def split_ball(ball: Ball, arity: int) -> tuple[Ball, ...]:

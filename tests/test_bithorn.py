@@ -21,6 +21,7 @@ from spherotree.element import (
     from_pieces,
     identity,
     invert,
+    power,
     preserves_all_balls,
     random_element,
     thompson_generators,
@@ -31,7 +32,13 @@ from spherotree.errors import ValidationError
 from spherotree.thorn import UP, SubThorn, empty_subthorn
 from spherotree.tree import parse_address
 
-from oracles import exhaustive_coset_code, irreducible_uniform_pairing, random_finitary
+from oracles import (
+    axis_translation,
+    exhaustive_coset_code,
+    irreducible_uniform_pairing,
+    random_finitary,
+    scan_reduce_bithorn,
+)
 
 
 def A(text: str, arity: int = 2):
@@ -222,6 +229,33 @@ def test_coset_code_matches_the_exhaustive_search():
     assert sum(not pair.is_empty for pair in pairs) >= 250
     for pair in pairs:
         assert canonical_coset_code(pair) == exhaustive_coset_code(pair)
+
+
+def test_reduction_matches_the_rescanning_reduction():
+    """The worklist reduction, popped from its end and in three random orders,
+    gives what cutting one candidate at a time and rescanning gives.  Shifting
+    an element along an axis on both sides makes pairs whose cuts enable
+    further cuts."""
+    elements = [
+        random_element(arity, budget, f"scan:{arity}:{budget}:{seed}")
+        for arity in (2, 3, 4)
+        for budget in (8, 12, 16, 20, 24)
+        for seed in range(40)
+    ]
+    elements += [
+        irreducible_uniform_pairing(arity, depths, seed)
+        for arity, depths in UNIFORM_CASES
+        for seed in range(2)
+    ]
+    shift = {arity: power(axis_translation(arity), 2) for arity in (2, 3, 4)}
+    elements += [compose(shift[g.arity], compose(g, shift[g.arity])) for g in elements[::4]]
+    pairs = [bithorn_of(g) for g in elements]
+    assert sum(not pair.is_empty for pair in pairs) >= 500
+    for pair in pairs:
+        reference = scan_reduce_bithorn(pair)
+        assert reduce_bithorn(pair) == reference
+        for k in range(3):
+            assert reduce_bithorn(pair, random.Random(k)) == reference
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
-"""Every library module other than the package ``__init__`` uses what it imports."""
+"""Tooling checks on the library source: every module other than the package
+``__init__`` uses what it imports, every private helper has a reader, and
+every cache is bounded."""
 
 import ast
+import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -54,3 +58,48 @@ def test_no_unused_imports(path):
         f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used
     )
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Every name a statement reads, as a bare name, an attribute or an import."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name)
+    return found
+
+
+def test_every_private_definition_has_a_reader():
+    """A module-level private function or class that nothing in the library
+    reads outside its own definition is dead code."""
+    readers = Counter()  # name -> how many top-level statements read it
+    private = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = _references(node)
+            readers.update(names)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                if not node.name.startswith("__"):
+                    private.append((path.name, node.name, node.name in names))
+    assert private
+    unread = [f"{module}: {name}" for module, name, self_read in private if readers[name] == self_read]
+    assert not unread, f"private definitions nothing reads: {', '.join(unread)}"
+
+
+def test_every_library_cache_is_bounded():
+    """Every module-level callable with ``cache_info()`` reports a finite bound."""
+    caches = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"spherotree.{path.stem}")
+        for name, value in vars(module).items():
+            if getattr(value, "__module__", None) != module.__name__ or isinstance(value, type):
+                continue  # imported from elsewhere, or a class
+            if callable(value) and hasattr(value, "cache_info"):
+                caches[f"{path.stem}.{name}"] = value.cache_info().maxsize
+    assert "orbitstats.class_pairs" in caches and "thorn._code_of_abstract" in caches
+    unbounded = sorted(name for name, maxsize in caches.items() if maxsize is None)
+    assert not unbounded, f"caches without a bound: {', '.join(unbounded)}"

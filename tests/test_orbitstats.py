@@ -1,5 +1,6 @@
 """Tests for moved-set listings and transition-count matrices."""
 
+import functools
 import hashlib
 import random
 import sys
@@ -236,20 +237,33 @@ def test_composite_moves_more():
 # ---------------------------------------------------------------------------
 
 
+MAX_COSET_SEEDS = 500
+
+
 def _distinct_cosets(arity, budget, max_depth, count, tag):
-    """Non-automorphisms of bounded depth from pairwise distinct double cosets."""
+    """Non-automorphisms of bounded depth from pairwise distinct double cosets,
+    drawn from at most ``MAX_COSET_SEEDS`` seeds."""
     found, tokens = [], set()
-    seed = 0
-    while len(found) < count:
+    for seed in range(MAX_COSET_SEEDS):
         g = random_element(arity, budget, f"{tag}:{seed}")
-        seed += 1
         if g.depth() > max_depth or is_automorphism(g):
             continue
         token = coset_code(g).token
         if token not in tokens:
             tokens.add(token)
             found.append(g)
-    return found
+            if len(found) == count:
+                return found
+    pytest.fail(f"{tag}: only {len(found)} distinct double cosets in {MAX_COSET_SEEDS} seeds")
+
+
+def test_distinct_cosets_fails_when_too_few_cosets_exist():
+    """Seeded arity-4 budget-8 depth-2 non-automorphisms fall into two
+    double cosets, so asking for three ends at the seed cap."""
+    start = time.perf_counter()
+    with pytest.raises(pytest.fail.Exception, match="arity4-few: only 2 distinct double cosets"):
+        _distinct_cosets(4, 8, 2, 3, "arity4-few")
+    assert time.perf_counter() - start < 2.0
 
 
 def _check_against_bruteforce(table, elements):
@@ -335,16 +349,17 @@ def test_theta_matches_bruteforce_at_arity_four():
 
 
 def test_coset_memo_stays_within_its_bound(monkeypatch):
-    monkeypatch.setattr(orbitstats, "MEMO_SIZE", 3)
+    assert class_pairs.cache_info().maxsize == orbitstats.MEMO_SIZE
+    small = functools.lru_cache(maxsize=3)(orbitstats._coset_pairs.__wrapped__)
+    monkeypatch.setattr(orbitstats, "_coset_pairs", small)
     elements = _distinct_cosets(2, 7, 3, 5, "memo-bound")
-    class_pairs.cache_clear()
     for g in elements:
         theta(g, COMBINED_TABLE)
-        assert class_pairs.cache_info().currsize <= 3
-    assert class_pairs.cache_info() == (0, 5, 3, 3)
+        assert small.cache_info().currsize <= 3
+    assert small.cache_info() == (0, 5, 3, 3)
     theta(elements[-1], COMBINED_TABLE)  # among the three most recent
     theta(elements[0], COMBINED_TABLE)  # evicted, so computed again
-    assert class_pairs.cache_info() == (1, 6, 3, 3)
+    assert small.cache_info() == (1, 6, 3, 3)
 
 
 def test_large_symmetric_coset_goes_through_the_memo():
