@@ -9,6 +9,7 @@ line-oriented plain text and deterministic for fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -66,8 +67,9 @@ def _read(path: str) -> str:
         raise ValidationError(f"cannot read {path}: {err.strerror or err}") from None
 
 
-def _load_element(path: str) -> Spheromorphism:
-    return parse_element(_read(path), source=path)
+def _load(parse, path: str):
+    """The object that ``parse`` reads from the file at ``path``."""
+    return parse(_read(path), source=path)
 
 
 def _element_paths(inputs: Sequence[str]) -> list[str]:
@@ -87,57 +89,37 @@ def _element_paths(inputs: Sequence[str]) -> list[str]:
 
 def _checked_spec(path: str, tol: float):
     """The parsed spec and its semidefiniteness report, which must pass."""
-    spec = parse_spherical_spec(_read(path), source=path)
+    spec = _load(parse_spherical_spec, path)
     report = validate_spec(spec, tol)
     if not report.ok:
         raise ValidationError(f"{path}: " + "; ".join(report.messages))
     return spec, report
 
 
-def _load_tensor_spec(path: str):
-    return parse_tensor_spec(_read(path), source=path)
-
-
-def _phi_factors(args) -> list[Callable[[Spheromorphism], float]]:
-    """Evaluators in a fixed order: matrix specs, vector specs, indicator."""
-    factors: list[Callable[[Spheromorphism], float]] = []
-    for path in args.spec or []:
-        factors.append(nessonov_evaluator(_checked_spec(path, args.tol)[0]))
-    for path in args.tensor_spec or []:
-        factors.append(tensor_evaluator(_load_tensor_spec(path)))
-    if args.l2:
-        factors.append(phi_l2)
-    return factors
-
-
-def _tensor_family_spec(args):
-    if not args.tensor_spec or len(args.tensor_spec) != 1 or args.spec or args.l2:
-        raise ValidationError("family 'tensor' takes exactly one --tensor-spec and nothing else")
-    return _load_tensor_spec(args.tensor_spec[0])
-
-
-def _build_phi(args) -> Callable[[Spheromorphism], float]:
+def _check_family(args) -> None:
+    """The family's rule on its factor flags, applied before any file is read."""
+    specs, tensors, l2 = len(args.spec or ()), len(args.tensor_spec or ()), args.l2
     family = args.family
-    if family == "nessonov":
-        if not args.spec or len(args.spec) != 1 or args.tensor_spec or args.l2:
-            raise ValidationError("family 'nessonov' takes exactly one --spec and nothing else")
-        return nessonov_evaluator(_checked_spec(args.spec[0], args.tol)[0])
-    if family == "tensor":
-        return tensor_evaluator(_tensor_family_spec(args))
-    if family == "l2":
-        if args.spec or args.tensor_spec:
-            raise ValidationError("family 'l2' takes no --spec or --tensor-spec files")
-        return phi_l2
-    # product: at least two factors, multiplied pointwise
-    factors = _phi_factors(args)
-    if len(factors) < 2:
+    if family == "nessonov" and (specs, tensors, l2) != (1, 0, False):
+        raise ValidationError("family 'nessonov' takes exactly one --spec and nothing else")
+    if family == "tensor" and (specs, tensors, l2) != (0, 1, False):
+        raise ValidationError("family 'tensor' takes exactly one --tensor-spec and nothing else")
+    if family == "l2" and (specs or tensors):
+        raise ValidationError("family 'l2' takes no --spec or --tensor-spec files")
+    if family == "product" and specs + tensors + l2 < 2:
         raise ValidationError(
             "family 'product' needs at least two factors (--spec/--tensor-spec/--l2)"
         )
-    result = factors[0]
-    for factor in factors[1:]:
-        result = phi_product(result, factor)
-    return result
+
+
+def _build_phi(args) -> Callable[[Spheromorphism], float]:
+    """φ of checked flags, each file read once; the factors multiply in a
+    fixed order: matrix specs, vector specs, indicator."""
+    factors = [nessonov_evaluator(_checked_spec(path, args.tol)[0]) for path in args.spec or ()]
+    factors += [tensor_evaluator(_load(parse_tensor_spec, path)) for path in args.tensor_spec or ()]
+    if args.l2 or args.family == "l2":
+        factors.append(phi_l2)
+    return functools.reduce(phi_product, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +159,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    gs = [_load_element(path) for path in args.files]
+    gs = [_load(parse_element, path) for path in args.files]
     result = gs[0]
     for g in gs[1:]:
         result = compose(result, g)
@@ -186,18 +168,18 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    sys.stdout.write(format_element(invert(_load_element(args.file))))
+    sys.stdout.write(format_element(invert(_load(parse_element, args.file))))
     return 0
 
 
 def _cmd_equals(args) -> int:
-    same = equals(_load_element(args.a), _load_element(args.b))
+    same = equals(_load(parse_element, args.a), _load(parse_element, args.b))
     print("true" if same else "false")
     return 0
 
 
 def _cmd_canon(args) -> int:
-    g = _load_element(args.file)
+    g = _load(parse_element, args.file)
     print(coset_code(g).token)
     if args.dot:
         sys.stdout.write(bithorn_dot(minimal_bithorn(g)))
@@ -205,12 +187,12 @@ def _cmd_canon(args) -> int:
 
 
 def _cmd_is_aut(args) -> int:
-    print("true" if is_automorphism(_load_element(args.file)) else "false")
+    print("true" if is_automorphism(_load(parse_element, args.file)) else "false")
     return 0
 
 
 def _cmd_classify_clopen(args) -> int:
-    omega = parse_clopen(_read(args.file), source=args.file)
+    omega = _load(parse_clopen, args.file)
     code = classify_clopen(omega)
     print(f"{code.token} {code.text}")
     if args.dot:
@@ -219,32 +201,33 @@ def _cmd_classify_clopen(args) -> int:
 
 
 def _cmd_upsilon(args) -> int:
-    print(upsilon(parse_clopen(_read(args.file), source=args.file)))
+    print(upsilon(_load(parse_clopen, args.file)))
     return 0
 
 
 def _cmd_theta(args) -> int:
-    g = _load_element(args.element)
-    table = parse_class_table(_read(args.table), source=args.table)
+    g = _load(parse_element, args.element)
+    table = _load(parse_class_table, args.table)
     sys.stdout.write(format_transition_counts(theta(g, table)))
     return 0
 
 
 def _cmd_phi(args) -> int:
-    g = _load_element(args.element)
+    _check_family(args)
+    g = _load(parse_element, args.element)
     if args.family == "tensor":
-        result = phi_tensor(g, _tensor_family_spec(args))
+        result = phi_tensor(g, _load(parse_tensor_spec, args.tensor_spec[0]))
         print(f"value {result.value!r}")
         print(f"cap_lumped {'true' if result.cap_lumped else 'false'}")
         return 0
-    phi = _build_phi(args)
-    print(f"value {phi(g)!r}")
+    print(f"value {_build_phi(args)(g)!r}")
     return 0
 
 
 def _cmd_gram(args) -> int:
+    _check_family(args)
     phi = _build_phi(args)
-    elements = [_load_element(path) for path in _element_paths(args.elements)]
+    elements = [_load(parse_element, path) for path in _element_paths(args.elements)]
     report = gram_psd_check(elements, phi, tol=args.tol)
     sys.stdout.write(format_gram_report(report))
     return 0
@@ -278,12 +261,8 @@ def _cmd_thompson_gens(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    g = _load_element(args.element)
+    g = _load(parse_element, args.element)
     depth = args.depth if args.depth is not None else g.depth() + 3
-    if depth < g.depth():
-        raise ValidationError(
-            f"oracle depth {depth} is below the table depth {g.depth()}"
-        )
     mapping = truncated_action(g, depth)
     print(f"arity {g.arity}")
     print(f"depth {depth}")
@@ -308,13 +287,13 @@ def _add_phi_flags(p: _Parser) -> None:
                    help="relative tolerance for semidefiniteness checks")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = _Parser(
         prog="spherotree",
         description="Exact arithmetic for tail-rigid tree-boundary transformations.",
     )
-    parser.add_argument("--depth", type=int, default=None,
-                        help="word depth for oracle dumps (default: table depth + 3)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("validate", help="parse one input file and report its shape")
@@ -395,17 +374,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="dump the truncated word action of an element")
     p.add_argument("element")
-    # SUPPRESS keeps the global --depth value when the flag is absent here
-    p.add_argument("--depth", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--depth", type=int, default=None,
+                   help="word depth of the dump (default: table depth + 3)")
     p.set_defaults(handler=_cmd_oracle)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (ValidationError, DomainError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -15,6 +15,7 @@ structural equality coincides with equality of boundary maps.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -59,10 +60,6 @@ class Spheromorphism:
     def sources(self) -> tuple[Address, ...]:
         return tuple(u for u, _ in self.pieces)
 
-    @cached_property
-    def targets(self) -> tuple[Address, ...]:
-        return tuple(v for _, v in self.pieces)
-
     def depth(self) -> int:
         """Largest leaf length over both codes."""
         return max(max(len(u), len(v)) for u, v in self.pieces)
@@ -73,14 +70,6 @@ class Spheromorphism:
                 return (u, v)
         raise DomainError(
             f"word {format_address(word)} does not reach the domain code"
-        )
-
-    def piece_for_target(self, word: Address) -> Piece:
-        for u, v in self.pieces:
-            if is_prefix(v, word):
-                return (u, v)
-        raise DomainError(
-            f"word {format_address(word)} does not reach the range code"
         )
 
     def apply_word(self, word: Address) -> Address:
@@ -141,15 +130,30 @@ def is_identity(g: Spheromorphism) -> bool:
     return all(u == v for u, v in g.pieces)
 
 
+def _covering(g: Spheromorphism, word: Address) -> slice:
+    """The slice of ``g.pieces`` that covers ``word``: the one piece whose
+    source is a prefix of it, or else every piece whose source extends it.
+
+    Sources are sorted, so an extension of a source follows it directly and
+    the extensions of ``word`` form one run after it.
+    """
+    sources = g.sources
+    i = bisect_right(sources, word)
+    if i and is_prefix(sources[i - 1], word):
+        return slice(i - 1, i)
+    return slice(i, bisect_left(sources, word + (g.arity + 1,), i))
+
+
 def compose(g: Spheromorphism, h: Spheromorphism) -> Spheromorphism:
     """The element acting as h first, then g."""
     if g.arity != h.arity:
         raise DomainError(f"arity mismatch: {g.arity} vs {h.arity}")
-    pieces = []
-    for m in common_refinement(h.targets, g.sources):
-        hu, hv = h.piece_for_target(m)
-        gs, gt = g.piece_for_source(m)
-        pieces.append((hu + m[len(hv) :], gt + m[len(gs) :]))
+    # of hv and a g-source over it, the shorter one takes the other's tail
+    pieces = [
+        (hu + gs[len(hv) :], gt + hv[len(gs) :])
+        for hu, hv in h.pieces
+        for gs, gt in g.pieces[_covering(g, hv)]
+    ]
     return _reduced(g.arity, pieces)
 
 
@@ -208,14 +212,14 @@ def act_on_ball(g: Spheromorphism, ball: Ball) -> tuple[Ball, ...]:
     if not isinstance(ball, Ball):
         raise DomainError("act_on_ball expects a ball")
     u = ball.cut
-    for s, t in g.pieces:
-        if is_prefix(s, u):
-            image_cut = t + u[len(s) :]
-            return (down(image_cut) if not ball.up else up(image_cut),)
+    at = _covering(g, u)
+    s, t = g.pieces[at.start]
+    if is_prefix(s, u):
+        image_cut = t + u[len(s) :]
+        return (down(image_cut) if not ball.up else up(image_cut),)
     # the cut is a proper prefix of several domain leaves
-    inside = tuple(t for s, t in g.pieces if is_prefix(u, s))
-    outside = tuple(t for s, t in g.pieces if not is_prefix(u, s))
-    return tuple(down(t) for t in (outside if ball.up else inside))
+    pieces = g.pieces[: at.start] + g.pieces[at.stop :] if ball.up else g.pieces[at]
+    return tuple(down(t) for _, t in pieces)
 
 
 def truncated_action(g: Spheromorphism, depth: int) -> dict[Address, Address]:
@@ -227,17 +231,17 @@ def truncated_action(g: Spheromorphism, depth: int) -> dict[Address, Address]:
     return {word: g.apply_word(word) for word in all_words(g.arity, depth)}
 
 
-def preserves_all_balls(g: Spheromorphism, extra_depth: int = 2) -> bool:
+def preserves_all_balls(g: Spheromorphism) -> bool:
     """Independent automorphism oracle: every ball maps to a ball, both ways.
 
     Cuts deeper than the table act literally, so checking every cut down to
-    table depth plus the margin decides the property for all balls.  A map
-    sending balls to balls bijectively is induced by a tree isomorphism
+    two levels below the table depth decides the property for all balls.
+    A map sending balls to balls bijectively is induced by a tree isomorphism
     (balls are mid-edges; inclusion recovers adjacency), so this is the
     extendability test, built only from table/refinement primitives.
     """
     for element in (g, invert(g)):
-        bound = element.depth() + extra_depth
+        bound = element.depth() + 2
         for depth in range(1, bound + 1):
             for word in all_words(element.arity, depth):
                 balls = act_on_ball(element, down(word))

@@ -340,13 +340,13 @@ def _dot_thorn_lines(t: SubThorn, prefix: str, indent: str) -> list[str]:
     return lines
 
 
-def subthorn_dot(t: SubThorn, name: str = "thorn") -> str:
-    lines = [f"graph {name} {{"] + _dot_thorn_lines(t, "", "  ") + ["}"]
+def subthorn_dot(t: SubThorn) -> str:
+    lines = ["graph thorn {"] + _dot_thorn_lines(t, "", "  ") + ["}"]
     return "\n".join(lines) + "\n"
 
 
-def bithorn_dot(b: BiThorn, name: str = "bithorn") -> str:
-    lines = [f"graph {name} {{"]
+def bithorn_dot(b: BiThorn) -> str:
+    lines = ["graph bithorn {"]
     lines.append('  subgraph cluster_domain {')
     lines.append('    label="domain";')
     lines.extend(_dot_thorn_lines(b.dom, "dom:", "    "))

@@ -22,7 +22,17 @@ from spherotree.thorn import (
     rooted_encoder,
     spike_midpoint,
 )
-from spherotree.tree import Address, Ball, children, down, neighbors, trusted, up
+from spherotree.tree import (
+    Address,
+    Ball,
+    children,
+    common_refinement,
+    down,
+    is_prefix,
+    neighbors,
+    trusted,
+    up,
+)
 
 
 def random_finitary(rng: random.Random, arity: int) -> Spheromorphism:
@@ -159,6 +169,30 @@ def _cut_leaf(t: SubThorn, a: Address) -> tuple[SubThorn, Spike]:
     new_spike = (r, UP) if r[:-1] == a else (r, a[-1])
     spikes = frozenset(s for s in t.spikes if s[0] != a) | {new_spike}
     return trusted(SubThorn, t.arity, t.vertices - {a}, spikes), new_spike
+
+
+def scan_compose(g: Spheromorphism, h: Spheromorphism) -> Spheromorphism:
+    """``compose`` by its former algorithm: refine h's range code and g's
+    domain code to a common code, then find both pieces of each of its
+    words by a scan of the tables."""
+    pieces = []
+    for m in common_refinement([v for _, v in h.pieces], g.sources):
+        hu, hv = next((u, v) for u, v in h.pieces if is_prefix(v, m))
+        gs, gt = next((u, v) for u, v in g.pieces if is_prefix(u, m))
+        pieces.append((hu + m[len(hv) :], gt + m[len(gs) :]))
+    return from_pieces(g.arity, pieces)
+
+
+def scan_act_on_ball(g: Spheromorphism, ball: Ball) -> tuple[Ball, ...]:
+    """``act_on_ball`` by its former algorithm, a scan of the table."""
+    u = ball.cut
+    for s, t in g.pieces:
+        if is_prefix(s, u):
+            image_cut = t + u[len(s) :]
+            return (up(image_cut) if ball.up else down(image_cut),)
+    inside = tuple(t for s, t in g.pieces if is_prefix(u, s))
+    outside = tuple(t for s, t in g.pieces if not is_prefix(u, s))
+    return tuple(down(t) for t in (outside if ball.up else inside))
 
 
 def split_ball(ball: Ball, arity: int) -> tuple[Ball, ...]:

@@ -1,7 +1,11 @@
 """End-to-end tests for the command-line front end (exit codes and bytes)."""
 
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +21,7 @@ from spherotree import (
     thompson_generators,
     witness_nonautomorphism,
 )
-from spherotree.cli import main
+from spherotree.cli import build_parser, main
 from spherotree.textio import (
     format_class_table,
     format_clopen,
@@ -222,13 +226,23 @@ def test_phi_families(work, capsys):
     assert code == 0 and out.strip() == "value 0.0"
 
 
-def test_phi_flag_validation(work, capsys):
+def test_phi_flag_validation(work, capsys, tmp_path):
     code, _, err = _run(capsys, "phi", "nessonov", work["g0"])
     assert code == 1 and "exactly one --spec" in err
     code, _, err = _run(capsys, "phi", "product", work["g0"], "--l2")
     assert code == 1 and "at least two factors" in err
     code, _, err = _run(capsys, "phi", "tensor", work["g0"], "--spec", work["spec"])
     assert code == 1 and "--tensor-spec" in err
+    # the rules are checked before any file is read: none of these exists
+    missing = str(tmp_path / "missing.txt")
+    for argv, message in [
+        (["phi", "product", missing, "--spec", missing], "at least two factors"),
+        (["phi", "nessonov", missing, "--spec", missing, "--l2"], "exactly one --spec"),
+        (["phi", "tensor", missing, "--tensor-spec", missing, "--l2"], "exactly one --tensor-spec"),
+        (["gram", missing, "--family", "l2", "--spec", missing], "takes no --spec"),
+    ]:
+        code, _, err = _run(capsys, *argv)
+        assert code == 1 and message in err and "cannot read" not in err
 
 
 def test_phi_rejects_non_psd_spec(work, capsys, tmp_path):
@@ -303,8 +317,7 @@ def test_thompson_gens_output(capsys):
 
 def test_oracle_depth_and_determinism(work, capsys):
     first = _run(capsys, "oracle", work["g0"], "--depth", "3")
-    second = _run(capsys, "--depth", "3", "oracle", work["g0"])
-    assert first == second
+    assert first == _run(capsys, "oracle", work["g0"], "--depth", "3")
     assert first[0] == 0
     lines = first[1].splitlines()
     assert lines[0] == "arity 2" and lines[1] == "depth 3"
@@ -313,6 +326,47 @@ def test_oracle_depth_and_determinism(work, capsys):
 
     code, _, err = _run(capsys, "oracle", work["g0"], "--depth", "1")
     assert code == 1 and "below the table depth" in err
+
+
+def test_depth_belongs_to_oracle_alone(work, capsys):
+    code, out, err = _run(capsys, "--depth", "3", "oracle", work["g0"])
+    assert code == 1 and out == "" and err.startswith("error: ")
+    code, out, _ = _run(capsys, "oracle", work["g0"], "--depth", "3")
+    assert code == 0 and out.splitlines()[1] == "depth 3"
+    code, out, _ = _run(capsys, "oracle", work["g0"])
+    assert code == 0 and out.splitlines()[1] == "depth 5"  # table depth + 3
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(work, capsys):
+    assert build_parser() is build_parser()
+    commands = [
+        ("phi", "product", work["g0"], "--spec", work["spec"], "--l2"),
+        ("phi", "nessonov", work["r1"], "--spec", work["spec"]),
+        ("gram", work["id2"], work["g0"], work["r1"], "--family", "l2"),
+    ]
+    alone = []
+    for argv in commands:
+        build_parser.cache_clear()
+        alone.append(_run(capsys, *argv))
+    before = build_parser.cache_info()
+    assert [_run(capsys, *argv) for argv in commands] == alone
+    after = build_parser.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + len(commands))
+    assert [code for code, _, _ in alone] == [0, 0, 0]
+
+
+def test_module_entry_point_matches_the_in_process_run(capsys, tmp_path, monkeypatch):
+    """``python -m spherotree`` runs ``main`` and exits with its code."""
+    monkeypatch.chdir(tmp_path)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, expected in [(["thompson-gens", "--which", "rotation"], 0), (["invert", "missing.txt"], 1)]:
+        done = subprocess.run(
+            [sys.executable, "-m", "spherotree", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == _run(capsys, *argv)
+        assert done.returncode == expected
 
 
 def test_usage_errors_exit_one(capsys):

@@ -36,6 +36,13 @@ from spherotree.tree import (
     upsilon,
 )
 
+from oracles import (
+    axis_translation,
+    irreducible_uniform_pairing,
+    scan_act_on_ball,
+    scan_compose,
+)
+
 
 def A(text: str, arity: int = 2):
     return parse_address(text, arity)
@@ -331,6 +338,28 @@ def test_act_on_ball_deep_cut_is_single_ball():
     assert image == down(A("1010"))
     (raised,) = act_on_ball(g, up(A("11010")))
     assert raised == up(A("1010"))
+
+
+def test_piece_lookup_matches_the_table_scan_on_many_piece_elements():
+    """``compose`` and ``act_on_ball`` find pieces by bisection; the former
+    scans must agree on every ball down to one level below the table and on
+    every product of uniform pairings (up to 80 pieces), shifted or not."""
+    shapes = {2: ((3, 3, 3), (2, 3, 4), (4, 4, 4)), 3: ((3, 3, 3, 3), (2, 3, 3, 2)),
+              4: ((2, 2, 2, 2, 2), (3, 3, 3, 3, 3))}
+    checked = 0
+    for arity, depths in shapes.items():
+        shift = axis_translation(arity)
+        elements = [irreducible_uniform_pairing(arity, d, seed) for d in depths for seed in (0, 1)]
+        elements += [compose(shift, g) for g in elements[:2]] + [random_element(arity, 12, 7)]
+        for g in elements:
+            for depth in range(1, g.depth() + 2):
+                for word in all_words(arity, depth):
+                    for ball in (down(word), up(word)):
+                        assert act_on_ball(g, ball) == scan_act_on_ball(g, ball)
+                        checked += 1
+            for h in elements:
+                assert compose(g, h) == scan_compose(g, h)
+    assert checked > 9_000
 
 
 # ---------------------------------------------------------------------------
