@@ -211,6 +211,12 @@ def act_on_ball(g: Spheromorphism, ball: Ball) -> tuple[Ball, ...]:
     """
     if not isinstance(ball, Ball):
         raise DomainError("act_on_ball expects a ball")
+    validate_address(ball.cut, g.arity, "ball cut")
+    return _act_on_ball(g, ball)
+
+
+def _act_on_ball(g: Spheromorphism, ball: Ball) -> tuple[Ball, ...]:
+    """``act_on_ball`` without its checks, for a ball of g's tree."""
     u = ball.cut
     at = _covering(g, u)
     s, t = g.pieces[at.start]

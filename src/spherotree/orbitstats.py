@@ -6,18 +6,17 @@ single background class ``P``.  For a table element g, only finitely many
 clopen sets change class: their reduced thorns must touch the minimal
 matched thorn pair of g.  One enumeration finds them: it classifies the
 ball tuples of each candidate set and its image directly (``classify_balls``)
-and builds no clopen set.  ``theta`` tabulates the resulting class pairs,
-and ``moved_sets`` lists the same sets with ``omega``/``image`` built as
-clopen normal forms; only ``moved_sets`` builds them.  ``theta_bruteforce``
-sweeps every tracked-class set of bounded carrier depth, moves it with
-``act_on_clopen`` and matches the thorn of its maximal balls against the
-tracked codes by an isomorphism test: an independent, much slower oracle.
+and builds no clopen set.  ``theta`` tabulates the resulting class
+transitions, and ``moved_sets`` lists the same sets with ``omega``/``image``
+built as clopen normal forms; only ``moved_sets`` builds them.
+``theta_bruteforce`` sweeps every tracked-class set of bounded carrier
+depth, moves it with ``act_on_clopen`` and matches the thorn of its maximal
+balls against the tracked codes by an isomorphism test: an independent,
+much slower oracle.
 
-The class pairs, and with them θ, are the same for every element of a
-double coset of the automorphism group, so ``class_pairs`` returns them in
-a canonical order and memoises them on (coset code, table) in an
-``lru_cache`` of ``MEMO_SIZE`` entries.  Automorphisms move nothing and
-skip the memo.
+θ is the same for every element of a double coset of the automorphism
+group, so ``theta`` memoises it on (coset code, table) in an ``lru_cache``
+of ``MEMO_SIZE`` entries.  Automorphisms move nothing and skip the memo.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .bithorn import BiThorn, CosetCode, canonical_coset_code, minimal_bithorn
-from .element import Spheromorphism, act_on_ball, act_on_clopen, invert
+from .element import Spheromorphism, _act_on_ball, act_on_clopen, invert
 from .errors import DomainError, InternalError, ValidationError
 from .thorn import (
     AbstractThorn,
@@ -184,50 +183,7 @@ def _moved(g: Spheromorphism, pair: BiThorn, table: ClassTable) -> Iterator[
 
 
 def _ball_image(g: Spheromorphism, balls: tuple[Ball, ...]) -> tuple[Ball, ...]:
-    return tuple(sorted(chain.from_iterable(act_on_ball(g, b) for b in balls)))
-
-
-ClassPairs = tuple[tuple[ThornCode, ThornCode], ...]
-
-MEMO_SIZE = 4096
-
-
-@dataclass(frozen=True)
-class _Coset:
-    """A double coset that compares by its code alone, carrying one of its
-    elements and that element's minimal bi-thorn to compute from."""
-
-    code: CosetCode
-    g: Spheromorphism = field(compare=False)
-    pair: BiThorn = field(compare=False)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _coset_pairs(coset: _Coset, table: ClassTable) -> ClassPairs:
-    moved = ((before, after) for _, before, _, after in _moved(coset.g, coset.pair, table))
-    return tuple(sorted(moved, key=lambda classes: (classes[0].text, classes[1].text)))
-
-
-def class_pairs(g: Spheromorphism, table: ClassTable) -> ClassPairs:
-    """(before, after) classes of every set g moves, sorted by their texts.
-
-    This is all that ``theta`` and ``phi_tensor`` need.  For automorphisms
-    a and b, the sets a·g·b moves are the preimages under b of the sets g
-    moves, with the same classes, so the sorted pairs depend only on the
-    double coset of g.  They are memoised on (coset code, table);
-    ``class_pairs.cache_info()`` and ``class_pairs.cache_clear()`` report
-    and empty the memo.  Automorphisms move nothing and skip it.
-    """
-    if g.arity != table.arity:
-        raise DomainError(f"arity mismatch: {g.arity} vs {table.arity}")
-    pair = minimal_bithorn(g)
-    if pair.is_empty:
-        return ()
-    return _coset_pairs(_Coset(canonical_coset_code(pair), g, pair), table)
-
-
-class_pairs.cache_info = _coset_pairs.cache_info  # type: ignore[attr-defined]
-class_pairs.cache_clear = _coset_pairs.cache_clear  # type: ignore[attr-defined]
+    return tuple(sorted(chain.from_iterable(_act_on_ball(g, b) for b in balls)))
 
 
 def moved_sets(g: Spheromorphism, table: ClassTable) -> tuple[MovedSet, ...]:
@@ -265,15 +221,44 @@ def _tabulate(table: ClassTable, transitions) -> TransitionCounts:
     return trusted(TransitionCounts, table, matrix)
 
 
+MEMO_SIZE = 4096
+
+
+@dataclass(frozen=True)
+class _Coset:
+    """A double coset that compares by its code alone, carrying one of its
+    elements and that element's minimal bi-thorn to compute from."""
+
+    code: CosetCode
+    g: Spheromorphism = field(compare=False)
+    pair: BiThorn = field(compare=False)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _coset_theta(coset: _Coset, table: ClassTable) -> TransitionCounts:
+    moved = _moved(coset.g, coset.pair, table)
+    return _tabulate(table, ((table.index_of(p), table.index_of(q)) for _, p, _, q in moved))
+
+
 def theta(g: Spheromorphism, table: ClassTable) -> TransitionCounts:
-    """Transition counts of g over the table, from the exact moved-set listing."""
-    return _tabulate(
-        table,
-        (
-            (table.index_of(before), table.index_of(after))
-            for before, after in class_pairs(g, table)
-        ),
-    )
+    """Transition counts of g over the table, from the exact moved-set listing.
+
+    For automorphisms a and b, the sets a·g·b moves are the preimages under
+    b of the sets g moves, with the same classes, so the counts depend only
+    on the double coset of g.  They are memoised on (coset code, table);
+    ``theta.cache_info()`` and ``theta.cache_clear()`` report and empty the
+    memo.  Automorphisms move nothing and skip it.
+    """
+    if g.arity != table.arity:
+        raise DomainError(f"arity mismatch: {g.arity} vs {table.arity}")
+    pair = minimal_bithorn(g)
+    if pair.is_empty:
+        return _tabulate(table, ())
+    return _coset_theta(_Coset(canonical_coset_code(pair), g, pair), table)
+
+
+theta.cache_info = _coset_theta.cache_info  # type: ignore[attr-defined]
+theta.cache_clear = _coset_theta.cache_clear  # type: ignore[attr-defined]
 
 
 # ---------------------------------------------------------------------------

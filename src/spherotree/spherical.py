@@ -9,7 +9,7 @@ prefix-exchange group are evaluated exactly:
   plus the tracked orbit classes of a residue sector;
 * ``phi_tensor`` — a product of inner products of unit vectors attached to
   orbit classes, with a common limit vector standing in for every class
-  beyond a vertex-count cap;
+  beyond a vertex-count cap: ``phi_nessonov`` of the vectors' Gram spec;
 * ``phi_l2`` — the membership indicator of the automorphism subgroup.
 
 Pointwise products of any of these are again candidates, and
@@ -21,16 +21,14 @@ Jacobi eigensolver.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from .bithorn import is_automorphism
 from .element import Spheromorphism, compose, equals, invert
 from .errors import DomainError, InternalError, ValidationError
-from .orbitstats import ClassTable, class_pairs, theta
+from .orbitstats import ClassTable, theta
 from .thorn import ThornCode, check_sector, enumerate_class_codes, require_class_code
 from .tree import trusted
 
@@ -145,7 +143,14 @@ def _psd_verdict(matrix: Matrix, tol: float) -> tuple[float, float, bool]:
 
 
 def phi_nessonov(g: Spheromorphism, spec: SphericalSpec) -> float:
-    """Product of spec entries raised to the exact transition counts of g.
+    """Product of spec entries raised to the exact transition counts of g."""
+    if g.arity != spec.table.arity:
+        raise DomainError("element and spec arity differ")
+    return _pooled_product(spec.matrix, theta(g, spec.table).matrix)
+
+
+def _pooled_product(matrix: Matrix, counts: tuple[tuple[int | None, ...], ...]) -> float:
+    """Product of matrix[p][q] ** (counts[p][q] + counts[q][p]) over p < q.
 
     The exponents are the integer class-transition counts; factors with a
     zero exponent contribute 1 (in particular 0**0 == 1), so the value is a
@@ -157,15 +162,12 @@ def phi_nessonov(g: Spheromorphism, spec: SphericalSpec) -> float:
     power; inversion, which transposes the counts, then leaves the computed
     value identical bit for bit.
     """
-    if g.arity != spec.table.arity:
-        raise DomainError("element and spec arity differ")
-    counts = theta(g, spec.table).matrix
     value = 1.0
-    for p in range(spec.size):
-        for q in range(p + 1, spec.size):
+    for p in range(len(matrix)):
+        for q in range(p + 1, len(matrix)):
             exponent = counts[p][q] + counts[q][p]
             if exponent:
-                value *= spec.matrix[p][q] ** exponent
+                value *= matrix[p][q] ** exponent
     return value
 
 
@@ -274,34 +276,21 @@ def phi_tensor(g: Spheromorphism, tspec: TensorSpec) -> TensorValue:
 
     Sets whose class is unchanged contribute <v, v> = 1 and are skipped.
     Sets whose class stays beyond the cap on both sides contribute exactly
-    <e, e> = 1 under the model and are not searched.  ``cap_lumped`` reports
-    whether any factor involved a class beyond the cap, i.e. whether the
-    limit vector shaped the value instead of a per-class choice.
-
-    Equal unordered class pairs share one factor, raised to their pooled
-    count, and factors are multiplied in the order of the class texts, so
-    the value depends on the counts alone, bit for bit: not on the order in
-    which moved sets are found, and not on inversion.
+    <e, e> = 1 under the model and are not searched.  The product is
+    ``phi_nessonov`` of the Gram spec, bit for bit.  ``cap_lumped`` reports
+    whether any factor involved a class beyond the cap, i.e. whether θ moves
+    a set into or out of the lump, so that the limit vector shaped the value
+    instead of a per-class choice.
     """
     if g.arity != tspec.arity:
         raise DomainError("element and tensor spec arity differ")
-    table = tspec.tracking_table
-    tracked = set(table.tracked)
-    pooled = Counter(
-        tuple(sorted(pair, key=attrgetter("text"))) for pair in class_pairs(g, table)
-    )
-    lumped = any(code not in tracked for pair in pooled for code in pair)
-    value = 1.0
-    for p, q in sorted(pooled, key=lambda pair: (pair[0].text, pair[1].text)):
-        value *= _dot(tspec.vector_for(p), tspec.vector_for(q)) ** pooled[p, q]
-    return TensorValue(value, lumped)
+    counts = theta(g, tspec.tracking_table).matrix
+    lumped = any(counts[0][1:]) or any(row[0] for row in counts[1:])
+    return TensorValue(_pooled_product(tspec.gram_spec().matrix, counts), lumped)
 
 
 def tensor_evaluator(tspec: TensorSpec) -> PhiFunction:
-    def phi(g: Spheromorphism) -> float:
-        return phi_tensor(g, tspec).value
-
-    return phi
+    return nessonov_evaluator(tspec.gram_spec())
 
 
 # ---------------------------------------------------------------------------

@@ -282,22 +282,23 @@ def merge_families(arity: int, table: dict[Address, T], rule: Callable[[list[T]]
     child order, and returns the stem's value, or None to keep the family
     apart.  The root family is never merged.  A family's values are fixed
     once all its members exist and merges touch disjoint families, so the
-    fixpoint does not depend on the order.  ``table`` is changed in place.
+    fixpoint does not depend on the order.  Stems are taken deepest level
+    first, so a family is final when its stem's turn comes and each stem is
+    tested once.  ``table`` is changed in place.
     """
-    pending = sorted(table, key=len)
-    while pending:
-        leaf = pending.pop()
-        if len(leaf) < 2 or leaf not in table:
-            continue
-        stem = leaf[:-1]
-        family = children(stem, arity)
-        if all(c in table for c in family):
-            merged = rule([table[c] for c in family])
-            if merged is not None:
-                for c in family:
-                    del table[c]
-                table[stem] = merged
-                pending.append(stem)
+    levels = [set() for _ in range(max(map(len, table), default=0))]  # stems by length
+    for leaf in table:
+        levels[len(leaf) - 1].add(leaf[:-1])
+    for k in range(len(levels) - 1, 0, -1):
+        for stem in levels[k]:
+            family = children(stem, arity)
+            if all(c in table for c in family):
+                merged = rule([table[c] for c in family])
+                if merged is not None:
+                    for c in family:
+                        del table[c]
+                    table[stem] = merged
+                    levels[k - 1].add(stem[:-1])
     return table
 
 

@@ -340,6 +340,13 @@ def test_act_on_ball_deep_cut_is_single_ball():
     assert raised == up(A("1010"))
 
 
+@pytest.mark.parametrize("ball", [down((0, 7)), down((5,)), up((0, 3)), down((0, 1.0))], ids=str)
+def test_act_on_ball_rejects_a_cut_outside_the_tree(ball):
+    _, a, _ = thompson_generators()
+    with pytest.raises(ValidationError, match="ball cut"):
+        act_on_ball(a, ball)
+
+
 def test_piece_lookup_matches_the_table_scan_on_many_piece_elements():
     """``compose`` and ``act_on_ball`` find pieces by bisection; the former
     scans must agree on every ball down to one level below the table and on

@@ -100,6 +100,6 @@ def test_every_library_cache_is_bounded():
                 continue  # imported from elsewhere, or a class
             if callable(value) and hasattr(value, "cache_info"):
                 caches[f"{path.stem}.{name}"] = value.cache_info().maxsize
-    assert "orbitstats.class_pairs" in caches and "thorn._code_of_abstract" in caches
+    assert "orbitstats.theta" in caches and "thorn._code_of_abstract" in caches
     unbounded = sorted(name for name, maxsize in caches.items() if maxsize is None)
     assert not unbounded, f"caches without a bound: {', '.join(unbounded)}"

@@ -25,7 +25,6 @@ from spherotree.orbitstats import (
     ClassTable,
     TransitionCounts,
     _classified_unions,
-    class_pairs,
     moved_sets,
     theta,
     theta_bruteforce,
@@ -270,7 +269,7 @@ def _check_against_bruteforce(table, elements):
     """theta equals the brute force on each element and on coset mates a·g·b.
 
     The mates are checked with the coset memo emptied before every call, so
-    that each computes its own class pairs, and then warm, where every mate
+    that each computes its own counts, and then warm, where every mate
     after g is a memo hit.
     """
     max_diameter = max(code.diameter for code in table.tracked)
@@ -283,16 +282,13 @@ def _check_against_bruteforce(table, elements):
             for _ in range(3)
         ]
         assert any(not equals(h, g) for h in mates)
-        class_pairs.cache_clear()
-        pairs = class_pairs(g, table)
         for h in [g] + mates:
-            class_pairs.cache_clear()
-            assert class_pairs(h, table) == pairs  # the same pairs in the same order
+            theta.cache_clear()
             assert theta(h, table) == exact
-        class_pairs.cache_clear()
+        theta.cache_clear()
         for k, h in enumerate([g] + mates):
             assert theta(h, table) == exact
-            assert class_pairs.cache_info()[:2] == (k, 1)  # hits, misses
+            assert theta.cache_info()[:2] == (k, 1)  # hits, misses
         assert theta(invert(g), table) == exact.transpose()
         moved += sum(v for row in exact.matrix for v in row if v is not None)
     assert moved > 0
@@ -349,9 +345,9 @@ def test_theta_matches_bruteforce_at_arity_four():
 
 
 def test_coset_memo_stays_within_its_bound(monkeypatch):
-    assert class_pairs.cache_info().maxsize == orbitstats.MEMO_SIZE
-    small = functools.lru_cache(maxsize=3)(orbitstats._coset_pairs.__wrapped__)
-    monkeypatch.setattr(orbitstats, "_coset_pairs", small)
+    assert theta.cache_info().maxsize == orbitstats.MEMO_SIZE
+    small = functools.lru_cache(maxsize=3)(orbitstats._coset_theta.__wrapped__)
+    monkeypatch.setattr(orbitstats, "_coset_theta", small)
     elements = _distinct_cosets(2, 7, 3, 5, "memo-bound")
     for g in elements:
         theta(g, COMBINED_TABLE)
@@ -369,13 +365,13 @@ def test_large_symmetric_coset_goes_through_the_memo():
     rng = random.Random(31)
     mate = compose(random_finitary(rng, 2), compose(g, random_finitary(rng, 2)))
     assert not equals(mate, g)
-    class_pairs.cache_clear()
+    theta.cache_clear()
     start = time.perf_counter()
     exact = theta(g, COMBINED_TABLE)
     assert time.perf_counter() - start < 2.0
     assert exact == theta_bruteforce(g, COMBINED_TABLE, g.depth() + 2)
     assert theta(mate, COMBINED_TABLE) == exact
-    assert class_pairs.cache_info()[:2] == (1, 1)
+    assert theta.cache_info()[:2] == (1, 1)
 
 
 def test_bruteforce_span_bound_keeps_every_tracked_set():
@@ -400,7 +396,7 @@ def test_theta_and_phi_build_no_clopen_sets(monkeypatch):
 
     elements = _small_elements(6, 3, 9300)
     spec = SphericalSpec(COMBINED_TABLE, ((1.0, 0.5, 0.25), (0.5, 1.0, 0.125), (0.25, 0.125, 1.0)))
-    class_pairs.cache_clear()
+    theta.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(ClopenSet, "from_balls", staticmethod(refuse))
         counts = [theta(g, COMBINED_TABLE) for g in elements]
@@ -426,6 +422,7 @@ def test_bruteforce_shares_nothing_with_theta_classification(monkeypatch):
         "canonical_code",
         "rooted_encoder",
         "act_on_ball",
+        "_act_on_ball",
     )
     modules = [
         module
@@ -438,7 +435,7 @@ def test_bruteforce_shares_nothing_with_theta_classification(monkeypatch):
         for module, name in bound:
             patch.setattr(module, name, refuse)
         _classified_unions.cache_clear()
-        class_pairs.cache_clear()
+        theta.cache_clear()
         with pytest.raises(AssertionError, match="theta's machinery"):
             theta(g, table)  # the patches do bite
         counts = theta_bruteforce(g, table, 5)

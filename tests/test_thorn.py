@@ -6,6 +6,7 @@ import pytest
 from spherotree.bithorn import minimal_bithorn
 from spherotree.element import random_element
 from spherotree.errors import DomainError, ValidationError
+from spherotree import orbitstats
 from spherotree.orbitstats import _maximal_balls
 from spherotree.thorn import (
     UP,
@@ -707,6 +708,35 @@ def test_free_trees_match_networkx():
             index = {v: i for i, v in enumerate(nodes)}
             reference.append(tuple(frozenset(index[w] for w in graph[v]) for v in nodes))
         assert sorted(_skeleton_texts(reference)) == sorted(_skeleton_texts(trees))
+
+
+@pytest.mark.parametrize("arity, max_vertices", [(2, 6), (3, 4)])
+def test_class_codes_agree_with_both_isomorphism_tests(arity, max_vertices):
+    """Equal code texts, the oracle's backtracking ``_isomorphic`` and
+    networkx's isomorphism test with spike counts as node labels agree on
+    every pair of class codes, each side renumbered at random; and every
+    renumbered model gets its own code back.  This module's own
+    ``_isomorphic`` is a rooted matcher, so the oracle's is named through
+    ``orbitstats``."""
+    nx = pytest.importorskip("networkx")
+    match = nx.algorithms.isomorphism.categorical_node_match("spikes", None)
+    rng = random.Random(f"class-code-isomorphism:{arity}")
+    codes = [code for iota in range(arity - 1) for code in enumerate_class_codes(arity, iota, max_vertices)]
+    models = [_relabel(abstract_from_code(code), rng) for code in codes]
+    graphs = []
+    for model in models:
+        graph = nx.Graph()
+        graph.add_nodes_from((v, {"spikes": k}) for v, k in enumerate(model.spike_counts))
+        graph.add_edges_from((v, w) for v, nbrs in enumerate(model.adjacency) for w in nbrs)
+        graphs.append(graph)
+    for code, model in zip(codes, models):
+        assert canonical_code(model) == code
+    for i, a in enumerate(codes):
+        for j, b in enumerate(codes):
+            same = a.text == b.text
+            other = _relabel(models[j], rng)
+            assert orbitstats._isomorphic(models[i], other) == same, (a.text, b.text)
+            assert nx.is_isomorphic(graphs[i], graphs[j], node_match=match) == same, (a.text, b.text)
 
 
 def test_class_enumeration_leaves_the_code_cache_alone():
