@@ -3,16 +3,19 @@
 A class table fixes a residue sector and a finite list of tracked orbit
 classes (thorn codes); every other class of that residue is lumped into a
 single background class ``P``.  For a table element g, only finitely many
-clopen sets change class: their reduced thorns must touch the minimal
-matched thorn pair of g.  One enumeration finds them: it classifies the
-ball tuples of each candidate set and its image directly (``classify_balls``)
-and builds no clopen set.  ``theta`` tabulates the resulting class
-transitions, and ``moved_sets`` lists the same sets with ``omega``/``image``
-built as clopen normal forms; only ``moved_sets`` builds them.
-``theta_bruteforce`` sweeps every tracked-class set of bounded carrier
-depth, moves it with ``act_on_clopen`` and matches the thorn of its maximal
-balls against the tracked codes by an isomorphism test: an independent,
-much slower oracle.
+clopen sets change class: their reduced thorns must share a vertex with
+the minimal matched thorn pair of g.  Both sides of the pair are perfect,
+so a connected thorn with no vertex in a side lies beyond one of its spike
+mid-edges, in a half-tree that g (or g⁻¹) carries isometrically onto the
+matched half-tree, and its class cannot change.  One enumeration finds the
+candidates: it classifies the ball tuples of each candidate set and its
+image directly (``classify_balls``) and builds no clopen set.  ``theta``
+tabulates the resulting class transitions, and ``moved_sets`` lists the
+same sets with ``omega``/``image`` built as clopen normal forms; only
+``moved_sets`` builds them.  ``theta_bruteforce`` sweeps every
+tracked-class set of bounded carrier depth, moves it with
+``act_on_clopen`` and matches the thorn of its maximal balls against the
+tracked codes by an isomorphism test: an independent, much slower oracle.
 
 θ is the same for every element of a double coset of the automorphism
 group, so ``theta`` memoises it on (coset code, table) in an ``lru_cache``
@@ -140,10 +143,16 @@ def _moved(g: Spheromorphism, pair: BiThorn, table: ClassTable) -> Iterator[
     ``pair`` is the minimal bi-thorn of g.
     Covers both directions: tracked sets leaving their class, and lumped
     sets entering a tracked class.  A set whose class changes must have its
-    reduced thorn touch the minimal matched pair of the element (sets whose
-    thorns avoid it sit inside one matched ball and keep their class), so
-    enumerating embeddings around the pair is exhaustive.  Ball images are
-    classified directly by ``classify_balls``.
+    reduced thorn share a vertex with the minimal matched pair of the
+    element, so enumerating embeddings around the pair is exhaustive.  Both
+    sides of the pair are perfect, so a connected thorn with no vertex of
+    ``pair.dom`` lies beyond one spike mid-edge of it.  Literal pieces,
+    family merges and bi-thorn cuts are all isometries, so g carries that
+    half-tree isometrically onto the matched one; the thorn's one ball that
+    holds the rest of the tree goes to the complement of the image of its
+    complement, and the thorn's class cannot change.  The range side is the
+    same argument with g⁻¹ on ``pair.ran``.  Ball images are classified
+    directly by ``classify_balls``.
 
     No set comes out twice.  A domain-side set is one embedding, and each
     embedding is built once.  A range-side set has an untracked source, so

@@ -55,12 +55,6 @@ def spike_neighbor(spike: Spike) -> Address:
     return vertex + (direction,)
 
 
-def spike_midpoint(spike: Spike) -> Address:
-    """Mid-edges are keyed by the deeper endpoint of their edge."""
-    vertex, direction = spike
-    return vertex if direction == UP else vertex + (direction,)
-
-
 def ball_of_spike(spike: Spike) -> Ball:
     """The ball a spike stands for: the branch away from the thorn vertex."""
     vertex, direction = spike
@@ -131,12 +125,6 @@ class SubThorn:
                 if c in self.vertices:
                     out.append((v, c))
         return tuple(sorted(out))
-
-    def midpoint_cells(self) -> frozenset[Address]:
-        """Mid-edge 0-cells: spike midpoints and internal edge midpoints."""
-        mids = {spike_midpoint(s) for s in self.spikes}
-        mids.update(child for _, child in self.internal_edges())
-        return frozenset(mids)
 
     def balls(self) -> tuple[Ball, ...]:
         return tuple(sorted(ball_of_spike(s) for s in self.spikes))
@@ -659,7 +647,7 @@ def _free_trees(max_vertices: int) -> Iterator[list[tuple[frozenset[int], ...]]]
 
 
 def enumerate_embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn, ...]:
-    """All reduced sub-thorns of the given class having a cell in the region.
+    """All reduced sub-thorns of the given class sharing a vertex with the region.
 
     The pattern is placed vertex by vertex in the order of its code text,
     which roots it at vertex 0, a centre, and lists each vertex after its
@@ -669,13 +657,18 @@ def enumerate_embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn
     text and take increasing addresses, and when the halves on either side
     of a bicentre are equal, the other centre takes the larger address.
 
-    A thorn that touches the region has a vertex among the seeds, the
-    region's vertices and both ends of its mid-edges: a shared vertex is a
-    region vertex, a shared internal mid-edge has both its ends in the thorn,
-    and a shared spike mid-edge has the spike's vertex at one end.  No
-    vertex lies further from vertex 0 than the pattern's height from it, so
-    vertex 0 goes only to vertices within that height of a seed, and a
-    placement that misses the seeds is dropped before its spikes are chosen.
+    No vertex lies further from vertex 0 than the pattern's height from it,
+    so vertex 0 goes only to vertices within that height of the region, and
+    a placement that misses the region is dropped before its spikes are
+    chosen.
+
+    For θ the region is one side of a minimal bi-thorn, which is perfect.
+    A connected thorn with no vertex in it then lies beyond one spike
+    mid-edge of it, in a half-tree that the element carries isometrically
+    onto the matched half-tree; the thorn's one ball that holds the rest of
+    the tree goes to the complement of the image of its complement, so its
+    class cannot change, and thorns that merely touch the region at a
+    mid-edge need not be listed.
     """
     if pattern.arity != region.arity:
         raise DomainError("pattern and region arity differ")
@@ -704,23 +697,14 @@ def enumerate_embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn
         if text(w, 0) == text(0, w):
             above[w] = 0
     region_verts = region.vertices
-    region_mids = region.midpoint_cells()
-    seeds = set(region_verts)
-    for mid in region_mids:
-        seeds.add(mid)
-        seeds.add(mid[:-1])
     image: list[Address] = [ROOT] * V
     results = []
 
     def add_spikes() -> None:
         verts = frozenset(image)
-        if verts.isdisjoint(seeds):
+        if verts.isdisjoint(region_verts):
             return
-        # an internal mid-edge shared with the region has a region vertex at
-        # one end, so only a shared spike mid-edge can touch without one
-        touches = not verts.isdisjoint(region_verts)
         pools = []
-        near: set[Spike] = set()  # the free spikes whose mid-edge is in the region
         for x, k in zip(image, counts):
             free = [
                 (x, d)
@@ -729,14 +713,9 @@ def enumerate_embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn
             ]
             if x and x[:-1] not in verts:
                 free.append((x, UP))
-            near.update(s for s in free if spike_midpoint(s) in region_mids)
             pools.append(list(combinations(free, k)))
-        if not touches and not near:
-            return
         for pick in product(*pools):
-            spikes = frozenset(chain.from_iterable(pick))
-            if touches or not near.isdisjoint(spikes):
-                results.append(trusted(SubThorn, arity, verts, spikes))
+            results.append(trusted(SubThorn, arity, verts, frozenset(chain.from_iterable(pick))))
 
     def place(v: int) -> None:
         if v == V:
@@ -752,16 +731,16 @@ def enumerate_embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn
             place(v + 1)
 
     # the height from a centre is the radius, half the diameter rounded up
-    for root in _ball_of_vertices(seeds, (pattern.diameter + 1) // 2, arity):
+    for root in _ball_of_vertices(region_verts, (pattern.diameter + 1) // 2, arity):
         image[0] = root
         place(1)
     results.sort(key=SubThorn.sort_key)
     return tuple(results)
 
 
-def _ball_of_vertices(seeds: set[Address], radius: int, arity: int) -> set[Address]:
+def _ball_of_vertices(seeds: Iterable[Address], radius: int, arity: int) -> set[Address]:
     out = set(seeds)
-    frontier = set(seeds)
+    frontier = set(out)
     for _ in range(radius):
         nxt = set()
         for v in frontier:

@@ -20,7 +20,6 @@ from spherotree.thorn import (
     abstract_from_code,
     canonical_code,
     rooted_encoder,
-    spike_midpoint,
 )
 from spherotree.tree import (
     Address,
@@ -207,9 +206,17 @@ def split_ball(ball: Ball, arity: int) -> tuple[Ball, ...]:
     return sibs + (up(stem),)
 
 
-def meets(a: SubThorn, b: SubThorn) -> bool:
-    """Cell-level intersection: shared vertices or shared mid-edge points."""
-    return bool(a.vertices & b.vertices or a.midpoint_cells() & b.midpoint_cells())
+def spike_midpoint(spike: Spike) -> Address:
+    """Mid-edges are keyed by the deeper endpoint of their edge."""
+    vertex, direction = spike
+    return vertex if direction == UP else vertex + (direction,)
+
+
+def midpoint_cells(t: SubThorn) -> frozenset[Address]:
+    """Mid-edge 0-cells of a thorn: spike midpoints and internal edge midpoints."""
+    mids = {spike_midpoint(s) for s in t.spikes}
+    mids.update(child for _, child in t.internal_edges())
+    return frozenset(mids)
 
 
 def skeleton_diameter(t: AbstractThorn) -> int:
@@ -278,7 +285,19 @@ def labeled_trees(V: int) -> Iterator[tuple[frozenset[int], ...]]:
 def subset_embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn, ...]:
     """``enumerate_embeddings`` by generate and filter, its former algorithm.
 
-    All reduced sub-thorns of the given class having a cell in the region.
+    All reduced sub-thorns of the given class sharing a vertex with the
+    region: the cell-touch listing without the thorns that meet the region
+    only at a mid-edge.
+    """
+    return tuple(
+        t for t in cell_touch_embeddings(pattern, region) if not t.vertices.isdisjoint(region.vertices)
+    )
+
+
+def cell_touch_embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn, ...]:
+    """All reduced sub-thorns of the given class having a cell in the region:
+    a shared vertex or a shared mid-edge point, internal or spike.
+
     A connected thorn that touches the region reaches no further out than
     its own diameter, so the candidates come from the neighborhood of radius
     diameter + 1 around the region's vertices and mid-edge points.
@@ -290,8 +309,9 @@ def subset_embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn, .
     if pattern.is_empty:
         raise DomainError("cannot embed the empty pattern")
     arity = pattern.arity
+    region_mids = midpoint_cells(region)
     seeds = set(region.vertices)
-    for mid in region.midpoint_cells():
+    for mid in region_mids:
         seeds.add(mid)
         seeds.add(mid[:-1])
     universe = _ball_of_vertices(seeds, pattern.diameter + 1, arity)
@@ -303,7 +323,6 @@ def subset_embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn, .
     profile = tuple(sorted(zip(model.spike_counts, model_degs)))
     results = []
     region_verts = region.vertices
-    region_mids = region.midpoint_cells()
     for verts in _connected_subsets(universe, model.vertex_count, arity):
         vlist = sorted(verts)
         index = {v: i for i, v in enumerate(vlist)}

@@ -23,7 +23,6 @@ from spherotree import (
     classify_clopen,
     compose,
     coset_code,
-    down,
     equals,
     finitary_automorphism,
     gram_psd_check,
@@ -44,7 +43,6 @@ from spherotree import (
     theta_bruteforce,
     thompson_generators,
     truncated_action,
-    up,
     upsilon,
     witness_nonautomorphism,
     witness_translation,

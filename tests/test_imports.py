@@ -1,6 +1,7 @@
-"""Tooling checks on the library source: every module other than the package
-``__init__`` uses what it imports, every private helper has a reader, and
-every cache is bounded."""
+"""Tooling checks on the library and test source: every module other than
+the package ``__init__`` uses what it imports and rebinds no imported name
+at top level, every private library helper has a reader, and every library
+cache is bounded."""
 
 import ast
 import importlib
@@ -9,9 +10,15 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "spherotree"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "spherotree"
 
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+CHECKED = MODULES + sorted(TESTS.glob("*.py"))
+
+
+def _module_id(path: Path) -> str:
+    return path.name if path.parent == SRC else f"tests/{path.name}"
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -48,9 +55,10 @@ def _used(tree: ast.Module) -> set[str]:
 
 def test_the_module_list_is_not_empty():
     assert len(MODULES) >= 5
+    assert TESTS / "oracles.py" in CHECKED
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", CHECKED, ids=_module_id)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = _used(tree)
@@ -58,6 +66,35 @@ def test_no_unused_imports(path):
         f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used
     )
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _top_level_bindings(tree: ast.Module) -> dict[str, int]:
+    """Each name a top-level definition or assignment binds, with its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+                        names[sub.id] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize("path", CHECKED, ids=_module_id)
+def test_no_imported_name_is_rebound(path):
+    """A module that imports a name and then defines its own under it
+    silently runs the local one wherever it meant the import."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = _imported(tree)
+    rebound = sorted(
+        f"{name} (line {line}, imported at line {imported[name]})"
+        for name, line in _top_level_bindings(tree).items()
+        if name in imported
+    )
+    assert not rebound, f"{path.name} rebinds imported names: {', '.join(rebound)}"
 
 
 def _references(node: ast.AST) -> set[str]:

@@ -5,12 +5,14 @@ import hashlib
 import random
 import sys
 import time
+from collections import Counter
 
 import pytest
 
 from spherotree import orbitstats
-from spherotree.bithorn import coset_code, is_automorphism
+from spherotree.bithorn import coset_code, is_automorphism, minimal_bithorn
 from spherotree.element import (
+    act_on_ball,
     compose,
     equals,
     finitary_automorphism,
@@ -30,10 +32,16 @@ from spherotree.orbitstats import (
     theta_bruteforce,
 )
 from spherotree.spherical import SphericalSpec, phi_nessonov
-from spherotree.thorn import ThornCode, classify_clopen, enumerate_class_codes
+from spherotree.thorn import (
+    ThornCode,
+    classify_balls,
+    classify_clopen,
+    enumerate_class_codes,
+    enumerate_embeddings,
+)
 from spherotree.tree import ClopenSet, down, parse_address, up, upsilon
 
-from oracles import irreducible_uniform_pairing, random_finitary
+from oracles import cell_touch_embeddings, irreducible_uniform_pairing, random_finitary
 
 BALL = ThornCode(2, "(1:)")
 PAIR = ThornCode(2, "(1:(1:))")
@@ -342,6 +350,78 @@ def test_theta_matches_bruteforce_at_arity_four():
     elements = _distinct_cosets(4, 8, 2, 2, "arity4")
     _check_against_bruteforce(table, elements)
     assert _moves_between(table, elements, 2)
+
+
+# (arity, "seeded", index) draws a seeded non-automorphism and (arity,
+# "pairing", depths) is a shuffled uniform pairing
+_VERTEX_RULE_CASES = [
+    (2, "seeded", 0),
+    (2, "seeded", 1),
+    (2, "seeded", 2),
+    (3, "seeded", 0),
+    (3, "seeded", 1),
+    (4, "seeded", 0),
+    (2, "pairing", (3, 3, 3)),
+    (3, "pairing", (2, 2, 2, 2)),
+    (4, "pairing", (2, 2, 2, 2, 2)),
+]
+
+
+def _vertex_rule_case(arity, kind, arg):
+    """The element, and one table per residue of the classes with at most
+    three spikes and three vertices at arity 2, two above."""
+    if kind == "pairing":
+        g = irreducible_uniform_pairing(arity, arg, 0)
+    else:
+        drawn = (random_element(arity, 8, f"vertex-rule:{arity}:{arg}:{seed}") for seed in range(100))
+        g = next(h for h in drawn if not is_automorphism(h))
+    max_vertices = 3 if arity == 2 else 2
+    tables = []
+    for iota in range(arity - 1):
+        codes = enumerate_class_codes(arity, iota, max_vertices)
+        tables.append(ClassTable(arity, iota, tuple(c for c in codes if c.spike_count <= 3)))
+    return g, tables
+
+
+def test_thorns_meeting_the_pair_only_at_a_mid_edge_keep_their_class():
+    """Every thorn that has a cell but no vertex in a side of the minimal
+    bi-thorn, which ``enumerate_embeddings`` leaves out, is fixed or keeps
+    its class: g on the domain side, g⁻¹ on the range side.  Some are left
+    out on every kind of input, so the check is not vacuous."""
+    dropped = Counter()
+    for arity, kind, arg in _VERTEX_RULE_CASES:
+        g, tables = _vertex_rule_case(arity, kind, arg)
+        pair = minimal_bithorn(g)
+        for side, h in ((pair.dom, g), (pair.ran, invert(g))):
+            for pattern in (code for table in tables for code in table.tracked):
+                listed = enumerate_embeddings(pattern, side)
+                touching = cell_touch_embeddings(pattern, side)
+                assert set(listed) <= set(touching)
+                for thorn in set(touching) - set(listed):
+                    assert thorn.vertices.isdisjoint(side.vertices)
+                    balls = thorn.balls()
+                    image = tuple(sorted(b for ball in balls for b in act_on_ball(h, ball)))
+                    assert image == balls or classify_balls(image, arity) == pattern.text, (
+                        pattern.text,
+                        thorn,
+                    )
+                    dropped[arity, kind] += 1
+    assert sorted(dropped) == sorted({(arity, kind) for arity, kind, _ in _VERTEX_RULE_CASES})
+
+
+def test_theta_with_the_cell_touch_listing_is_the_same(monkeypatch):
+    """θ over the cell-touch listing of the former enumeration is tuple-equal
+    to θ over the vertex rule."""
+    cases = [_vertex_rule_case(*case) for case in _VERTEX_RULE_CASES]
+    theta.cache_clear()
+    fast = [theta(g, table) for g, tables in cases for table in tables]
+    theta.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(orbitstats, "enumerate_embeddings", cell_touch_embeddings)
+        slow = [theta(g, table) for g, tables in cases for table in tables]
+    theta.cache_clear()
+    assert slow == fast
+    assert any(v for counts in fast for row in counts.matrix for v in row)
 
 
 def test_coset_memo_stays_within_its_bound(monkeypatch):

@@ -3,10 +3,9 @@ import random
 
 import pytest
 
-from spherotree.bithorn import coset_code, is_automorphism
+from spherotree.bithorn import coset_code
 from spherotree.element import (
     compose,
-    equals,
     finitary_automorphism,
     identity,
     invert,
@@ -18,7 +17,6 @@ from spherotree.element import (
 from spherotree.errors import DomainError, ValidationError
 from spherotree.orbitstats import ClassTable, theta
 from spherotree.spherical import (
-    GramReport,
     SphericalSpec,
     TensorSpec,
     gram_psd_check,

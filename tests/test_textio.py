@@ -19,7 +19,6 @@ from spherotree import (
     random_element,
     theta,
     thompson_generators,
-    up,
     witness_nonautomorphism,
     witness_translation,
 )

@@ -47,7 +47,6 @@ from spherotree.tree import (
 
 from oracles import (
     labeled_trees,
-    meets,
     pruefer_class_codes,
     skeleton_diameter,
     split_ball,
@@ -271,7 +270,7 @@ def _rooted_iso(a, ra, pa, b, rb, pb):
     return match(0, set())
 
 
-def _isomorphic(a: AbstractThorn, b: AbstractThorn) -> bool:
+def _rooted_isomorphic(a: AbstractThorn, b: AbstractThorn) -> bool:
     if a.vertex_count != b.vertex_count:
         return False
     if sorted(a.spike_counts) != sorted(b.spike_counts):
@@ -312,7 +311,7 @@ def test_code_equality_matches_isomorphism():
         b = _relabel(a, rng)
         assert canonical_code(a) == canonical_code(b)
         c = _random_abstract(rng, arity)
-        assert (canonical_code(a) == canonical_code(c)) == _isomorphic(a, c)
+        assert (canonical_code(a) == canonical_code(c)) == _rooted_isomorphic(a, c)
 
 
 def test_code_round_trip():
@@ -529,7 +528,7 @@ def test_enumerate_single_spike_around_edge():
     assert len(found) == 6
     for t in found:
         assert canonical_code(t) == pattern
-        assert meets(t, region)
+        assert t.vertices & region.vertices
 
 
 def test_enumerate_two_vertex_class_at_root():
@@ -543,7 +542,8 @@ def test_enumerate_two_vertex_class_at_root():
 
 
 def test_enumerate_is_exhaustive_by_random_probe():
-    # every reduced thorn of the class that meets the region must be listed
+    # every reduced thorn of the class that shares a vertex with the region
+    # must be listed, and no other
     rng = random.Random(4242)
     cases = [
         (SubThorn(2, frozenset({(0,)}), frozenset({((0,), 0)})), ThornCode(2, "(1:(1:))")),
@@ -556,7 +556,7 @@ def test_enumerate_is_exhaustive_by_random_probe():
             t = _random_subthorn(rng, region.arity, max_v=3, allow_empty_spikes=False)
             if canonical_code(t) != pattern or not t.is_reduced:
                 continue
-            if meets(t, region):
+            if t.vertices & region.vertices:
                 assert t in found
                 hits += 1
             else:
@@ -715,9 +715,7 @@ def test_class_codes_agree_with_both_isomorphism_tests(arity, max_vertices):
     """Equal code texts, the oracle's backtracking ``_isomorphic`` and
     networkx's isomorphism test with spike counts as node labels agree on
     every pair of class codes, each side renumbered at random; and every
-    renumbered model gets its own code back.  This module's own
-    ``_isomorphic`` is a rooted matcher, so the oracle's is named through
-    ``orbitstats``."""
+    renumbered model gets its own code back."""
     nx = pytest.importorskip("networkx")
     match = nx.algorithms.isomorphism.categorical_node_match("spikes", None)
     rng = random.Random(f"class-code-isomorphism:{arity}")

@@ -10,7 +10,6 @@ from spherotree.tree import (
     ClopenSet,
     all_words,
     ball_relation,
-    balls_disjoint,
     complement,
     depth_members,
     down,
