@@ -8,11 +8,12 @@ the minimal matched thorn pair of g.  Both sides of the pair are perfect,
 so a connected thorn with no vertex in a side lies beyond one of its spike
 mid-edges, in a half-tree that g (or g⁻¹) carries isometrically onto the
 matched half-tree, and its class cannot change.  One enumeration finds the
-candidates: it classifies the ball tuples of each candidate set and its
-image directly (``classify_balls``) and builds no clopen set.  ``theta``
-tabulates the resulting class transitions, and ``moved_sets`` lists the
-same sets with ``omega``/``image`` built as clopen normal forms; only
-``moved_sets`` builds them.  ``theta_bruteforce`` sweeps every
+candidates and builds no clopen set: it reduces the thorn of each image and
+tests its (vertex count, spike count) against the tracked classes' before
+encoding it (``classify_balls_among``), so most images are lumped unencoded.
+``theta`` tabulates the resulting class transitions, and ``moved_sets``
+lists the same sets with ``omega``/``image`` built as clopen normal forms,
+classifying lumped ones from them.  ``theta_bruteforce`` sweeps every
 tracked-class set of bounded carrier depth, moves it with
 ``act_on_clopen`` and matches the thorn of its maximal balls against the
 tracked codes by an isomorphism test: an independent, much slower oracle.
@@ -38,7 +39,8 @@ from .thorn import (
     ThornCode,
     abstract_from_code,
     check_sector,
-    classify_balls,
+    classify_balls_among,
+    classify_clopen,
     enumerate_embeddings,
     require_class_code,
 )
@@ -135,12 +137,12 @@ class TransitionCounts:
 
 
 def _moved(g: Spheromorphism, pair: BiThorn, table: ClassTable) -> Iterator[
-    tuple[tuple[Ball, ...], ThornCode, tuple[Ball, ...], ThornCode]
+    tuple[tuple[Ball, ...], int, tuple[Ball, ...], int]
 ]:
     """Each clopen set involving a tracked class whose class changes under g.
 
-    Yields (set balls, class before, image balls, class after) once per set;
-    ``pair`` is the minimal bi-thorn of g.
+    Yields (set balls, index before, image balls, index after) once per set,
+    indices as in ``ClassTable.index_of``; ``pair`` is g's minimal bi-thorn.
     Covers both directions: tracked sets leaving their class, and lumped
     sets entering a tracked class.  A set whose class changes must have its
     reduced thorn share a vertex with the minimal matched pair of the
@@ -151,8 +153,10 @@ def _moved(g: Spheromorphism, pair: BiThorn, table: ClassTable) -> Iterator[
     half-tree isometrically onto the matched one; the thorn's one ball that
     holds the rest of the tree goes to the complement of the image of its
     complement, and the thorn's class cannot change.  The range side is the
-    same argument with g⁻¹ on ``pair.ran``.  Ball images are classified
-    directly by ``classify_balls``.
+    same argument with g⁻¹ on ``pair.ran``.  Each image's reduced thorn is
+    tested by its (vertex count, spike count) first (``classify_balls_among``):
+    most images match no tracked class and are lumped with no skeleton or
+    text built, and only shape matches are encoded and looked up by text.
 
     No set comes out twice.  A domain-side set is one embedding, and each
     embedding is built once.  A range-side set has an untracked source, so
@@ -163,32 +167,22 @@ def _moved(g: Spheromorphism, pair: BiThorn, table: ClassTable) -> Iterator[
         return
     arity = g.arity
     inverse = invert(g)
-    codes = {code.text: code for code in table.tracked}
-    tracked_texts = set(codes)
-
-    def code_of(text: str) -> ThornCode:
-        code = codes.get(text)
-        if code is None:
-            code = codes[text] = trusted(ThornCode, arity, text)
-        return code
-
-    for pattern in table.tracked:
+    rows = {code.text: i for i, code in enumerate(table.tracked, start=1)}
+    shapes = {(code.vertex_count, code.spike_count) for code in table.tracked}
+    for i, pattern in enumerate(table.tracked, start=1):
         for thorn in enumerate_embeddings(pattern, pair.dom):
             balls = thorn.balls()
             image = _ball_image(g, balls)
             if image == balls:
                 continue  # the set itself is fixed
-            text = classify_balls(image, arity)
-            if text != pattern.text:
-                yield balls, pattern, image, code_of(text)
+            j = rows.get(classify_balls_among(image, arity, shapes), 0)
+            if j != i:
+                yield balls, i, image, j
         for thorn in enumerate_embeddings(pattern, pair.ran):
             balls = thorn.balls()
             source = _ball_image(inverse, balls)
-            if source == balls:
-                continue
-            text = classify_balls(source, arity)
-            if text not in tracked_texts:
-                yield source, code_of(text), balls, pattern
+            if source != balls and classify_balls_among(source, arity, shapes) not in rows:
+                yield source, 0, balls, i
 
 
 def _ball_image(g: Spheromorphism, balls: tuple[Ball, ...]) -> tuple[Ball, ...]:
@@ -199,20 +193,19 @@ def moved_sets(g: Spheromorphism, table: ClassTable) -> tuple[MovedSet, ...]:
     """Every clopen set involving a tracked class whose class changes under g.
 
     The same listing ``theta`` counts, with each set and its image built as
-    clopen normal forms, ordered by the set's carrier flags.  ``theta``
-    itself classifies ball tuples directly and builds no clopen set.
+    clopen normal forms, ordered by the set's carrier flags; a lumped class
+    is classified from its clopen set.  ``theta`` itself classifies ball
+    tuples directly and builds no clopen set.
     """
     if g.arity != table.arity:
         raise DomainError(f"arity mismatch: {g.arity} vs {table.arity}")
-    records = [
-        MovedSet(
-            ClopenSet.from_balls(g.arity, omega),
-            before,
-            ClopenSet.from_balls(g.arity, image),
-            after,
-        )
-        for omega, before, image, after in _moved(g, minimal_bithorn(g), table)
-    ]
+    codes = (None,) + table.tracked
+    records = []
+    for omega_balls, i, image_balls, j in _moved(g, minimal_bithorn(g), table):
+        omega = ClopenSet.from_balls(g.arity, omega_balls)
+        image = ClopenSet.from_balls(g.arity, image_balls)
+        before = codes[i] or classify_clopen(omega)
+        records.append(MovedSet(omega, before, image, codes[j] or classify_clopen(image)))
     return tuple(sorted(records, key=lambda rec: rec.omega.leaf_flags()))
 
 
@@ -245,8 +238,7 @@ class _Coset:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _coset_theta(coset: _Coset, table: ClassTable) -> TransitionCounts:
-    moved = _moved(coset.g, coset.pair, table)
-    return _tabulate(table, ((table.index_of(p), table.index_of(q)) for _, p, _, q in moved))
+    return _tabulate(table, ((i, j) for _, i, _, j in _moved(coset.g, coset.pair, table)))
 
 
 def theta(g: Spheromorphism, table: ClassTable) -> TransitionCounts:

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .errors import DomainError, ValidationError
 from .tree import (
@@ -523,14 +523,31 @@ def classify_clopen(omega: ClopenSet) -> ThornCode:
 
 
 def classify_balls(balls: Iterable[Ball], arity: int) -> str:
-    """Code text of the reduced thorn of a union of balls.
+    """Code text of the reduced thorn of a union of balls, whatever its shape.
 
-    Works on {vertex: spike directions} for internal callers: no thorn,
-    abstract thorn or clopen object is built and nothing is validated.  The
-    balls must be pairwise disjoint and must not be the two halves of one
-    mid-edge.  A partition of the whole boundary gives the empty code text.
+    Works on {vertex: spike directions}: no thorn, abstract thorn or clopen
+    object is built and nothing is validated.  The balls must be pairwise
+    disjoint and must not be the two halves of one mid-edge.  A partition of
+    the whole boundary gives the empty code text.  θ reduces first and
+    encodes only tracked shapes, through ``classify_balls_among``.
     """
+    return _reduced_text(_reduce(_spanned(balls), arity), arity)
+
+
+def classify_balls_among(
+    balls: Iterable[Ball], arity: int, shapes: Container[tuple[int, int]]
+) -> str | None:
+    """``classify_balls`` for a caller that needs only some classes: None,
+    with no skeleton or text built, unless the reduced thorn's (vertex count,
+    spike count) is among ``shapes``.  Codes of one class share that shape."""
     spikes_at = _reduce(_spanned(balls), arity)
+    if (len(spikes_at), sum(map(len, spikes_at.values()))) not in shapes:
+        return None
+    return _reduced_text(spikes_at, arity)
+
+
+def _reduced_text(spikes_at: dict[Address, set[int]], arity: int) -> str:
+    """Code text of a reduced {vertex: spike directions}, empty or not."""
     if not spikes_at:
         return EMPTY_CODE_TEXT
     if len(spikes_at) == 1:

@@ -7,6 +7,7 @@ from typing import Iterable, Iterator, Sequence
 from spherotree.bithorn import BiThorn, CosetCode, empty_bithorn, minimal_bithorn
 from spherotree.element import Spheromorphism, finitary_automorphism, from_pieces
 from spherotree.errors import DomainError
+from spherotree.orbitstats import ClassTable
 from spherotree.thorn import (
     EMPTY_CODE_TEXT,
     UP,
@@ -14,11 +15,11 @@ from spherotree.thorn import (
     Spike,
     SubThorn,
     ThornCode,
-    _ball_of_vertices,
     _code_of_abstract,
     _shape_defect,
     abstract_from_code,
     canonical_code,
+    classify_balls,
     rooted_encoder,
 )
 from spherotree.tree import (
@@ -282,16 +283,33 @@ def labeled_trees(V: int) -> Iterator[tuple[frozenset[int], ...]]:
         yield tuple(frozenset(s) for s in adj)
 
 
+def full_class_index(balls: Sequence[Ball], table: ClassTable) -> int:
+    """The table index of the class of a union of balls by full
+    classification: ``classify_balls`` encodes the reduced thorn whatever
+    its shape, and the text is looked up among the tracked codes (0 for a
+    lumped class)."""
+    text = classify_balls(balls, table.arity)
+    return next((i for i, code in enumerate(table.tracked, start=1) if code.text == text), 0)
+
+
 def subset_embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn, ...]:
     """``enumerate_embeddings`` by generate and filter, its former algorithm.
 
     All reduced sub-thorns of the given class sharing a vertex with the
-    region: the cell-touch listing without the thorns that meet the region
-    only at a mid-edge.
+    region.  Such a thorn reaches no further than its diameter from that
+    vertex, so the candidates are the connected vertex sets of the pattern's
+    size inside the radius-diameter neighbourhood of the region's vertices,
+    and only those holding a region vertex get their spikes chosen.
     """
-    return tuple(
-        t for t in cell_touch_embeddings(pattern, region) if not t.vertices.isdisjoint(region.vertices)
-    )
+    region_verts = region.vertices
+    results = [
+        trusted(SubThorn, pattern.arity, verts, frozenset(spikes))
+        for verts, spike_sets in _class_placements(pattern, region, region_verts, pattern.diameter)
+        if not verts.isdisjoint(region_verts)
+        for spikes in spike_sets
+    ]
+    results.sort(key=SubThorn.sort_key)
+    return tuple(results)
 
 
 def cell_touch_embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn, ...]:
@@ -302,28 +320,47 @@ def cell_touch_embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThor
     its own diameter, so the candidates come from the neighborhood of radius
     diameter + 1 around the region's vertices and mid-edge points.
     """
-    if pattern.arity != region.arity:
-        raise DomainError("pattern and region arity differ")
-    if region.is_empty:
-        return ()
-    if pattern.is_empty:
-        raise DomainError("cannot embed the empty pattern")
-    arity = pattern.arity
     region_mids = midpoint_cells(region)
     seeds = set(region.vertices)
     for mid in region_mids:
         seeds.add(mid)
         seeds.add(mid[:-1])
-    universe = _ball_of_vertices(seeds, pattern.diameter + 1, arity)
+    region_verts = region.vertices
+    results = []
+    for verts, spike_sets in _class_placements(pattern, region, seeds, pattern.diameter + 1):
+        touches = bool(verts & region_verts)
+        if not touches:
+            internal_mids = {w for v in verts for w in children(v, pattern.arity) if w in verts}
+            touches = bool(internal_mids & region_mids)
+        for spikes in spike_sets:
+            if touches or any(spike_midpoint(s) in region_mids for s in spikes):
+                results.append(trusted(SubThorn, pattern.arity, verts, frozenset(spikes)))
+    results.sort(key=SubThorn.sort_key)
+    return tuple(results)
+
+
+def _class_placements(
+    pattern: ThornCode, region: SubThorn, seeds: Iterable[Address], radius: int
+) -> Iterator[tuple[frozenset[Address], Iterator[tuple[Spike, ...]]]]:
+    """Each connected vertex set of the pattern's size within ``radius`` of
+    the seeds, with a lazy iterator over the spike sets that make it a thorn
+    of the pattern's class: a caller that drops a vertex set pays nothing for
+    its spikes."""
+    if pattern.arity != region.arity:
+        raise DomainError("pattern and region arity differ")
+    if region.is_empty:
+        return
+    if pattern.is_empty:
+        raise DomainError("cannot embed the empty pattern")
+    arity = pattern.arity
     model = abstract_from_code(pattern)
     model_degs = tuple(len(a) for a in model.adjacency)
     defect = _shape_defect(model_degs, model.spike_counts, arity)
     if defect is not None:
         raise DomainError(f"cannot embed {pattern.text!r}: {defect}")
     profile = tuple(sorted(zip(model.spike_counts, model_degs)))
-    results = []
-    region_verts = region.vertices
-    for verts in _connected_subsets(universe, model.vertex_count, arity):
+
+    def spike_sets(verts: frozenset[Address]) -> Iterator[tuple[Spike, ...]]:
         vlist = sorted(verts)
         index = {v: i for i, v in enumerate(vlist)}
         free: list[list[int]] = []
@@ -345,28 +382,26 @@ def cell_touch_embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThor
             free.append(slots)
             adjacency.append(frozenset(internal))
         degs = tuple(len(a) for a in adjacency)
-        verts_frozen = frozenset(verts)
-        touches = bool(verts & region_verts)
-        if not touches:
-            internal_mids = {
-                w for v in vlist for w in children(v, arity) if w in verts
-            }
-            touches = bool(internal_mids & region_mids)
         # the spike directions do not change the isomorphism class, so the
         # shape is settled once per spike-count vector; vectors share the
         # pattern's (count, degree) profile, hence its reducedness
         for counts in _count_vectors(free, degs, model.spike_count, profile):
-            shape = AbstractThorn(arity, tuple(adjacency), counts)
-            if _code_of_abstract(shape) != pattern:
-                continue
-            for spikes in _direction_combos(vlist, free, counts):
-                if not touches and not any(
-                    spike_midpoint(s) in region_mids for s in spikes
-                ):
-                    continue
-                results.append(trusted(SubThorn, arity, verts_frozen, frozenset(spikes)))
-    results.sort(key=SubThorn.sort_key)
-    return tuple(results)
+            if _code_of_abstract(AbstractThorn(arity, tuple(adjacency), counts)) == pattern:
+                yield from _direction_combos(vlist, free, counts)
+
+    universe = _neighbourhood(seeds, radius, arity)
+    for verts in _connected_subsets(universe, model.vertex_count, arity):
+        yield verts, spike_sets(verts)
+
+
+def _neighbourhood(seeds: Iterable[Address], radius: int, arity: int) -> set[Address]:
+    """Every vertex within ``radius`` edges of a seed, by breadth-first layers."""
+    out = set(seeds)
+    layer = set(out)
+    for _ in range(radius):
+        layer = {w for v in layer for w in neighbors(v, arity)} - out
+        out |= layer
+    return out
 
 
 def _count_vectors(

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from spherotree import orbitstats
+from spherotree import orbitstats, thorn
 from spherotree.bithorn import coset_code, is_automorphism, minimal_bithorn
 from spherotree.element import (
     act_on_ball,
@@ -38,10 +38,17 @@ from spherotree.thorn import (
     classify_clopen,
     enumerate_class_codes,
     enumerate_embeddings,
+    reduce_subthorn,
+    subthorn_from_balls,
 )
 from spherotree.tree import ClopenSet, down, parse_address, up, upsilon
 
-from oracles import cell_touch_embeddings, irreducible_uniform_pairing, random_finitary
+from oracles import (
+    cell_touch_embeddings,
+    full_class_index,
+    irreducible_uniform_pairing,
+    random_finitary,
+)
 
 BALL = ThornCode(2, "(1:)")
 PAIR = ThornCode(2, "(1:(1:))")
@@ -424,6 +431,105 @@ def test_theta_with_the_cell_touch_listing_is_the_same(monkeypatch):
     assert any(v for counts in fast for row in counts.matrix for v in row)
 
 
+def _shortcut_cases():
+    """(element, table) pairs for the shape shortcut: seeded non-automorphisms
+    at arities 2-4 with the cap-2, cap-3 and cap-4 tables of their arity (the
+    tracked classes of at most that many vertices), and the shuffled uniform
+    pairings with the tables of the vertex-rule cases."""
+    caps = {2: (2, 3, 4), 3: (2, 3), 4: (2,)}
+    cases = []
+    for arity, kind, arg in _VERTEX_RULE_CASES:
+        g, tables = _vertex_rule_case(arity, kind, arg)
+        if kind == "seeded" and arg == 0:
+            tables = [
+                ClassTable(arity, iota, enumerate_class_codes(arity, iota, cap))
+                for cap in caps[arity]
+                for iota in range(arity - 1)
+            ]
+        cases += [(g, table) for table in tables]
+    return cases
+
+
+def test_shape_shortcut_gives_every_image_the_full_class_index(monkeypatch):
+    """Each image θ considers gets the same table index from the shape test
+    as from full classification, and θ with the full classification patched
+    in is tuple-equal.  Both outcomes of the shape test occur."""
+    real = orbitstats.classify_balls_among
+    outcomes = Counter()
+
+    def checked(table):
+        def classify(balls, arity, shapes):
+            text = real(balls, arity, shapes)
+            index = next((i for i, code in enumerate(table.tracked, start=1) if code.text == text), 0)
+            assert index == full_class_index(balls, table), (table, balls)
+            outcomes[text is None] += 1
+            return text
+
+        return classify
+
+    def full(table):
+        texts = (None,) + tuple(code.text for code in table.tracked)
+        return lambda balls, arity, shapes: texts[full_class_index(balls, table)]
+
+    cases = _shortcut_cases()
+    fast, slow = [], []
+    for g, table in cases:
+        with monkeypatch.context() as patch:
+            theta.cache_clear()
+            patch.setattr(orbitstats, "classify_balls_among", checked(table))
+            fast.append(theta(g, table))
+            theta.cache_clear()
+            patch.setattr(orbitstats, "classify_balls_among", full(table))
+            slow.append(theta(g, table))
+    theta.cache_clear()
+    assert slow == fast
+    assert outcomes[True] and outcomes[False]
+    assert {table.arity for _, table in cases} == {2, 3, 4}
+    assert any(v for counts in fast for row in counts.matrix for v in row)
+
+
+def test_theta_encodes_only_images_of_a_tracked_shape(monkeypatch):
+    """On the products g_i^-1 g_j of seeded Gram elements, θ runs the
+    centre-rooted encoder for fewer images than it classifies, and never for
+    an image whose reduced thorn has the (vertex count, spike count) of no
+    tracked class."""
+    calls = [0]
+    real_text = thorn._center_rooted_text
+    real_classify = orbitstats.classify_balls_among
+
+    def counted_text(*args):
+        calls[0] += 1
+        return real_text(*args)
+
+    shapes = {(code.vertex_count, code.spike_count) for code in COMBINED_TABLE.tracked}
+    images = []  # (image balls, encoder runs) per classified image
+
+    def classify(balls, arity, tracked_shapes):
+        before = calls[0]
+        text = real_classify(balls, arity, tracked_shapes)
+        images.append((balls, calls[0] - before))
+        return text
+
+    elements = [random_element(2, 8, seed) for seed in range(8)]
+    products = [compose(invert(a), b) for i, a in enumerate(elements) for b in elements[i + 1 :]]
+    theta.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(thorn, "_center_rooted_text", counted_text)
+        patch.setattr(orbitstats, "classify_balls_among", classify)
+        for g in products:
+            theta(g, COMBINED_TABLE)
+    theta.cache_clear()
+    encoded = sum(runs for _, runs in images)
+    assert 0 < encoded < len(images)
+    untracked = 0
+    for balls, runs in images:
+        reduced = reduce_subthorn(subthorn_from_balls(balls, 2))
+        if (len(reduced.vertices), len(reduced.spikes)) not in shapes:
+            untracked += 1
+            assert runs == 0, balls
+    assert untracked > len(images) // 2
+
+
 def test_coset_memo_stays_within_its_bound(monkeypatch):
     assert theta.cache_info().maxsize == orbitstats.MEMO_SIZE
     small = functools.lru_cache(maxsize=3)(orbitstats._coset_theta.__wrapped__)
@@ -497,6 +603,8 @@ def test_bruteforce_shares_nothing_with_theta_classification(monkeypatch):
     table = ClassTable(2, 0, (BALL,))
     names = (
         "classify_balls",
+        "classify_balls_among",
+        "_reduced_text",
         "reduce_subthorn",
         "subthorn_from_balls",
         "canonical_code",
