@@ -8,9 +8,12 @@ the minimal matched thorn pair of g.  Both sides of the pair are perfect,
 so a connected thorn with no vertex in a side lies beyond one of its spike
 mid-edges, in a half-tree that g (or g⁻¹) carries isometrically onto the
 matched half-tree, and its class cannot change.  One enumeration finds the
-candidates and builds no clopen set: it reduces the thorn of each image and
-tests its (vertex count, spike count) against the tracked classes' before
-encoding it (``classify_balls_among``), so most images are lumped unencoded.
+candidates and builds no clopen set.  The candidates of a side share most
+of their spikes, so one θ computation keeps a dict per side from each spike
+to its ball and that ball's image, and each ball is moved once.  The thorn
+of each image is reduced and its (vertex count, spike count) tested against
+the tracked classes' before it is encoded (``classify_balls_among``), so
+most images are lumped unencoded.
 ``theta`` tabulates the resulting class transitions, and ``moved_sets``
 lists the same sets with ``omega``/``image`` built as clopen normal forms,
 classifying lumped ones from them.  ``theta_bruteforce`` sweeps every
@@ -36,8 +39,11 @@ from .element import Spheromorphism, _act_on_ball, act_on_clopen, invert
 from .errors import DomainError, InternalError, ValidationError
 from .thorn import (
     AbstractThorn,
+    Spike,
+    SubThorn,
     ThornCode,
     abstract_from_code,
+    ball_of_spike,
     check_sector,
     classify_balls_among,
     classify_clopen,
@@ -153,7 +159,10 @@ def _moved(g: Spheromorphism, pair: BiThorn, table: ClassTable) -> Iterator[
     half-tree isometrically onto the matched one; the thorn's one ball that
     holds the rest of the tree goes to the complement of the image of its
     complement, and the thorn's class cannot change.  The range side is the
-    same argument with g⁻¹ on ``pair.ran``.  Each image's reduced thorn is
+    same argument with g⁻¹ on ``pair.ran``.  Each side keeps a dict from
+    spike to (its ball, that ball's image), which lives for this call only,
+    so each spike's ball is moved once however many candidates share it
+    (``_balls_and_image``).  Each image's reduced thorn is
     tested by its (vertex count, spike count) first (``classify_balls_among``):
     most images match no tracked class and are lumped with no skeleton or
     text built, and only shape matches are encoded and looked up by text.
@@ -169,24 +178,37 @@ def _moved(g: Spheromorphism, pair: BiThorn, table: ClassTable) -> Iterator[
     inverse = invert(g)
     rows = {code.text: i for i, code in enumerate(table.tracked, start=1)}
     shapes = {(code.vertex_count, code.spike_count) for code in table.tracked}
+    forward, backward = {}, {}  # per side: spike -> (its ball, the ball's image)
     for i, pattern in enumerate(table.tracked, start=1):
         for thorn in enumerate_embeddings(pattern, pair.dom):
-            balls = thorn.balls()
-            image = _ball_image(g, balls)
+            balls, image = _balls_and_image(g, thorn, forward)
             if image == balls:
                 continue  # the set itself is fixed
             j = rows.get(classify_balls_among(image, arity, shapes), 0)
             if j != i:
                 yield balls, i, image, j
         for thorn in enumerate_embeddings(pattern, pair.ran):
-            balls = thorn.balls()
-            source = _ball_image(inverse, balls)
+            balls, source = _balls_and_image(inverse, thorn, backward)
             if source != balls and classify_balls_among(source, arity, shapes) not in rows:
                 yield source, 0, balls, i
 
 
-def _ball_image(g: Spheromorphism, balls: tuple[Ball, ...]) -> tuple[Ball, ...]:
-    return tuple(sorted(chain.from_iterable(_act_on_ball(g, b) for b in balls)))
+def _balls_and_image(
+    g: Spheromorphism, thorn: SubThorn, moved: dict[Spike, tuple[Ball, tuple[Ball, ...]]]
+) -> tuple[tuple[Ball, ...], tuple[Ball, ...]]:
+    """A thorn's sorted balls and the sorted balls of their image under g.
+
+    ``moved`` maps each spike seen so far to its ball and that ball's image,
+    so a spike shared by many thorns is moved once."""
+    entries = []
+    for spike in thorn.spikes:
+        entry = moved.get(spike)
+        if entry is None:
+            ball = ball_of_spike(spike)
+            entry = moved[spike] = (ball, _act_on_ball(g, ball))
+        entries.append(entry)
+    balls = tuple(sorted(ball for ball, _ in entries))
+    return balls, tuple(sorted(chain.from_iterable(image for _, image in entries)))
 
 
 def moved_sets(g: Spheromorphism, table: ClassTable) -> tuple[MovedSet, ...]:

@@ -35,7 +35,6 @@ from .tree import (
     down,
     format_address,
     neighbors,
-    tree_path,
     trusted,
     up,
     validate_address,
@@ -179,8 +178,11 @@ def _spanned(balls: Iterable[Ball]) -> dict[Address, set[int]]:
     """{vertex: spike directions} of the minimal thorn whose spikes are the balls.
 
     The balls must be nonempty, pairwise disjoint and not the two halves of
-    one mid-edge.  The vertices are the span of the spike anchors: the union
-    of the paths from one anchor to all the others.
+    one mid-edge.  The vertices are the span of the spike anchors: every
+    prefix of an anchor at least as long as the meet, the common prefix of
+    the least and the greatest anchor.  Each anchor walks up toward the meet
+    and stops at the first vertex already present, which is an anchor or lies
+    on an earlier walk, so its own stretch up to the meet is walked once.
     """
     spikes_at: dict[Address, set[int]] = {}
     for b in balls:
@@ -188,11 +190,16 @@ def _spanned(balls: Iterable[Ball]) -> dict[Address, set[int]]:
             spikes_at.setdefault(b.cut, set()).add(UP)
         else:
             spikes_at.setdefault(b.cut[:-1], set()).add(b.cut[-1])
-    anchors = iter(tuple(spikes_at))
-    base = next(anchors)
+    anchors = tuple(spikes_at)
+    low, high = min(anchors), max(anchors)
+    meet = 0
+    while meet < len(low) and meet < len(high) and low[meet] == high[meet]:
+        meet += 1
     for a in anchors:
-        for v in tree_path(base, a):
-            spikes_at.setdefault(v, set())
+        for k in range(len(a) - 1, meet - 1, -1):
+            if a[:k] in spikes_at:
+                break
+            spikes_at[a[:k]] = set()
     return spikes_at
 
 

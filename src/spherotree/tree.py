@@ -103,23 +103,6 @@ def is_prefix(shorter: Address, longer: Address) -> bool:
     return len(shorter) <= len(longer) and longer[: len(shorter)] == shorter
 
 
-def common_prefix(a: Address, b: Address) -> Address:
-    k = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        k += 1
-    return a[:k]
-
-
-def tree_path(a: Address, b: Address) -> tuple[Address, ...]:
-    """All vertices on the geodesic from a to b, inclusive."""
-    meet = common_prefix(a, b)
-    up = [a[:k] for k in range(len(a), len(meet) - 1, -1)]
-    down = [b[:k] for k in range(len(meet) + 1, len(b) + 1)]
-    return tuple(up) + tuple(down)
-
-
 # ---------------------------------------------------------------------------
 # balls
 # ---------------------------------------------------------------------------

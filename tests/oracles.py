@@ -1,11 +1,11 @@
 """Reference helpers that only the tests need, kept apart from the library."""
 
 import random
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
 
 from spherotree.bithorn import BiThorn, CosetCode, empty_bithorn, minimal_bithorn
-from spherotree.element import Spheromorphism, finitary_automorphism, from_pieces
+from spherotree.element import Spheromorphism, act_on_ball, finitary_automorphism, from_pieces
 from spherotree.errors import DomainError
 from spherotree.orbitstats import ClassTable
 from spherotree.thorn import (
@@ -193,6 +193,36 @@ def scan_act_on_ball(g: Spheromorphism, ball: Ball) -> tuple[Ball, ...]:
     inside = tuple(t for s, t in g.pieces if is_prefix(u, s))
     outside = tuple(t for s, t in g.pieces if not is_prefix(u, s))
     return tuple(down(t) for t in (outside if ball.up else inside))
+
+
+def per_thorn_image(
+    g: Spheromorphism, thorn: SubThorn, moved: dict
+) -> tuple[tuple[Ball, ...], tuple[Ball, ...]]:
+    """``orbitstats._balls_and_image`` by its former algorithm: each of the
+    thorn's balls moved with ``act_on_ball``, nothing kept between thorns."""
+    balls = thorn.balls()
+    return balls, tuple(sorted(chain.from_iterable(act_on_ball(g, b) for b in balls)))
+
+
+def pairwise_path_span(balls: Iterable[Ball]) -> dict[Address, set[int]]:
+    """``thorn._spanned`` by its former algorithm: the anchors with their
+    spike directions, then every vertex on the path from the first anchor to
+    each other one, up to their common prefix and down again."""
+    spikes_at: dict[Address, set[int]] = {}
+    for b in balls:
+        if b.up:
+            spikes_at.setdefault(b.cut, set()).add(UP)
+        else:
+            spikes_at.setdefault(b.cut[:-1], set()).add(b.cut[-1])
+    base, *others = spikes_at
+    for a in others:
+        meet = 0
+        while meet < min(len(base), len(a)) and base[meet] == a[meet]:
+            meet += 1
+        rising = [base[:k] for k in range(len(base), meet - 1, -1)]
+        for v in rising + [a[:k] for k in range(meet + 1, len(a) + 1)]:
+            spikes_at.setdefault(v, set())
+    return spikes_at
 
 
 def split_ball(ball: Ball, arity: int) -> tuple[Ball, ...]:

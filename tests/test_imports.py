@@ -1,7 +1,8 @@
 """Tooling checks on the library and test source: every module other than
 the package ``__init__`` uses what it imports and rebinds no imported name
-at top level, every private library helper has a reader, and every library
-cache is bounded."""
+at top level, every private library helper and every public library
+function the package does not export has a reader, and every library cache
+is bounded."""
 
 import ast
 import importlib
@@ -12,6 +13,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "spherotree"
+BENCH = TESTS.parent / "bench"
 
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
 CHECKED = MODULES + sorted(TESTS.glob("*.py"))
@@ -112,9 +114,12 @@ def _references(node: ast.AST) -> set[str]:
 
 def test_every_private_definition_has_a_reader():
     """A module-level private function or class that nothing in the library
-    reads outside its own definition is dead code."""
+    reads outside its own definition is dead code, and so is a public
+    top-level function that the package does not export and that nothing in
+    the library, the tests or the benchmark reads."""
     readers = Counter()  # name -> how many top-level statements read it
-    private = []
+    private, unexported = [], []
+    exported = set(_imported(ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))))
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             names = _references(node)
@@ -122,9 +127,16 @@ def test_every_private_definition_has_a_reader():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
                 if not node.name.startswith("__"):
                     private.append((path.name, node.name, node.name in names))
-    assert private
+            elif isinstance(node, ast.FunctionDef) and node.name not in exported:
+                unexported.append((path.name, node.name, node.name in names))
+    assert private and unexported
     unread = [f"{module}: {name}" for module, name, self_read in private if readers[name] == self_read]
     assert not unread, f"private definitions nothing reads: {', '.join(unread)}"
+    for path in sorted(TESTS.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            readers.update(_references(node))
+    unread = [f"{module}: {name}" for module, name, self_read in unexported if readers[name] == self_read]
+    assert not unread, f"unexported public functions nothing reads: {', '.join(unread)}"
 
 
 def test_every_library_cache_is_bounded():

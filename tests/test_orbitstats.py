@@ -34,6 +34,7 @@ from spherotree.orbitstats import (
 from spherotree.spherical import SphericalSpec, phi_nessonov
 from spherotree.thorn import (
     ThornCode,
+    ball_of_spike,
     classify_balls,
     classify_clopen,
     enumerate_class_codes,
@@ -47,6 +48,7 @@ from oracles import (
     cell_touch_embeddings,
     full_class_index,
     irreducible_uniform_pairing,
+    per_thorn_image,
     random_finitary,
 )
 
@@ -530,6 +532,49 @@ def test_theta_encodes_only_images_of_a_tracked_shape(monkeypatch):
     assert untracked > len(images) // 2
 
 
+def test_theta_moves_each_spike_once_per_side(monkeypatch):
+    """On the products g_i^-1 g_j of seeded Gram elements, one θ computation
+    moves the ball of each spike of the thorns listed on a side exactly once
+    (g on the domain side, g^-1 on the range side), and θ with the former
+    per-thorn image patched in is tuple-equal."""
+    elements = [random_element(2, 8, seed) for seed in range(8)]
+    products = [compose(invert(a), b) for i, a in enumerate(elements) for b in elements[i + 1 :]]
+    real_act = orbitstats._act_on_ball
+    moved = []  # (element, ball) per call
+
+    def counted_act(g, ball):
+        moved.append((g, ball))
+        return real_act(g, ball)
+
+    fast, calls, per_thorn = [], 0, 0
+    for g in products:
+        pair = minimal_bithorn(g)
+        theta.cache_clear()
+        moved.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(orbitstats, "_act_on_ball", counted_act)
+            fast.append(theta(g, COMBINED_TABLE))
+        for forward, region in ((True, pair.dom), (False, pair.ran)):
+            listed = [
+                spike
+                for pattern in COMBINED_TABLE.tracked
+                for found in enumerate_embeddings(pattern, region)
+                for spike in found.spikes
+            ]
+            balls = [ball for h, ball in moved if (h is g) == forward]
+            assert sorted(balls) == sorted({ball_of_spike(spike) for spike in listed})
+            per_thorn += len(listed)
+        calls += len(moved)
+    assert per_thorn > 2 * calls
+    theta.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(orbitstats, "_balls_and_image", per_thorn_image)
+        slow = [theta(g, COMBINED_TABLE) for g in products]
+    theta.cache_clear()
+    assert len(products) == 28 and slow == fast
+    assert any(v for counts in fast for row in counts.matrix for v in row)
+
+
 def test_coset_memo_stays_within_its_bound(monkeypatch):
     assert theta.cache_info().maxsize == orbitstats.MEMO_SIZE
     small = functools.lru_cache(maxsize=3)(orbitstats._coset_theta.__wrapped__)
@@ -611,6 +656,7 @@ def test_bruteforce_shares_nothing_with_theta_classification(monkeypatch):
         "rooted_encoder",
         "act_on_ball",
         "_act_on_ball",
+        "_spanned",
     )
     modules = [
         module

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from spherotree.thorn import (
     _center_rooted_text,
     _code_of_abstract,
     _free_trees,
+    _spanned,
     AbstractThorn,
     SubThorn,
     ThornCode,
@@ -47,6 +49,7 @@ from spherotree.tree import (
 
 from oracles import (
     labeled_trees,
+    pairwise_path_span,
     pruefer_class_codes,
     skeleton_diameter,
     split_ball,
@@ -514,6 +517,43 @@ def test_classify_balls_lone_vertex_cases():
                 balls = _star_balls(vertex, [d for d in directions if d != free])
                 _check_classify_balls(balls, arity)
                 assert classify_balls(balls, arity) == "(1:)"
+
+
+def test_spanned_matches_the_pairwise_path_span():
+    """The one-walk span gives the {vertex: spike directions} of the union of
+    paths from the first anchor, whatever the order of the balls, on random
+    families with up balls, cuts next to the root, single-anchor sets and
+    sets whose meet is the root."""
+    rng = random.Random(1209)
+    seen = Counter()
+    for arity in (2, 3, 4):
+        for _ in range(200):
+            if rng.random() < 0.2:
+                vertex = _random_cut(rng, arity, 3) if rng.random() < 0.7 else ROOT
+                directions = list(range(arity + 1)) if not vertex else list(range(arity)) + [UP]
+                balls = _star_balls(vertex, rng.sample(directions, rng.randint(1, len(directions))))
+            else:
+                balls = _random_disjoint_balls(rng, arity, 4, 6)
+            rng.shuffle(balls)
+            expected = pairwise_path_span(balls)
+            assert _spanned(balls) == expected, balls
+            anchors = {b.cut if b.up else b.cut[:-1] for b in balls}
+            seen["up ball"] += any(b.up for b in balls)
+            seen["cut next to the root"] += any(len(b.cut) == 1 for b in balls)
+            seen["one anchor"] += len(anchors) == 1
+            seen["meet at the root"] += len(anchors) > 1 and ROOT in expected
+    assert len(seen) == 4 and min(seen.values()) >= 30, seen
+
+
+def test_maximal_ball_thorn_matches_the_pairwise_path_span():
+    rng = random.Random(1210)
+    for _ in range(300):
+        arity = rng.choice([2, 3, 4])
+        omega = _random_clopen(rng, arity)
+        spikes_at = pairwise_path_span(down(leaf) for leaf in omega.marked_leaves())
+        spikes = frozenset((v, d) for v, dirs in spikes_at.items() for d in dirs)
+        expected = reduce_subthorn(SubThorn(arity, frozenset(spikes_at), spikes))
+        assert maximal_ball_thorn(omega) == expected
 
 
 # ---------------------------------------------------------------------------
