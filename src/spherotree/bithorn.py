@@ -375,6 +375,7 @@ def canonical_coset_code(b: BiThorn) -> CosetCode:
         for v in reversed(kids):
             sizes[v] = 1 + sum(sizes[w] for group in kids[v] for w in group)
         search(*bound())
+    del search  # it calls itself through its closure; the cycle would outlive this call
     shape = abstract_from_code(trusted(ThornCode, b.arity, dom.shape))
     firsts = [p for p, count in enumerate(shape.spike_counts) for _ in range(count)]
     arc_text = ",".join(f"{i}>{j}" for i, j in zip(firsts, best))

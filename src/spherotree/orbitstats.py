@@ -7,13 +7,15 @@ clopen sets change class: their reduced thorns must share a vertex with
 the minimal matched thorn pair of g.  Both sides of the pair are perfect,
 so a connected thorn with no vertex in a side lies beyond one of its spike
 mid-edges, in a half-tree that g (or g⁻¹) carries isometrically onto the
-matched half-tree, and its class cannot change.  One enumeration finds the
-candidates and builds no clopen set.  The candidates of a side share most
-of their spikes, so one θ computation keeps a dict per side from each spike
-to its ball and that ball's image, and each ball is moved once.  The thorn
-of each image is reduced and its (vertex count, spike count) tested against
-the tracked classes' before it is encoded (``classify_balls_among``), so
-most images are lumped unencoded.
+matched half-tree (literal pieces, family merges and bi-thorn cuts are all
+isometries), and its class cannot change.  One enumeration finds the
+candidates and builds no clopen set.  One loop runs over both sides, with
+a dict per side from each spike to its ball and that ball's image, so each
+ball is moved once; balls and images stay unordered.  The thorn of each
+image is reduced and its (vertex count, spike count) tested against the
+tracked classes' before it is encoded (``classify_balls_among``), so most
+images are lumped unencoded.  A candidate the element leaves in place is
+classified like any other and keeps its class.
 ``theta`` tabulates the resulting class transitions, and ``moved_sets``
 lists the same sets with ``omega``/``image`` built as clopen normal forms,
 classifying lumped ones from them.  ``theta_bruteforce`` sweeps every
@@ -31,7 +33,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .bithorn import BiThorn, CosetCode, canonical_coset_code, minimal_bithorn
@@ -143,29 +144,29 @@ class TransitionCounts:
 
 
 def _moved(g: Spheromorphism, pair: BiThorn, table: ClassTable) -> Iterator[
-    tuple[tuple[Ball, ...], int, tuple[Ball, ...], int]
+    tuple[Sequence[Ball], int, Sequence[Ball], int]
 ]:
     """Each clopen set involving a tracked class whose class changes under g.
 
     Yields (set balls, index before, image balls, index after) once per set,
-    indices as in ``ClassTable.index_of``; ``pair`` is g's minimal bi-thorn.
-    Covers both directions: tracked sets leaving their class, and lumped
-    sets entering a tracked class.  A set whose class changes must have its
-    reduced thorn share a vertex with the minimal matched pair of the
-    element, so enumerating embeddings around the pair is exhaustive.  Both
-    sides of the pair are perfect, so a connected thorn with no vertex of
-    ``pair.dom`` lies beyond one spike mid-edge of it.  Literal pieces,
-    family merges and bi-thorn cuts are all isometries, so g carries that
-    half-tree isometrically onto the matched one; the thorn's one ball that
-    holds the rest of the tree goes to the complement of the image of its
-    complement, and the thorn's class cannot change.  The range side is the
-    same argument with g⁻¹ on ``pair.ran``.  Each side keeps a dict from
-    spike to (its ball, that ball's image), which lives for this call only,
-    so each spike's ball is moved once however many candidates share it
-    (``_balls_and_image``).  Each image's reduced thorn is
-    tested by its (vertex count, spike count) first (``classify_balls_among``):
-    most images match no tracked class and are lumped with no skeleton or
-    text built, and only shape matches are encoded and looked up by text.
+    balls unordered, indices as in ``ClassTable.index_of``; ``pair`` is g's
+    minimal bi-thorn.  Covers both directions: tracked sets leaving their
+    class, and lumped sets entering a tracked class.  Only a set whose thorn
+    shares a vertex with ``pair.dom`` can leave its class under g, and only
+    one whose image's thorn shares a vertex with ``pair.ran`` can enter a
+    tracked class (see the module docstring), so enumerating embeddings
+    around the pair is exhaustive.
+
+    One loop serves both sides, (g, ``pair.dom``) and (g⁻¹, ``pair.ran``),
+    each with a fresh dict from spike to (its ball, that ball's image), so a
+    spike's ball is moved once however many candidates share it.  A
+    candidate of class i gets the index j of its image's class, tested by
+    (vertex count, spike count) before any text is built
+    (``classify_balls_among``); the domain side yields it when j != i, the
+    range side yields its source when j = 0.  A candidate left in place needs
+    no test of its own: it is a reduced thorn of class i with a spike on every
+    skeleton leaf, so its image, the same set, classifies to the pattern's
+    text, j = i, and neither side yields it.
 
     No set comes out twice.  A domain-side set is one embedding, and each
     embedding is built once.  A range-side set has an untracked source, so
@@ -175,40 +176,36 @@ def _moved(g: Spheromorphism, pair: BiThorn, table: ClassTable) -> Iterator[
     if pair.is_empty:
         return
     arity = g.arity
-    inverse = invert(g)
     rows = {code.text: i for i, code in enumerate(table.tracked, start=1)}
     shapes = {(code.vertex_count, code.spike_count) for code in table.tracked}
-    forward, backward = {}, {}  # per side: spike -> (its ball, the ball's image)
-    for i, pattern in enumerate(table.tracked, start=1):
-        for thorn in enumerate_embeddings(pattern, pair.dom):
-            balls, image = _balls_and_image(g, thorn, forward)
-            if image == balls:
-                continue  # the set itself is fixed
-            j = rows.get(classify_balls_among(image, arity, shapes), 0)
-            if j != i:
-                yield balls, i, image, j
-        for thorn in enumerate_embeddings(pattern, pair.ran):
-            balls, source = _balls_and_image(inverse, thorn, backward)
-            if source != balls and classify_balls_among(source, arity, shapes) not in rows:
-                yield source, 0, balls, i
+    for forward, h, region in ((True, g, pair.dom), (False, invert(g), pair.ran)):
+        moved = {}
+        for i, pattern in enumerate(table.tracked, start=1):
+            for thorn in enumerate_embeddings(pattern, region):
+                balls, image = _balls_and_image(h, thorn, moved)
+                j = rows.get(classify_balls_among(image, arity, shapes), 0)
+                if forward and j != i:
+                    yield balls, i, image, j
+                elif not forward and not j:
+                    yield image, 0, balls, i
 
 
 def _balls_and_image(
     g: Spheromorphism, thorn: SubThorn, moved: dict[Spike, tuple[Ball, tuple[Ball, ...]]]
-) -> tuple[tuple[Ball, ...], tuple[Ball, ...]]:
-    """A thorn's sorted balls and the sorted balls of their image under g.
+) -> tuple[list[Ball], list[Ball]]:
+    """A thorn's balls and the balls of their image under g, unordered.
 
     ``moved`` maps each spike seen so far to its ball and that ball's image,
     so a spike shared by many thorns is moved once."""
-    entries = []
+    balls, image = [], []
     for spike in thorn.spikes:
         entry = moved.get(spike)
         if entry is None:
             ball = ball_of_spike(spike)
             entry = moved[spike] = (ball, _act_on_ball(g, ball))
-        entries.append(entry)
-    balls = tuple(sorted(ball for ball, _ in entries))
-    return balls, tuple(sorted(chain.from_iterable(image for _, image in entries)))
+        balls.append(entry[0])
+        image += entry[1]
+    return balls, image
 
 
 def moved_sets(g: Spheromorphism, table: ClassTable) -> tuple[MovedSet, ...]:

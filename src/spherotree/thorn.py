@@ -85,15 +85,14 @@ class SubThorn:
             vertex, direction = spike
             if vertex not in self.vertices:
                 raise ValidationError(f"spike at {format_address(vertex)} has no thorn vertex")
-            if direction == UP:
-                if not vertex:
-                    raise ValidationError("the root has no upward spike")
-            else:
-                bound = self.arity if not vertex else self.arity - 1
-                if not 0 <= direction <= bound:
-                    raise ValidationError(
-                        f"spike direction {direction} is out of range at {format_address(vertex)}"
-                    )
+            # a plain int, as for address labels: 1.0 and True would pass the range test
+            bound = self.arity if not vertex else self.arity - 1
+            if type(direction) is not int or not (direction == UP or 0 <= direction <= bound):
+                raise ValidationError(
+                    f"spike direction {direction!r} is out of range at {format_address(vertex)}"
+                )
+            if direction == UP and not vertex:
+                raise ValidationError("the root has no upward spike")
             if spike_neighbor(spike) in self.vertices:
                 raise ValidationError(
                     f"spike at {format_address(vertex)} lies on an internal edge"
@@ -758,6 +757,7 @@ def enumerate_embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn
     for root in _ball_of_vertices(region_verts, (pattern.diameter + 1) // 2, arity):
         image[0] = root
         place(1)
+    del place  # it calls itself through its closure; the cycle would outlive this call
     results.sort(key=SubThorn.sort_key)
     return tuple(results)
 

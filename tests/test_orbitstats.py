@@ -1,6 +1,7 @@
 """Tests for moved-set listings and transition-count matrices."""
 
 import functools
+import gc
 import hashlib
 import random
 import sys
@@ -452,6 +453,12 @@ def _shortcut_cases():
     return cases
 
 
+def _gram_products():
+    """The 28 products g_i^-1 g_j of eight seeded Gram elements."""
+    elements = [random_element(2, 8, seed) for seed in range(8)]
+    return [compose(invert(a), b) for i, a in enumerate(elements) for b in elements[i + 1 :]]
+
+
 def test_shape_shortcut_gives_every_image_the_full_class_index(monkeypatch):
     """Each image θ considers gets the same table index from the shape test
     as from full classification, and θ with the full classification patched
@@ -512,8 +519,7 @@ def test_theta_encodes_only_images_of_a_tracked_shape(monkeypatch):
         images.append((balls, calls[0] - before))
         return text
 
-    elements = [random_element(2, 8, seed) for seed in range(8)]
-    products = [compose(invert(a), b) for i, a in enumerate(elements) for b in elements[i + 1 :]]
+    products = _gram_products()
     theta.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(thorn, "_center_rooted_text", counted_text)
@@ -537,8 +543,7 @@ def test_theta_moves_each_spike_once_per_side(monkeypatch):
     moves the ball of each spike of the thorns listed on a side exactly once
     (g on the domain side, g^-1 on the range side), and θ with the former
     per-thorn image patched in is tuple-equal."""
-    elements = [random_element(2, 8, seed) for seed in range(8)]
-    products = [compose(invert(a), b) for i, a in enumerate(elements) for b in elements[i + 1 :]]
+    products = _gram_products()
     real_act = orbitstats._act_on_ball
     moved = []  # (element, ball) per call
 
@@ -573,6 +578,68 @@ def test_theta_moves_each_spike_once_per_side(monkeypatch):
     theta.cache_clear()
     assert len(products) == 28 and slow == fast
     assert any(v for counts in fast for row in counts.matrix for v in row)
+
+
+def test_candidates_left_in_place_classify_to_their_own_pattern():
+    """On the Gram products, each listed candidate whose image under g (or
+    g^-1 on the range side) is the same set gets its own pattern's text from
+    ``classify_balls_among``.  So θ needs no fixed-set test: the domain side
+    sees j = i and the range side j != 0, and neither yields it."""
+    shapes = {(code.vertex_count, code.spike_count) for code in COMBINED_TABLE.tracked}
+    fixed = listed = 0
+    for g in _gram_products():
+        pair = minimal_bithorn(g)
+        for h, region in ((g, pair.dom), (invert(g), pair.ran)):
+            for pattern in COMBINED_TABLE.tracked:
+                for found in enumerate_embeddings(pattern, region):
+                    listed += 1
+                    balls = found.balls()
+                    image = [b for ball in balls for b in act_on_ball(h, ball)]
+                    if ClopenSet.from_balls(2, image) == ClopenSet.from_balls(2, balls):
+                        fixed += 1
+                        assert orbitstats.classify_balls_among(image, 2, shapes) == pattern.text
+    assert 0 < fixed < listed
+
+
+def test_theta_and_moved_sets_read_no_order_of_balls(monkeypatch):
+    """θ and the ``moved_sets`` records are unchanged when
+    ``_balls_and_image`` hands out the balls and the image reversed."""
+    real = orbitstats._balls_and_image
+
+    def reversed_order(g, thorn, moved):
+        balls, image = real(g, thorn, moved)
+        return balls[::-1], image[::-1]
+
+    products = _gram_products()
+    theta.cache_clear()
+    plain = [(theta(g, COMBINED_TABLE), moved_sets(g, COMBINED_TABLE)) for g in products]
+    theta.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(orbitstats, "_balls_and_image", reversed_order)
+        reversed_ = [(theta(g, COMBINED_TABLE), moved_sets(g, COMBINED_TABLE)) for g in products]
+    theta.cache_clear()
+    assert reversed_ == plain
+    assert any(records for _, records in plain)
+
+
+def test_theta_and_coset_codes_leave_no_reference_cycles():
+    """A cold θ over the Gram products and the coset code of a symmetric
+    pairing leave nothing for the cycle collector: no nested function
+    reaches itself through its closure once its call has returned, so each
+    call's state is freed when it returns."""
+    products = _gram_products()
+    pairing = irreducible_uniform_pairing(2, (3, 3, 3), 0)
+    theta.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        for g in products:
+            theta(g, COMBINED_TABLE)
+        coset_code(pairing)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+        theta.cache_clear()
 
 
 def test_coset_memo_stays_within_its_bound(monkeypatch):

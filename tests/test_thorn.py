@@ -169,6 +169,15 @@ def test_subthorn_validation():
     assert empty_subthorn(2).is_empty
 
 
+@pytest.mark.parametrize("direction", [1.0, True, "x"])
+def test_subthorn_rejects_a_spike_direction_that_is_not_an_int(direction):
+    """Directions are plain ints, as address labels are: 1.0 and True equal
+    a valid direction and "x" fails the range comparison itself."""
+    with pytest.raises(ValidationError, match="spike direction"):
+        SubThorn(2, frozenset({ROOT}), frozenset({(ROOT, direction)}))
+    assert SubThorn(2, frozenset({ROOT}), frozenset({(ROOT, 1)})).balls() == (down((1,)),)
+
+
 def test_single_spike_round_trip():
     for ball in [down(A("01")), up(A("2")), down(A("0")), up(A("120", 3), )]:
         arity = 3 if max(ball.cut) > 1 or len(ball.cut) > 2 else 2
