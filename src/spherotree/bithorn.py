@@ -273,16 +273,18 @@ class _Side:
 
     def rooted(self, root: int) -> dict[int, list[list[int]]]:
         """Each vertex's children away from root, grouped by equal shape with
-        the groups in shape order; parents come before their children."""
+        the groups in shape order, vertices in preorder: each vertex, then its
+        children's subtrees group by group, the order of the shape text."""
         kids: dict[int, list[list[int]]] = {}
-        order: list[tuple[int, int | None]] = [(root, None)]
-        for v, parent in order:
+        stack: list[tuple[int, int | None]] = [(root, None)]
+        while stack:
+            v, parent = stack.pop()
             groups: dict[str, list[int]] = {}
             for w in sorted(self.adjacency[v]):
                 if w != parent:
                     groups.setdefault(self.text(w, v), []).append(w)
             kids[v] = [groups[key] for key in sorted(groups)]
-            order.extend((w, v) for group in kids[v] for w in group)
+            stack += reversed([(w, v) for group in kids[v] for w in group])
         return kids
 
 
@@ -307,10 +309,8 @@ def canonical_coset_code(b: BiThorn) -> CosetCode:
     partners: list[list[int]] = [[] for _ in dom.index]
     for s, q in b.pairing:
         partners[dom.index[s[0]]].append(ran.index[q[0]])
-    passes = []
-    for root in dom.roots:
-        dom_kids = dom.rooted(root)
-        passes.append([(v, partners[v], dom_kids[v]) for v in reversed(dom_kids)])
+    rootings = [dom.rooted(root) for root in dom.roots]
+    passes = [[(v, partners[v], kids[v]) for v in reversed(kids)] for kids in rootings]
     best = [len(partners)]  # above every sequence: all places are smaller
 
     def least(place: list[int], top: list[int | None]) -> tuple[list[int], int | None]:
@@ -376,8 +376,8 @@ def canonical_coset_code(b: BiThorn) -> CosetCode:
             sizes[v] = 1 + sum(sizes[w] for group in kids[v] for w in group)
         search(*bound())
     del search  # it calls itself through its closure; the cycle would outlive this call
-    shape = abstract_from_code(trusted(ThornCode, b.arity, dom.shape))
-    firsts = [p for p, count in enumerate(shape.spike_counts) for _ in range(count)]
+    # an arc's domain place is that of its vertex in the shape text's order
+    firsts = [p for p, v in enumerate(rootings[0]) for _ in partners[v]]
     arc_text = ",".join(f"{i}>{j}" for i, j in zip(firsts, best))
     return trusted(CosetCode, b.arity, f"{dom.shape}|{ran.shape}|{arc_text}")
 

@@ -43,12 +43,12 @@ from .thorn import (
     Spike,
     SubThorn,
     ThornCode,
+    _embeddings,
     abstract_from_code,
     ball_of_spike,
     check_sector,
     classify_balls_among,
     classify_clopen,
-    enumerate_embeddings,
     require_class_code,
 )
 from .tree import Address, Ball, ClopenSet, all_words, balls_disjoint, down, neighbors, trusted, up
@@ -84,13 +84,6 @@ class ClassTable:
     @property
     def labels(self) -> tuple[str, ...]:
         return (LUMP_LABEL,) + tuple(code.token for code in self.tracked)
-
-    def index_of(self, code: ThornCode) -> int:
-        """Matrix index of a class code: 0 for lumped, 1.. for tracked."""
-        for i, tracked in enumerate(self.tracked):
-            if tracked == code:
-                return i + 1
-        return 0
 
 
 @dataclass(frozen=True)
@@ -149,13 +142,16 @@ def _moved(g: Spheromorphism, pair: BiThorn, table: ClassTable) -> Iterator[
     """Each clopen set involving a tracked class whose class changes under g.
 
     Yields (set balls, index before, image balls, index after) once per set,
-    balls unordered, indices as in ``ClassTable.index_of``; ``pair`` is g's
+    balls unordered, indices 1.. for the tracked classes in table order and
+    0 for lumped ones, as in ``ClassTable.labels``; ``pair`` is g's
     minimal bi-thorn.  Covers both directions: tracked sets leaving their
     class, and lumped sets entering a tracked class.  Only a set whose thorn
     shares a vertex with ``pair.dom`` can leave its class under g, and only
     one whose image's thorn shares a vertex with ``pair.ran`` can enter a
     tracked class (see the module docstring), so enumerating embeddings
-    around the pair is exhaustive.
+    around the pair is exhaustive.  A table's classes are orbit-class codes,
+    checked when it was built or enumerated as such, so their embeddings are
+    listed unchecked (``_embeddings``).
 
     One loop serves both sides, (g, ``pair.dom``) and (g⁻¹, ``pair.ran``),
     each with a fresh dict from spike to (its ball, that ball's image), so a
@@ -181,7 +177,7 @@ def _moved(g: Spheromorphism, pair: BiThorn, table: ClassTable) -> Iterator[
     for forward, h, region in ((True, g, pair.dom), (False, invert(g), pair.ran)):
         moved = {}
         for i, pattern in enumerate(table.tracked, start=1):
-            for thorn in enumerate_embeddings(pattern, region):
+            for thorn in _embeddings(pattern, region):
                 balls, image = _balls_and_image(h, thorn, moved)
                 j = rows.get(classify_balls_among(image, arity, shapes), 0)
                 if forward and j != i:
@@ -355,7 +351,9 @@ def _isomorphic(a: AbstractThorn, b: AbstractThorn) -> bool:
             and all((image[u] in b.adjacency[x]) == (u in a.adjacency[v]) for u in range(v))
         )
 
-    return a.vertex_count == b.vertex_count and place([])
+    found = a.vertex_count == b.vertex_count and place([])
+    del place  # it calls itself through its closure; the cycle would outlive this call
+    return found
 
 
 @lru_cache(maxsize=32)
@@ -399,6 +397,7 @@ def _classified_unions(
         for _ in range(min(max_vertices - 1, 2 * depth)):
             near |= {w for v in near for w in neighbors(v, arity) if len(w) <= depth}
         extend([first], sorted(j for v in near for j in at.get(v, ()) if j > i))
+    del extend  # it calls itself through its closure; the cycle would outlive this call
     return tuple(found[key] for key in sorted(found))
 
 

@@ -18,23 +18,22 @@ from __future__ import annotations
 import binascii
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, combinations, product
 from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .errors import DomainError, ValidationError
 from .tree import (
-    FULL_BOUNDARY,
     ROOT,
     Address,
     Ball,
     ClopenSet,
-    balls_disjoint,
     check_arity,
     children,
     down,
     format_address,
     neighbors,
+    require_disjoint,
     trusted,
     up,
     validate_address,
@@ -43,15 +42,6 @@ from .tree import (
 UP = -1
 
 Spike = tuple[Address, int]
-
-
-def spike_neighbor(spike: Spike) -> Address:
-    vertex, direction = spike
-    if direction == UP:
-        if not vertex:
-            raise ValidationError("the root has no upward direction")
-        return vertex[:-1]
-    return vertex + (direction,)
 
 
 def ball_of_spike(spike: Spike) -> Ball:
@@ -81,8 +71,7 @@ class SubThorn:
         self._check_connected()
         # a vertex has one spike per direction at most and none on an internal
         # edge, so no valence exceeds n+1 and no two spikes share a mid-edge
-        for spike in self.spikes:
-            vertex, direction = spike
+        for vertex, direction in self.spikes:
             if vertex not in self.vertices:
                 raise ValidationError(f"spike at {format_address(vertex)} has no thorn vertex")
             # a plain int, as for address labels: 1.0 and True would pass the range test
@@ -93,7 +82,7 @@ class SubThorn:
                 )
             if direction == UP and not vertex:
                 raise ValidationError("the root has no upward spike")
-            if spike_neighbor(spike) in self.vertices:
+            if (vertex[:-1] if direction == UP else vertex + (direction,)) in self.vertices:
                 raise ValidationError(
                     f"spike at {format_address(vertex)} lies on an internal edge"
                 )
@@ -137,11 +126,6 @@ class SubThorn:
         V = len(self.vertices)
         return V > 0 and len(self.spikes) == (self.arity - 1) * V + 2
 
-    @property
-    def is_reduced(self) -> bool:
-        """No reduction move applies (see ``reduce_subthorn``)."""
-        return reduce_subthorn(self) == self
-
     def sort_key(self) -> tuple:
         return (tuple(sorted(self.vertices)), tuple(sorted(self.spikes)))
 
@@ -157,15 +141,9 @@ def subthorn_from_balls(balls: Sequence[Ball], arity: int) -> SubThorn:
     of the whole boundary (that degenerate partition has a bare mid-edge and
     no vertex, which the SubThorn type cannot carry).
     """
-    check_arity(arity)
-    blist = sorted(set(balls))
+    blist = require_disjoint(sorted(set(balls)), arity)
     if not blist:
         return empty_subthorn(arity)
-    for i, a in enumerate(blist):
-        validate_address(a.cut, arity, "ball cut")
-        for b in blist[i + 1 :]:
-            if not balls_disjoint(a, b):
-                raise DomainError(f"balls {a.text()} and {b.text()} are not disjoint")
     if len(blist) == 2 and blist[0].cut == blist[1].cut:
         raise DomainError(
             "a two-ball partition of the whole boundary has no thorn vertex"
@@ -274,17 +252,6 @@ def _across(v: Address, spikes_at: dict[Address, set[int]], arity: int) -> tuple
     return v[:-1], v[-1]
 
 
-def clopen_of_subthorn(t: SubThorn):
-    """Union of the spike balls.  Perfect thorns yield the full boundary."""
-    if t.is_empty:
-        raise DomainError("the empty thorn has no clopen set")
-    if t.is_perfect:
-        return FULL_BOUNDARY
-    if not t.spikes:
-        raise DomainError("a thorn with no spikes has an empty clopen set")
-    return ClopenSet.from_balls(t.arity, [ball_of_spike(s) for s in t.spikes])
-
-
 # ---------------------------------------------------------------------------
 # abstract thorns and canonical codes
 # ---------------------------------------------------------------------------
@@ -333,7 +300,7 @@ class ThornCode:
 
     def __post_init__(self) -> None:
         check_arity(self.arity)
-        _ = self._counts  # parsing validates the text
+        _ = self._model  # parsing validates the text
 
     @property
     def token(self) -> str:
@@ -348,22 +315,23 @@ class ThornCode:
         return self.text == EMPTY_CODE_TEXT
 
     @cached_property
-    def _counts(self) -> tuple[int, int, int]:
+    def _model(self) -> tuple[AbstractThorn, int]:
+        """(representative abstract thorn, skeleton diameter), parsed once."""
         adjacency, counts, diameter = _parse_code(self.text, self.arity)
-        return len(adjacency), sum(counts), diameter
+        return AbstractThorn(self.arity, adjacency, counts), diameter
 
     @property
     def vertex_count(self) -> int:
-        return self._counts[0]
+        return self._model[0].vertex_count
 
     @property
     def spike_count(self) -> int:
-        return self._counts[1]
+        return self._model[0].spike_count
 
     @property
     def diameter(self) -> int:
         """Skeleton diameter in edges (0 for at most one vertex)."""
-        return self._counts[2]
+        return self._model[1]
 
     def residue(self) -> int:
         return self.spike_count % (self.arity - 1)
@@ -430,14 +398,11 @@ def _parse_code(text: str, arity: int) -> tuple[tuple[frozenset[int], ...], tupl
 
 
 def canonical_code(t: AbstractThorn | SubThorn) -> ThornCode:
-    """Center-rooted canonical code; equal codes mean isomorphic thorns."""
+    """Center-rooted canonical code of any thorn, reduced or not; equal codes
+    mean isomorphic thorns.  Clopen sets and ball unions are classified by
+    ``classify_clopen`` and ``classify_balls``, which reduce first."""
     if isinstance(t, SubThorn):
         t = AbstractThorn.from_subthorn(t)
-    return _code_of_abstract(t)
-
-
-@lru_cache(maxsize=65536)
-def _code_of_abstract(t: AbstractThorn) -> ThornCode:
     if t.vertex_count == 0:
         return trusted(ThornCode, t.arity, EMPTY_CODE_TEXT)
     return trusted(ThornCode, t.arity, _center_rooted_text(t.adjacency, t.spike_counts))
@@ -505,9 +470,9 @@ def rooted_encoder(
 
 
 def abstract_from_code(code: ThornCode) -> AbstractThorn:
-    """A representative abstract thorn of a code, vertices in text order."""
-    adjacency, counts, _ = _parse_code(code.text, code.arity)
-    return AbstractThorn(code.arity, adjacency, counts)
+    """A representative abstract thorn of a code, vertices in text order,
+    kept from the code's one parse."""
+    return code._model[0]
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +487,15 @@ def maximal_ball_thorn(omega: ClopenSet) -> SubThorn:
 
 
 def classify_clopen(omega: ClopenSet) -> ThornCode:
-    """Orbit invariant of a proper clopen set: the code of its reduced thorn."""
+    """Orbit invariant of a proper clopen set: the code of its reduced thorn.
+
+    The marked leaves of the normal form are disjoint balls whose union is
+    omega, so this is ``classify_balls`` of them, the classifier θ uses.
+    """
     if not isinstance(omega, ClopenSet):
         raise DomainError("classification needs a proper nonempty clopen set")
-    return canonical_code(maximal_ball_thorn(omega))
+    balls = (down(leaf) for leaf in omega.marked_leaves())
+    return trusted(ThornCode, omega.arity, classify_balls(balls, omega.arity))
 
 
 def classify_balls(balls: Iterable[Ball], arity: int) -> str:
@@ -575,7 +545,7 @@ def class_code_defect(code: ThornCode) -> str | None:
         return "the empty code"
     t = abstract_from_code(code)
     defect = _shape_defect(tuple(len(nbrs) for nbrs in t.adjacency), t.spike_counts, code.arity)
-    if defect is None and _code_of_abstract(t) != code:
+    if defect is None and canonical_code(t) != code:
         return "the text is not in canonical center-rooted form"
     return defect
 
@@ -596,11 +566,6 @@ def _shape_defect(degs: Sequence[int], counts: Sequence[int], arity: int) -> str
     return None
 
 
-def is_class_code(code: ThornCode) -> bool:
-    """True iff the code occurs as a ``classify_clopen`` output."""
-    return class_code_defect(code) is None
-
-
 def require_class_code(code: ThornCode) -> ThornCode:
     defect = class_code_defect(code)
     if defect is not None:
@@ -619,7 +584,6 @@ def check_sector(arity: int, iota: int) -> None:
         raise ValidationError(f"residue {iota} is out of range for arity {arity}")
 
 
-@lru_cache(maxsize=32)
 def enumerate_class_codes(arity: int, iota: int, max_vertices: int) -> tuple[ThornCode, ...]:
     """All orbit-class codes of the residue sector with at most V vertices.
 
@@ -627,8 +591,7 @@ def enumerate_class_codes(arity: int, iota: int, max_vertices: int) -> tuple[Tho
     once and combined with every spike-count vector that fits its degrees,
     lies in the residue sector and passes ``_shape_defect``; the centre-
     rooted text then merges vectors that differ by a skeleton automorphism.
-    Codes come sorted by (vertex count, spike count, text).  The text is
-    computed directly, not through the code cache of ``canonical_code``.
+    Codes come sorted by (vertex count, spike count, text).
     """
     check_sector(arity, iota)
     if max_vertices < 1:
@@ -672,6 +635,26 @@ def _free_trees(max_vertices: int) -> Iterator[list[tuple[frozenset[int], ...]]]
 def enumerate_embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn, ...]:
     """All reduced sub-thorns of the given class sharing a vertex with the region.
 
+    The pattern must be an orbit-class code of the region's arity
+    (``class_code_defect``), or ``DomainError`` is raised; ``_embeddings``
+    describes the listing.
+    """
+    if pattern.arity != region.arity:
+        raise DomainError("pattern and region arity differ")
+    if region.is_empty:
+        return ()
+    if pattern.is_empty:
+        raise DomainError("cannot embed the empty pattern")
+    defect = class_code_defect(pattern)
+    if defect is not None:
+        raise DomainError(f"cannot embed {pattern.text!r}: {defect}")
+    return _embeddings(pattern, region)
+
+
+def _embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn, ...]:
+    """``enumerate_embeddings`` without its checks, for an orbit-class code
+    of the region's arity, such as a tracked class of a ``ClassTable``.
+
     The pattern is placed vertex by vertex in the order of its code text,
     which roots it at vertex 0, a centre, and lists each vertex after its
     parent.  A child goes to a neighbour of its parent's image other than
@@ -693,15 +676,6 @@ def enumerate_embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn
     class cannot change, and thorns that merely touch the region at a
     mid-edge need not be listed.
     """
-    if pattern.arity != region.arity:
-        raise DomainError("pattern and region arity differ")
-    if region.is_empty:
-        return ()
-    if pattern.is_empty:
-        raise DomainError("cannot embed the empty pattern")
-    defect = class_code_defect(pattern)
-    if defect is not None:
-        raise DomainError(f"cannot embed {pattern.text!r}: {defect}")
     arity = pattern.arity
     model = abstract_from_code(pattern)
     adjacency, counts = model.adjacency, model.spike_counts

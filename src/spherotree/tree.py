@@ -126,15 +126,6 @@ class Ball:
     def text(self) -> str:
         return ("~" if self.up else "") + format_address(self.cut)
 
-    def contains_word(self, word: Address) -> bool:
-        """Membership of the cylinder of ``word``; word must not be shorter than cut."""
-        if len(word) < len(self.cut):
-            raise DomainError(
-                f"word {format_address(word)} is shorter than the cut of {self.text()}"
-            )
-        inside = is_prefix(self.cut, word)
-        return inside != self.up
-
 
 def down(cut: Address) -> Ball:
     return Ball(False, cut)
@@ -144,48 +135,27 @@ def up(cut: Address) -> Ball:
     return Ball(True, cut)
 
 
-def parse_ball(text: str, arity: int) -> Ball:
-    raised = text.startswith("~")
-    addr = parse_address(text[1:] if raised else text, arity, what="ball cut")
-    if not addr:
-        raise ValidationError("a ball cut cannot be the root")
-    return Ball(raised, addr)
-
-
-def ball_relation(a: Ball, b: Ball) -> str:
-    """How two balls sit relative to each other.
-
-    Returns one of 'equal', 'subset', 'superset', 'disjoint' or 'cocover'.
-    Balls are never in general position: they are nested, disjoint, or they
-    jointly cover the whole boundary ('cocover', equivalently the complements
-    are disjoint).
-    """
-    if a == b:
-        return "equal"
-    if not a.up and not b.up:
-        if is_prefix(b.cut, a.cut):
-            return "subset"
-        if is_prefix(a.cut, b.cut):
-            return "superset"
-        return "disjoint"
-    if a.up and b.up:
-        if is_prefix(a.cut, b.cut):
-            return "subset"
-        if is_prefix(b.cut, a.cut):
-            return "superset"
-        return "cocover"
-    if not a.up and b.up:
-        if is_prefix(b.cut, a.cut):
-            return "disjoint"
-        if is_prefix(a.cut, b.cut):
-            return "cocover"
-        return "subset"
-    rel = ball_relation(b, a)
-    return {"subset": "superset", "superset": "subset"}.get(rel, rel)
-
-
 def balls_disjoint(a: Ball, b: Ball) -> bool:
-    return ball_relation(a, b) == "disjoint"
+    """Whether two balls share no boundary point: two down balls when neither
+    cut is a prefix of the other, a down and an up ball when the up ball's cut
+    is a prefix of the down ball's, and two up balls never."""
+    if a.up:
+        a, b = b, a
+    if b.up:
+        return not a.up and is_prefix(b.cut, a.cut)
+    return not is_prefix(a.cut, b.cut) and not is_prefix(b.cut, a.cut)
+
+
+def require_disjoint(balls: Iterable[Ball], arity: int) -> list[Ball]:
+    """The balls as a list, once the arity, each cut and each pair are checked."""
+    check_arity(arity)
+    blist = list(balls)
+    for i, a in enumerate(blist):
+        validate_address(a.cut, arity, "ball cut")
+        for b in blist[i + 1 :]:
+            if not balls_disjoint(a, b):
+                raise DomainError(f"balls {a.text()} and {b.text()} overlap")
+    return blist
 
 
 # ---------------------------------------------------------------------------
@@ -294,23 +264,6 @@ def root_code(arity: int) -> tuple[Address, ...]:
 # ---------------------------------------------------------------------------
 
 
-class _FullBoundary:
-    """Sentinel for the improper 'everything' answer of thorn reconstruction."""
-
-    _instance = None
-
-    def __new__(cls) -> "_FullBoundary":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "FULL_BOUNDARY"
-
-
-FULL_BOUNDARY = _FullBoundary()
-
-
 @dataclass(frozen=True)
 class ClopenSet:
     """A proper nonempty clopen boundary set in carrier normal form.
@@ -339,15 +292,9 @@ class ClopenSet:
     @staticmethod
     def from_balls(arity: int, balls: Iterable[Ball]) -> "ClopenSet":
         """Union of pairwise disjoint balls."""
-        check_arity(arity)
-        blist = list(balls)
+        blist = require_disjoint(balls, arity)
         if not blist:
             raise DomainError("clopen set is empty")
-        for i, a in enumerate(blist):
-            validate_address(a.cut, arity, "ball cut")
-            for b in blist[i + 1 :]:
-                if not balls_disjoint(a, b):
-                    raise DomainError(f"balls {a.text()} and {b.text()} overlap")
         split = {b.cut[:k] for b in blist for k in range(1, len(b.cut))}
         carrier = []
         stack = list(root_code(arity))
@@ -403,10 +350,6 @@ def normal_clopen(arity: int, flags: dict[Address, bool]) -> ClopenSet:
     return ClopenSet(arity, tuple(sorted(flags)), marks)
 
 
-def complement(omega: ClopenSet) -> ClopenSet:
-    return ClopenSet(omega.arity, omega.carrier, frozenset(set(omega.carrier) - omega.marks))
-
-
 def upsilon(omega: ClopenSet) -> int:
     """Ball count of any disjoint-ball decomposition, reduced mod n-1.
 
@@ -417,16 +360,6 @@ def upsilon(omega: ClopenSet) -> int:
     if not isinstance(omega, ClopenSet):
         raise DomainError("upsilon is only defined for proper nonempty clopen sets")
     return len(omega.marks) % (omega.arity - 1)
-
-
-def depth_members(omega: ClopenSet, depth: int) -> frozenset[Address]:
-    """All depth-``depth`` words inside the set.  Independent oracle helper."""
-    if depth < omega.depth():
-        raise DomainError(f"depth {depth} is below the carrier depth {omega.depth()}")
-    out = []
-    for leaf in omega.marked_leaves():
-        out.extend(_extend_all(leaf, depth, omega.arity))
-    return frozenset(out)
 
 
 def all_words(arity: int, depth: int) -> Iterator[Address]:
@@ -446,7 +379,3 @@ def _tails(arity: int, length: int) -> Iterator[Address]:
         for c in range(arity):
             yield tail + (c,)
 
-
-def _extend_all(leaf: Address, depth: int, arity: int) -> Iterator[Address]:
-    for tail in _tails(arity, depth - len(leaf)):
-        yield leaf + tail

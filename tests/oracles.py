@@ -15,24 +15,94 @@ from spherotree.thorn import (
     Spike,
     SubThorn,
     ThornCode,
-    _code_of_abstract,
+    _center_rooted_text,
     _shape_defect,
     abstract_from_code,
     canonical_code,
     classify_balls,
+    maximal_ball_thorn,
     rooted_encoder,
 )
 from spherotree.tree import (
     Address,
     Ball,
+    ClopenSet,
     children,
     common_refinement,
     down,
+    format_address,
     is_prefix,
     neighbors,
     trusted,
     up,
 )
+
+
+def ball_contains_word(ball: Ball, word: Address) -> bool:
+    """Membership of the cylinder of ``word`` in a ball; the word must not be
+    shorter than the cut."""
+    if len(word) < len(ball.cut):
+        raise DomainError(f"word {format_address(word)} is shorter than the cut of {ball.text()}")
+    return is_prefix(ball.cut, word) != ball.up
+
+
+def ball_relation(a: Ball, b: Ball) -> str:
+    """How two balls sit relative to each other.
+
+    Returns one of 'equal', 'subset', 'superset', 'disjoint' or 'cocover'.
+    Balls are never in general position: they are nested, disjoint, or they
+    jointly cover the whole boundary ('cocover', equivalently the complements
+    are disjoint).
+    """
+    if a == b:
+        return "equal"
+    if not a.up and not b.up:
+        if is_prefix(b.cut, a.cut):
+            return "subset"
+        if is_prefix(a.cut, b.cut):
+            return "superset"
+        return "disjoint"
+    if a.up and b.up:
+        if is_prefix(a.cut, b.cut):
+            return "subset"
+        if is_prefix(b.cut, a.cut):
+            return "superset"
+        return "cocover"
+    if not a.up and b.up:
+        if is_prefix(b.cut, a.cut):
+            return "disjoint"
+        if is_prefix(a.cut, b.cut):
+            return "cocover"
+        return "subset"
+    rel = ball_relation(b, a)
+    return {"subset": "superset", "superset": "subset"}.get(rel, rel)
+
+
+def complement(omega: ClopenSet) -> ClopenSet:
+    """The complementary clopen set, on the same carrier."""
+    return ClopenSet(omega.arity, omega.carrier, frozenset(set(omega.carrier) - omega.marks))
+
+
+def depth_members(omega: ClopenSet, depth: int) -> frozenset[Address]:
+    """All depth-``depth`` words inside the set."""
+    if depth < omega.depth():
+        raise DomainError(f"depth {depth} is below the carrier depth {omega.depth()}")
+    out = set()
+    for leaf in omega.marked_leaves():
+        tails = [()]
+        for _ in range(depth - len(leaf)):
+            tails = [tail + (c,) for tail in tails for c in range(omega.arity)]
+        out.update(leaf + tail for tail in tails)
+    return frozenset(out)
+
+
+def subthorn_route_code(omega: ClopenSet) -> ThornCode:
+    """``classify_clopen`` by its former route: the reduced maximal-ball
+    ``SubThorn``, renumbered in address order as an ``AbstractThorn``, then
+    encoded from its centre, where the library now encodes the reduced
+    {vertex: spike directions} directly."""
+    t = AbstractThorn.from_subthorn(maximal_ball_thorn(omega))
+    return ThornCode(omega.arity, _center_rooted_text(t.adjacency, t.spike_counts))
 
 
 def random_finitary(rng: random.Random, arity: int) -> Spheromorphism:
@@ -416,7 +486,7 @@ def _class_placements(
         # shape is settled once per spike-count vector; vectors share the
         # pattern's (count, degree) profile, hence its reducedness
         for counts in _count_vectors(free, degs, model.spike_count, profile):
-            if _code_of_abstract(AbstractThorn(arity, tuple(adjacency), counts)) == pattern:
+            if canonical_code(AbstractThorn(arity, tuple(adjacency), counts)) == pattern:
                 yield from _direction_combos(vlist, free, counts)
 
     universe = _neighbourhood(seeds, radius, arity)

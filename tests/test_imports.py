@@ -1,11 +1,12 @@
 """Tooling checks on the library and test source: every module other than
 the package ``__init__`` uses what it imports and rebinds no imported name
-at top level, every private library helper and every public library
-function the package does not export has a reader, and every library cache
-is bounded."""
+at top level, every private library helper, every public library function
+the package does not export and every name it does export has a reader,
+and every library cache is bounded."""
 
 import ast
 import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -139,6 +140,28 @@ def test_every_private_definition_has_a_reader():
     assert not unread, f"unexported public functions nothing reads: {', '.join(unread)}"
 
 
+def test_every_export_has_a_reader():
+    """Each name in ``spherotree.__all__`` is named somewhere other than the
+    statement that defines it and the package ``__init__``: in the library,
+    the benchmark, the acceptance suite or the README."""
+    import spherotree
+
+    def words(text: str) -> set[str]:
+        return set(re.findall(r"\w+", text))
+
+    readers = set()
+    for path in MODULES:
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            defined = _top_level_bindings(ast.Module(body=[node], type_ignores=[]))
+            readers |= words("\n".join(lines[node.lineno - 1 : node.end_lineno])) - set(defined)
+    for path in sorted(BENCH.glob("*.py")) + [TESTS / "test_acceptance.py", TESTS.parent / "README.md"]:
+        readers |= words(path.read_text(encoding="utf-8"))
+    unread = sorted(set(spherotree.__all__) - readers)
+    assert not unread, f"exports nothing reads: {', '.join(unread)}"
+
+
 def test_every_library_cache_is_bounded():
     """Every module-level callable with ``cache_info()`` reports a finite bound."""
     caches = {}
@@ -149,6 +172,6 @@ def test_every_library_cache_is_bounded():
                 continue  # imported from elsewhere, or a class
             if callable(value) and hasattr(value, "cache_info"):
                 caches[f"{path.stem}.{name}"] = value.cache_info().maxsize
-    assert "orbitstats.theta" in caches and "thorn._code_of_abstract" in caches
+    assert "orbitstats.theta" in caches and "tree.children" in caches
     unbounded = sorted(name for name, maxsize in caches.items() if maxsize is None)
     assert not unbounded, f"caches without a bound: {', '.join(unbounded)}"

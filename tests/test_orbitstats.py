@@ -72,8 +72,6 @@ def A(text: str, arity: int = 2):
 
 def test_class_table_validation():
     assert BALL_TABLE.labels == ("P", BALL.token)
-    assert BALL_TABLE.index_of(BALL) == 1
-    assert BALL_TABLE.index_of(PAIR) == 0
     with pytest.raises(ValidationError):
         ClassTable(2, 1, (BALL,))
     with pytest.raises(ValidationError):
@@ -427,7 +425,7 @@ def test_theta_with_the_cell_touch_listing_is_the_same(monkeypatch):
     fast = [theta(g, table) for g, tables in cases for table in tables]
     theta.cache_clear()
     with monkeypatch.context() as patch:
-        patch.setattr(orbitstats, "enumerate_embeddings", cell_touch_embeddings)
+        patch.setattr(orbitstats, "_embeddings", cell_touch_embeddings)
         slow = [theta(g, table) for g, tables in cases for table in tables]
     theta.cache_clear()
     assert slow == fast
@@ -642,6 +640,46 @@ def test_theta_and_coset_codes_leave_no_reference_cycles():
         theta.cache_clear()
 
 
+def test_bruteforce_leaves_no_reference_cycles():
+    """A cold and then a warm ``theta_bruteforce`` (its pool of classified
+    unions built, then reused) leave nothing for the cycle collector: the
+    oracle's recursive matchers are freed when their calls return."""
+    g = random_element(2, 8, 3)
+    _classified_unions.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(2):
+            theta_bruteforce(g, COMBINED_TABLE, g.depth() + 3)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_theta_neither_parses_nor_checks_a_tracked_class(monkeypatch):
+    """Once the table is built, θ over the Gram products reads each tracked
+    class's parsed model and runs no class check: with the code-text parser
+    and the class check refusing to run, cold θ gives the same counts."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("theta parsed or checked a class code")
+
+    products = _gram_products()
+    table = ClassTable(2, 0, (BALL, PAIR))
+    theta.cache_clear()
+    expected = [theta(g, table) for g in products]
+    theta.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(thorn, "_parse_code", refuse)
+        patch.setattr(thorn, "class_code_defect", refuse)
+        with pytest.raises(AssertionError, match="parsed or checked"):
+            ThornCode(2, "(1:)")  # the patches do bite
+        counts = [theta(g, table) for g in products]
+    theta.cache_clear()
+    assert counts == expected
+    assert any(v for c in counts for row in c.matrix for v in row)
+
+
 def test_coset_memo_stays_within_its_bound(monkeypatch):
     assert theta.cache_info().maxsize == orbitstats.MEMO_SIZE
     small = functools.lru_cache(maxsize=3)(orbitstats._coset_theta.__wrapped__)
@@ -724,6 +762,7 @@ def test_bruteforce_shares_nothing_with_theta_classification(monkeypatch):
         "act_on_ball",
         "_act_on_ball",
         "_spanned",
+        "_embeddings",
     )
     modules = [
         module

@@ -12,7 +12,6 @@ from spherotree.orbitstats import _maximal_balls
 from spherotree.thorn import (
     UP,
     _center_rooted_text,
-    _code_of_abstract,
     _free_trees,
     _spanned,
     AbstractThorn,
@@ -21,26 +20,22 @@ from spherotree.thorn import (
     abstract_from_code,
     ball_of_spike,
     canonical_code,
+    class_code_defect,
     classify_balls,
     classify_clopen,
-    clopen_of_subthorn,
     empty_subthorn,
     enumerate_class_codes,
     enumerate_embeddings,
-    is_class_code,
     maximal_ball_thorn,
     reduce_subthorn,
     subthorn_from_balls,
 )
 from spherotree.tree import (
-    FULL_BOUNDARY,
     ROOT,
     Ball,
     ClopenSet,
     all_words,
-    ball_relation,
     balls_disjoint,
-    depth_members,
     down,
     parse_address,
     up,
@@ -48,12 +43,16 @@ from spherotree.tree import (
 )
 
 from oracles import (
+    ball_contains_word,
+    ball_relation,
+    depth_members,
     labeled_trees,
     pairwise_path_span,
     pruefer_class_codes,
     skeleton_diameter,
     split_ball,
     subset_embeddings,
+    subthorn_route_code,
 )
 
 
@@ -116,7 +115,7 @@ def test_sibling_pair_reduces_to_single_ball():
     r = reduce_subthorn(t)
     assert r.vertices == frozenset({ROOT})
     assert r.spikes == frozenset({(ROOT, 0)})
-    assert clopen_of_subthorn(r) == ClopenSet.from_balls(2, [down(A("0"))])
+    assert r.balls() == (down(A("0")),)
 
 
 def test_two_ball_set_has_two_vertex_thorn():
@@ -133,7 +132,8 @@ def test_two_ball_set_has_two_vertex_thorn():
 def test_root_star_is_perfect_and_reduces_to_empty():
     t = subthorn_from_balls([down((c,)) for c in range(3)], 2)
     assert t.is_perfect
-    assert clopen_of_subthorn(t) is FULL_BOUNDARY
+    with pytest.raises(DomainError, match="full boundary"):
+        ClopenSet.from_balls(2, t.balls())
     assert reduce_subthorn(t).is_empty
     assert canonical_code(reduce_subthorn(t)).is_empty
 
@@ -183,9 +183,8 @@ def test_single_spike_round_trip():
         arity = 3 if max(ball.cut) > 1 or len(ball.cut) > 2 else 2
         t = subthorn_from_balls([ball], arity)
         assert t.balls() == (ball,)
-        assert t.is_reduced
-        omega = clopen_of_subthorn(t)
-        assert omega.is_single_ball()
+        assert reduce_subthorn(t) == t
+        assert ClopenSet.from_balls(arity, t.balls()).is_single_ball()
 
 
 def test_reduction_preserves_clopen_set(rng=None):
@@ -194,14 +193,13 @@ def test_reduction_preserves_clopen_set(rng=None):
         arity = rng.choice([2, 3])
         t = _random_subthorn(rng, arity, allow_empty_spikes=False)
         r = reduce_subthorn(t)
-        assert r.is_reduced
         assert reduce_subthorn(r) == r
-        before = clopen_of_subthorn(t)
-        if r.is_empty:
-            assert before is FULL_BOUNDARY
+        if t.is_perfect:  # its balls partition the whole boundary
+            assert r.is_empty
+            with pytest.raises(DomainError, match="full boundary"):
+                ClopenSet.from_balls(arity, t.balls())
         else:
-            after = clopen_of_subthorn(r)
-            assert before == after
+            assert ClopenSet.from_balls(arity, r.balls()) == ClopenSet.from_balls(arity, t.balls())
 
 
 def _random_order_reduce(t, rng):
@@ -354,11 +352,11 @@ def test_deeply_nested_code_texts():
     assert n > sys.getrecursionlimit()
     end_rooted = ThornCode(2, "(1:" + "(0:" * (n - 2) + "(1:)" + ")" * (n - 1))
     assert (end_rooted.vertex_count, end_rooted.spike_count, end_rooted.diameter) == (n, 2, n - 1)
-    assert not is_class_code(end_rooted)
+    assert class_code_defect(end_rooted) is not None
     branch = "(0:" * (n // 2 - 1) + "(1:)" + ")" * (n // 2 - 1)
     centred = canonical_code(abstract_from_code(end_rooted))
     assert centred.text == "(0:" + branch + branch + ")"
-    assert is_class_code(centred)
+    assert class_code_defect(centred) is None
     assert centred.diameter == n - 1
 
 
@@ -414,7 +412,7 @@ def test_classify_residue_matches_upsilon():
 
 
 def _ball_members(ball, arity, depth):
-    return frozenset(w for w in all_words(arity, depth) if ball.contains_word(w))
+    return frozenset(w for w in all_words(arity, depth) if ball_contains_word(ball, w))
 
 
 def test_maximal_balls_against_exhaustive_search():
@@ -445,6 +443,25 @@ def test_maximal_balls_against_exhaustive_search():
             assert not union & part
             union |= part
         assert union == members
+
+
+def test_classify_clopen_matches_the_subthorn_route():
+    """``classify_clopen`` encodes the reduced {vertex: spike directions} of
+    the marked leaves directly; on random clopen sets at arities 2 to 4 it
+    agrees with the former route through ``SubThorn`` and ``AbstractThorn``.
+    Single balls, other one-vertex thorns and larger thorns all occur."""
+    rng = random.Random(1211)
+    seen = Counter()
+    for _ in range(110):
+        for arity in (2, 3, 4):
+            omega = _random_clopen(rng, arity)
+            code = classify_clopen(omega)
+            assert code == subthorn_route_code(omega), omega
+            if code.vertex_count > 1:
+                seen["larger thorn"] += 1
+            else:
+                seen["single ball" if omega.is_single_ball() else "other one-vertex thorn"] += 1
+    assert len(seen) == 3 and min(seen.values()) >= 10, seen
 
 
 def test_classify_presentation_independent():
@@ -603,7 +620,7 @@ def test_enumerate_is_exhaustive_by_random_probe():
         hits = 0
         for _ in range(400):
             t = _random_subthorn(rng, region.arity, max_v=3, allow_empty_spikes=False)
-            if canonical_code(t) != pattern or not t.is_reduced:
+            if canonical_code(t) != pattern or reduce_subthorn(t) != t:
                 continue
             if t.vertices & region.vertices:
                 assert t in found
@@ -652,10 +669,10 @@ def test_enumerate_matches_subset_oracle(arity, max_vertices, elements):
 
 
 def test_class_code_acceptance_and_defects():
-    from spherotree.thorn import is_class_code, require_class_code
+    from spherotree.thorn import require_class_code
 
     for text in ["(1:)", "(1:(1:))", "(0:(1:)(1:))", "(1:(1:)(1:))"]:
-        assert is_class_code(require_class_code(ThornCode(2, text)))
+        assert class_code_defect(require_class_code(ThornCode(2, text))) is None
     rejected = {
         "E": "empty",
         "(0:)": "no spikes",
@@ -666,7 +683,7 @@ def test_class_code_acceptance_and_defects():
         "(1:(0:(1:)))": "canonical",
     }
     for text, hint in rejected.items():
-        assert not is_class_code(ThornCode(2, text))
+        assert class_code_defect(ThornCode(2, text)) is not None
         with pytest.raises(ValidationError, match=hint):
             require_class_code(ThornCode(2, text))
 
@@ -684,9 +701,10 @@ def test_enumerate_class_codes_small():
         assert codes
         assert len(set(codes)) == len(codes)
         for code in codes:
-            assert is_class_code(code)
+            assert class_code_defect(code) is None
             assert code.residue() == iota
             assert code.vertex_count <= 3
+    assert len(enumerate_class_codes(4, 0, 5)) == 233
     with pytest.raises(ValidationError):
         enumerate_class_codes(2, 1, 3)
     with pytest.raises(ValidationError):
@@ -698,7 +716,7 @@ def test_enumerated_codes_are_realized_by_clopen_sets():
     for code in enumerate_class_codes(2, 0, 4):
         found = enumerate_embeddings(code, region)
         assert found, code.text
-        omega = clopen_of_subthorn(found[0])
+        omega = ClopenSet.from_balls(2, found[0].balls())
         assert classify_clopen(omega) == code
 
 
@@ -711,7 +729,7 @@ def test_random_classifications_appear_in_enumeration():
         for _ in range(120):
             omega = _random_clopen(rng, arity)
             code = classify_clopen(omega)
-            assert is_class_code(code)
+            assert class_code_defect(code) is None
             assert code.residue() == upsilon(omega)
             if code.vertex_count <= bound:
                 assert code.text in universe
@@ -785,10 +803,3 @@ def test_class_codes_agree_with_both_isomorphism_tests(arity, max_vertices):
             assert orbitstats._isomorphic(models[i], other) == same, (a.text, b.text)
             assert nx.is_isomorphic(graphs[i], graphs[j], node_match=match) == same, (a.text, b.text)
 
-
-def test_class_enumeration_leaves_the_code_cache_alone():
-    enumerate_class_codes.cache_clear()
-    before = _code_of_abstract.cache_info()
-    codes = enumerate_class_codes(4, 0, 5)
-    assert len(codes) == 233
-    assert _code_of_abstract.cache_info() == before

@@ -1,6 +1,7 @@
 """Address, ball and clopen-set layer."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,13 +10,10 @@ from spherotree.tree import (
     Ball,
     ClopenSet,
     all_words,
-    ball_relation,
-    complement,
-    depth_members,
+    balls_disjoint,
     down,
     format_address,
     parse_address,
-    parse_ball,
     refine,
     root_code,
     up,
@@ -23,7 +21,7 @@ from spherotree.tree import (
     validate_prefix_code,
 )
 
-from oracles import split_ball
+from oracles import ball_contains_word, ball_relation, complement, depth_members, split_ball
 
 
 def A(text):
@@ -108,27 +106,38 @@ def test_ball_relation_cases():
     assert ball_relation(down(A("0")), down(A("0"))) == "equal"
 
 
-def test_ball_relation_matches_membership(subtests=None):
-    rng = random.Random(11)
-    n = 2
-    depth = 5
-    words = list(all_words(n, depth))
-    for _ in range(120):
-        a = _random_ball(rng, n)
-        b = _random_ball(rng, n)
-        sa = {w for w in words if a.contains_word(w)}
-        sb = {w for w in words if b.contains_word(w)}
-        rel = ball_relation(a, b)
-        if rel == "equal":
-            assert sa == sb
-        elif rel == "subset":
-            assert sa < sb
-        elif rel == "superset":
-            assert sa > sb
-        elif rel == "disjoint":
-            assert not (sa & sb)
-        else:
-            assert sa | sb == set(words) and (sa & sb)
+def test_ball_relation_matches_membership():
+    """Every pair of balls with cuts down to depth 3, at arities 2 and 3:
+    ``balls_disjoint`` agrees with the word sets at depth 3, and so does the
+    five-way relation of the oracle."""
+    depth = 3
+    seen = Counter()
+    for n in (2, 3):
+        words = list(all_words(n, depth))
+        members = {
+            Ball(raised, cut): frozenset(w for w in words if ball_contains_word(Ball(raised, cut), w))
+            for k in range(1, depth + 1)
+            for cut in all_words(n, k)
+            for raised in (False, True)
+        }
+        for a, sa in members.items():
+            for b, sb in members.items():
+                disjoint = not (sa & sb)
+                assert balls_disjoint(a, b) == disjoint, (a, b)
+                seen[(a.up, b.up, disjoint)] += 1
+                rel = ball_relation(a, b)
+                if rel == "equal":
+                    assert sa == sb
+                elif rel == "subset":
+                    assert sa < sb
+                elif rel == "superset":
+                    assert sa > sb
+                elif rel == "disjoint":
+                    assert disjoint
+                else:
+                    assert sa | sb == set(words) and not disjoint
+    # every mix of down and up balls, disjoint or not, but two disjoint up balls
+    assert len(seen) == 7 and (True, True, True) not in seen
 
 
 def _random_ball(rng, arity):
@@ -153,10 +162,10 @@ def test_split_ball():
             b = _random_ball(rng, n)
             parts = split_ball(b, n)
             assert len(parts) == n
-            whole = {w for w in words if b.contains_word(w)}
+            whole = {w for w in words if ball_contains_word(b, w)}
             union = set()
             for p in parts:
-                pw = {w for w in words if p.contains_word(w)}
+                pw = {w for w in words if ball_contains_word(p, w)}
                 assert not (union & pw)
                 union |= pw
             assert union == whole
@@ -225,7 +234,7 @@ def test_from_balls_matches_membership():
     expect = {
         w
         for w in words
-        if up(A("0")).contains_word(w) or down(A("000")).contains_word(w)
+        if ball_contains_word(up(A("0")), w) or ball_contains_word(down(A("000")), w)
     }
     assert member == expect
 
@@ -265,11 +274,3 @@ def test_complement_involution():
         om = _random_clopen(rng, 2)
         assert complement(complement(om)) == om
 
-
-def test_parse_ball_text():
-    assert parse_ball("~01", 2) == up(A("01"))
-    assert parse_ball("01", 2) == down(A("01"))
-    with pytest.raises(ValidationError):
-        parse_ball("~", 2)
-    with pytest.raises(ValidationError):
-        parse_ball(".", 2)
