@@ -22,10 +22,13 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, ValidationError
 from .tree import (
+    UP,
     Address,
     Ball,
     ClopenSet,
+    Spike,
     all_words,
+    ball_of_spike,
     children,
     check_arity,
     common_refinement,
@@ -36,8 +39,8 @@ from .tree import (
     normal_clopen,
     require_prefix_code,
     root_code,
+    spike_of_ball,
     trusted,
-    up,
     validate_address,
 )
 
@@ -212,20 +215,22 @@ def act_on_ball(g: Spheromorphism, ball: Ball) -> tuple[Ball, ...]:
     if not isinstance(ball, Ball):
         raise DomainError("act_on_ball expects a ball")
     validate_address(ball.cut, g.arity, "ball cut")
-    return _act_on_ball(g, ball)
+    return tuple(map(ball_of_spike, _act_on_spike(g, spike_of_ball(ball))))
 
 
-def _act_on_ball(g: Spheromorphism, ball: Ball) -> tuple[Ball, ...]:
-    """``act_on_ball`` without its checks, for a ball of g's tree."""
-    u = ball.cut
+def _act_on_spike(g: Spheromorphism, spike: Spike) -> tuple[Spike, ...]:
+    """``act_on_ball`` on spikes and without its checks, for a spike of g's
+    tree: the spikes of the image balls, in the same order."""
+    vertex, direction = spike
+    u = vertex if direction == UP else vertex + (direction,)
     at = _covering(g, u)
     s, t = g.pieces[at.start]
     if is_prefix(s, u):
-        image_cut = t + u[len(s) :]
-        return (down(image_cut) if not ball.up else up(image_cut),)
+        cut = t + u[len(s) :]
+        return ((cut, UP),) if direction == UP else ((cut[:-1], cut[-1]),)
     # the cut is a proper prefix of several domain leaves
-    pieces = g.pieces[: at.start] + g.pieces[at.stop :] if ball.up else g.pieces[at]
-    return tuple(down(t) for _, t in pieces)
+    pieces = g.pieces[: at.start] + g.pieces[at.stop :] if direction == UP else g.pieces[at]
+    return tuple((t[:-1], t[-1]) for _, t in pieces)
 
 
 def truncated_action(g: Spheromorphism, depth: int) -> dict[Address, Address]:

@@ -8,17 +8,25 @@ the minimal matched thorn pair of g.  Both sides of the pair are perfect,
 so a connected thorn with no vertex in a side lies beyond one of its spike
 mid-edges, in a half-tree that g (or g⁻¹) carries isometrically onto the
 matched half-tree (literal pieces, family merges and bi-thorn cuts are all
-isometries), and its class cannot change.  One enumeration finds the
-candidates and builds no clopen set.  One loop runs over both sides, with
-a dict per side from each spike to its ball and that ball's image, so each
-ball is moved once; balls and images stay unordered.  The thorn of each
+isometries), and its class cannot change.
+
+``theta`` lists only the domain side: the tracked sets around it that g
+moves out of their class (``_leaving``).  That fills every row of a
+tracked class, and the lump's row follows from the class-balance law: as
+many sets enter a tracked class as leave it.  For S_i the sets of class i,
+χ_i(g) = |S_i∖g⁻¹S_i| − |g⁻¹S_i∖S_i| is a homomorphism to ℤ, and the
+group, Higman's G_{n,n+1}, has a finite abelianisation (G. Higman,
+"Finitely presented infinite simple groups", 1974), so χ_i = 0.  The
+candidates come as bare spikes from one enumeration, and a dict from each
+spike to the spikes of its ball's image moves each ball once; nothing is
+sorted and no ``Ball``, thorn or clopen set is built.  The thorn of each
 image is reduced and its (vertex count, spike count) tested against the
-tracked classes' before it is encoded (``classify_balls_among``), so most
+tracked classes' before it is encoded (``classify_spikes_among``), so most
 images are lumped unencoded.  A candidate the element leaves in place is
-classified like any other and keeps its class.
-``theta`` tabulates the resulting class transitions, and ``moved_sets``
-lists the same sets with ``omega``/``image`` built as clopen normal forms,
-classifying lumped ones from them.  ``theta_bruteforce`` sweeps every
+classified like any other and keeps its class.  ``moved_sets`` lists the
+same sets plus the lumped ones entering a tracked class, read off the
+range side with g⁻¹, with ``omega``/``image`` built as clopen normal
+forms, classifying lumped ones from them.  ``theta_bruteforce`` sweeps every
 tracked-class set of bounded carrier depth, moves it with
 ``act_on_clopen`` and matches the thorn of its maximal balls against the
 tracked codes by an isomorphism test: an independent, much slower oracle.
@@ -33,25 +41,36 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .bithorn import BiThorn, CosetCode, canonical_coset_code, minimal_bithorn
-from .element import Spheromorphism, _act_on_ball, act_on_clopen, invert
+from .element import Spheromorphism, _act_on_spike, act_on_clopen, invert
 from .errors import DomainError, InternalError, ValidationError
 from .thorn import (
     AbstractThorn,
-    Spike,
     SubThorn,
     ThornCode,
     _embeddings,
     abstract_from_code,
-    ball_of_spike,
     check_sector,
-    classify_balls_among,
     classify_clopen,
+    classify_spikes_among,
     require_class_code,
 )
-from .tree import Address, Ball, ClopenSet, all_words, balls_disjoint, down, neighbors, trusted, up
+from .tree import (
+    Address,
+    Ball,
+    ClopenSet,
+    Spike,
+    all_words,
+    ball_of_spike,
+    balls_disjoint,
+    down,
+    neighbors,
+    trusted,
+    up,
+)
 
 LUMP_LABEL = "P"
 
@@ -136,89 +155,87 @@ class TransitionCounts:
         return trusted(TransitionCounts, self.table, flipped)
 
 
-def _moved(g: Spheromorphism, pair: BiThorn, table: ClassTable) -> Iterator[
-    tuple[Sequence[Ball], int, Sequence[Ball], int]
+def _leaving(h: Spheromorphism, region: SubThorn, table: ClassTable) -> Iterator[
+    tuple[Sequence[Spike], int, Sequence[Spike], int]
 ]:
-    """Each clopen set involving a tracked class whose class changes under g.
+    """Each set of a tracked class around ``region`` whose class h changes.
 
-    Yields (set balls, index before, image balls, index after) once per set,
-    balls unordered, indices 1.. for the tracked classes in table order and
-    0 for lumped ones, as in ``ClassTable.labels``; ``pair`` is g's
-    minimal bi-thorn.  Covers both directions: tracked sets leaving their
-    class, and lumped sets entering a tracked class.  Only a set whose thorn
-    shares a vertex with ``pair.dom`` can leave its class under g, and only
-    one whose image's thorn shares a vertex with ``pair.ran`` can enter a
-    tracked class (see the module docstring), so enumerating embeddings
-    around the pair is exhaustive.  A table's classes are orbit-class codes,
-    checked when it was built or enumerated as such, so their embeddings are
-    listed unchecked (``_embeddings``).
+    Yields (spikes of the set, index before, spikes of its image, index
+    after) once per set, spikes unordered, indices 1.. for the tracked
+    classes in table order and 0 for lumped ones, as in
+    ``ClassTable.labels``.  With h = g and ``region`` the domain side of
+    g's minimal bi-thorn, these are all the tracked sets g moves out of
+    their class: only a set whose thorn shares a vertex with the domain side
+    can change class (see the module docstring), so the embeddings around
+    it are exhaustive.  A table's classes are orbit-class codes, checked
+    when it was built or enumerated as such, so their embeddings are listed
+    unchecked (``_embeddings``).
 
-    One loop serves both sides, (g, ``pair.dom``) and (g⁻¹, ``pair.ran``),
-    each with a fresh dict from spike to (its ball, that ball's image), so a
-    spike's ball is moved once however many candidates share it.  A
+    A dict from spike to the spikes of its ball's image lives for one call,
+    so a spike's ball is moved once however many candidates share it.  A
     candidate of class i gets the index j of its image's class, tested by
     (vertex count, spike count) before any text is built
-    (``classify_balls_among``); the domain side yields it when j != i, the
-    range side yields its source when j = 0.  A candidate left in place needs
-    no test of its own: it is a reduced thorn of class i with a spike on every
-    skeleton leaf, so its image, the same set, classifies to the pattern's
-    text, j = i, and neither side yields it.
-
-    No set comes out twice.  A domain-side set is one embedding, and each
-    embedding is built once.  A range-side set has an untracked source, so
-    it is never a domain-side set, and g is a bijection, so distinct
-    range-side images have distinct sources.
+    (``classify_spikes_among``), and comes out when j != i.  A candidate h
+    leaves in place needs no test of its own: it is a reduced thorn of class
+    i with a spike on every skeleton leaf, so its image, the same set,
+    classifies to the pattern's text, j = i.  Each embedding is listed once,
+    so no set comes out twice.
     """
-    if pair.is_empty:
-        return
-    arity = g.arity
+    arity = h.arity
     rows = {code.text: i for i, code in enumerate(table.tracked, start=1)}
     shapes = {(code.vertex_count, code.spike_count) for code in table.tracked}
-    for forward, h, region in ((True, g, pair.dom), (False, invert(g), pair.ran)):
-        moved = {}
-        for i, pattern in enumerate(table.tracked, start=1):
-            for thorn in _embeddings(pattern, region):
-                balls, image = _balls_and_image(h, thorn, moved)
-                j = rows.get(classify_balls_among(image, arity, shapes), 0)
-                if forward and j != i:
-                    yield balls, i, image, j
-                elif not forward and not j:
-                    yield image, 0, balls, i
+    moved: dict[Spike, tuple[Spike, ...]] = {}
+    for i, pattern in enumerate(table.tracked, start=1):
+        for spikes in _embeddings(pattern, region):
+            image = _image(h, spikes, moved)
+            j = rows.get(classify_spikes_among(image, arity, shapes), 0)
+            if j != i:
+                yield spikes, i, image, j
 
 
-def _balls_and_image(
-    g: Spheromorphism, thorn: SubThorn, moved: dict[Spike, tuple[Ball, tuple[Ball, ...]]]
-) -> tuple[list[Ball], list[Ball]]:
-    """A thorn's balls and the balls of their image under g, unordered.
+def _image(
+    h: Spheromorphism, spikes: Sequence[Spike], moved: dict[Spike, tuple[Spike, ...]]
+) -> list[Spike]:
+    """The spikes of the image under h of the spikes' balls, unordered.
 
-    ``moved`` maps each spike seen so far to its ball and that ball's image,
+    ``moved`` maps each spike seen so far to the spikes of its ball's image,
     so a spike shared by many thorns is moved once."""
-    balls, image = [], []
-    for spike in thorn.spikes:
-        entry = moved.get(spike)
-        if entry is None:
-            ball = ball_of_spike(spike)
-            entry = moved[spike] = (ball, _act_on_ball(g, ball))
-        balls.append(entry[0])
-        image += entry[1]
-    return balls, image
+    image: list[Spike] = []
+    for spike in spikes:
+        found = moved.get(spike)
+        if found is None:
+            found = moved[spike] = _act_on_spike(h, spike)
+        image += found
+    return image
 
 
 def moved_sets(g: Spheromorphism, table: ClassTable) -> tuple[MovedSet, ...]:
     """Every clopen set involving a tracked class whose class changes under g.
 
-    The same listing ``theta`` counts, with each set and its image built as
-    clopen normal forms, ordered by the set's carrier flags; a lumped class
-    is classified from its clopen set.  ``theta`` itself classifies ball
-    tuples directly and builds no clopen set.
+    The tracked sets leaving their class are ``_leaving`` on the domain side
+    of g's minimal bi-thorn, the sets ``theta`` counts.  The lumped sets
+    entering a tracked class are the images under g⁻¹ of tracked sets that
+    g⁻¹ moves into the lump: ``_leaving`` on the range side with g⁻¹, its
+    records with j = 0 read backwards.  A lumped set entering a tracked
+    class has an untracked source, so it is never a leaving set, and g is a
+    bijection, so no set comes out twice.  Each set and its image are built
+    as clopen normal forms, ordered by the set's carrier flags; a lumped
+    class is classified from its clopen set.  ``theta`` itself builds no
+    clopen set and never lists the range side.
     """
     if g.arity != table.arity:
         raise DomainError(f"arity mismatch: {g.arity} vs {table.arity}")
+    pair = minimal_bithorn(g)
+    entering = (
+        (image, 0, spikes, i)
+        for spikes, i, image, j in _leaving(invert(g), pair.ran, table)
+        if not j
+    )
     codes = (None,) + table.tracked
     records = []
-    for omega_balls, i, image_balls, j in _moved(g, minimal_bithorn(g), table):
-        omega = ClopenSet.from_balls(g.arity, omega_balls)
-        image = ClopenSet.from_balls(g.arity, image_balls)
+    for omega_spikes, i, image_spikes, j in chain(_leaving(g, pair.dom, table), entering):
+        omega = ClopenSet.from_balls(g.arity, map(ball_of_spike, omega_spikes))
+        image = ClopenSet.from_balls(g.arity, map(ball_of_spike, image_spikes))
         before = codes[i] or classify_clopen(omega)
         records.append(MovedSet(omega, before, image, codes[j] or classify_clopen(image)))
     return tuple(sorted(records, key=lambda rec: rec.omega.leaf_flags()))
@@ -231,9 +248,13 @@ def _tabulate(table: ClassTable, transitions) -> TransitionCounts:
         if i == j:
             raise InternalError("a class transition cannot sit on the diagonal")
         counts[i][j] += 1
+    return _counts(table, counts)
+
+
+def _counts(table: ClassTable, counts: list[list[int]]) -> TransitionCounts:
+    """The finished counts of an off-diagonal count table."""
     matrix = tuple(
-        tuple(None if i == j else counts[i][j] for j in range(size))
-        for i in range(size)
+        tuple(None if i == j else row[j] for j in range(len(row))) for i, row in enumerate(counts)
     )
     return trusted(TransitionCounts, table, matrix)
 
@@ -253,11 +274,37 @@ class _Coset:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _coset_theta(coset: _Coset, table: ClassTable) -> TransitionCounts:
-    return _tabulate(table, ((i, j) for _, i, _, j in _moved(coset.g, coset.pair, table)))
+    """θ of a double coset from the domain side of its bi-thorn alone.
+
+    ``_leaving`` fills the rows of the tracked classes.  χ_i(g) =
+    |S_i∖g⁻¹S_i| − |g⁻¹S_i∖S_i|, S_i the sets of class i, adds along
+    products as an index does, so it is a homomorphism to ℤ, and it vanishes
+    because the abelianisation of Higman's G_{n,n+1} has order at most 2.
+    So as many sets enter class i as leave it, and θ[0][i] = Σ_{j≠i} θ[i][j]
+    − Σ_{k∉{0,i}} θ[k][i].  A negative entry would disprove the law and
+    raises ``InternalError``.
+    """
+    size = len(table.tracked) + 1
+    counts = [[0] * size for _ in range(size)]
+    for _, i, _, j in _leaving(coset.g, coset.pair.dom, table):
+        counts[i][j] += 1
+    for i in range(1, size):
+        entering = sum(counts[i]) - sum(counts[k][i] for k in range(1, size))
+        if entering < 0:
+            raise InternalError(f"class {i} gains {-entering} more sets than it loses")
+        counts[0][i] = entering
+    return _counts(table, counts)
 
 
 def theta(g: Spheromorphism, table: ClassTable) -> TransitionCounts:
     """Transition counts of g over the table, from the exact moved-set listing.
+
+    Only the tracked sets that leave their class are listed.  The lump's
+    row, the sets entering each tracked class i, follows from the
+    class-balance law: χ_i(g) = |S_i∖g⁻¹S_i| − |g⁻¹S_i∖S_i|, S_i the sets
+    of class i, is a homomorphism to ℤ and the group's abelianisation is
+    finite (Higman), so χ_i = 0 and θ[0][i] is what leaves i less what
+    enters it from other tracked classes (``_coset_theta``).
 
     For automorphisms a and b, the sets a·g·b moves are the preimages under
     b of the sets g moves, with the same classes, so the counts depend only

@@ -15,7 +15,10 @@ prefix-exchange group are evaluated exactly:
 Pointwise products of any of these are again candidates, and
 ``gram_psd_check`` certifies positive semidefiniteness of the matrix
 ``phi(g_i^-1 g_j)`` over a chosen element set with a self-contained cyclic
-Jacobi eigensolver.
+Jacobi eigensolver.  Every family here is invariant under automorphisms on
+both sides, so rows repeat within a left coset of the automorphism group;
+the certificate evaluates phi once per pair of cosets and takes the
+spectrum from the cosets' matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .bithorn import is_automorphism
-from .element import Spheromorphism, compose, equals, invert
+from .element import Spheromorphism, compose, equals, identity, invert
 from .errors import DomainError, InternalError, ValidationError
 from .orbitstats import ClassTable, theta
 from .thorn import ThornCode, check_sector, enumerate_class_codes, require_class_code
@@ -131,12 +134,28 @@ def validate_spec(spec: SphericalSpec, tol: float = DEFAULT_PSD_TOL) -> SpecRepo
     return SpecReport(ok, low, threshold, messages)
 
 
-def _psd_verdict(matrix: Matrix, tol: float) -> tuple[float, float, bool]:
+def _psd_verdict(
+    matrix: Sequence[Sequence[float]], tol: float, sizes: Sequence[int] | None = None
+) -> tuple[float, float, bool]:
     """(min eigenvalue, threshold, passes): it passes iff the min eigenvalue
-    is at least -tol * max|entry| (-tol for the zero matrix)."""
+    is at least -tol * max|entry| (-tol for the zero matrix).
+
+    With ``sizes``, the matrix judged is the one that repeats row and column
+    a ``sizes[a]`` times, whose spectrum is that of D^(1/2) A D^(1/2), D the
+    diagonal of the sizes, plus a zero for each repeat (``gram_psd_check``).
+    """
     if tol < 0:
         raise ValidationError("tolerance must be nonnegative")
-    low = min(symmetric_eigenvalues(matrix))
+    if sizes is None or len(sizes) == sum(sizes):
+        low = min(symmetric_eigenvalues(matrix))
+    else:
+        # sqrt(d_a d_b) is one rounding of a symmetric product: the scaled
+        # matrix stays exactly symmetric
+        scaled = [
+            [x * math.sqrt(sizes[a] * sizes[b]) for b, x in enumerate(row)]
+            for a, row in enumerate(matrix)
+        ]
+        low = min(0.0, min(symmetric_eigenvalues(scaled)))
     scale = max(abs(x) for row in matrix for x in row)
     threshold = -tol * (scale if scale > 0.0 else 1.0)
     return low, threshold, low >= threshold
@@ -393,12 +412,25 @@ def gram_psd_check(
 ) -> GramReport:
     """Numerically certify that phi is positive-definite on the elements.
 
-    Builds M[i][j] = phi(compose(invert(g_i), g_j)) on the upper triangle
-    and mirrors it (every family provided here satisfies
-    phi(g) == phi(g^-1) exactly), finds the full spectrum with the Jacobi
-    solver, and passes iff min eigenvalue >= -tol * max|entry|.  Duplicate
-    elements are allowed; they make the matrix singular and are reported as
-    a warning.
+    The matrix is M[i][j] = phi(compose(invert(g_i), g_j)).  phi must be
+    invariant under automorphisms on both sides, phi(a·g·b) == phi(g) for
+    automorphisms a and b, and symmetric, phi(g) == phi(g^-1), both exactly;
+    every family provided here is.  Then two elements of one left coset gK,
+    K the automorphism group, have equal rows.  The elements are grouped
+    into left cosets by testing each against the representatives found so
+    far (the first element of each coset) with
+    ``is_automorphism(compose(invert(rep), g))``; phi is evaluated once per
+    pair of representatives, once more on the identity for every entry
+    within a coset, and M is expanded from those values.
+
+    With E the n x m matrix assigning each element to its coset, A' the
+    representatives' matrix and D = E^T E the coset sizes, M = E A' E^T, so
+    the spectrum of M is that of D^(1/2) A' D^(1/2) plus n - m zeros.  The
+    least eigenvalue is therefore min(0, lambda_min(D^(1/2) A' D^(1/2)))
+    when n > m, and lambda_min(A') otherwise, found with the Jacobi solver
+    on the m x m matrix; the check passes iff it is at least
+    -tol * max|entry|.  Repeated elements are allowed; they make M singular
+    and are reported as a warning.
     """
     els = tuple(elements)
     if not els:
@@ -407,21 +439,34 @@ def gram_psd_check(
     for g in els[1:]:
         if g.arity != arity:
             raise DomainError("elements mix arities")
-    warnings = []
-    for i in range(len(els)):
-        for j in range(i + 1, len(els)):
-            if equals(els[i], els[j]):
-                warnings.append(
-                    f"elements {i} and {j} coincide; the Gram matrix is singular"
-                )
-    size = len(els)
-    inverses = [invert(g) for g in els]
-    rows = [[0.0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            value = float(phi(compose(inverses[i], els[j])))
-            rows[i][j] = value
-            rows[j][i] = value
-    matrix = tuple(tuple(row) for row in rows)
-    low, threshold, ok = _psd_verdict(matrix, tol)
-    return GramReport(els, matrix, low, tol, threshold, ok, tuple(warnings))
+    reps: list[int] = []  # index of the first element of each left coset
+    rep_inverses: list[Spheromorphism] = []
+    coset_of: list[int] = []
+    for k, g in enumerate(els):
+        found = next(
+            (c for c, inverse in enumerate(rep_inverses) if is_automorphism(compose(inverse, g))),
+            None,
+        )
+        if found is None:
+            found = len(reps)
+            reps.append(k)
+            rep_inverses.append(invert(g))
+        coset_of.append(found)
+    # equal elements share a left coset, so only pairs within one are compared
+    warnings = tuple(
+        f"elements {i} and {j} coincide; the Gram matrix is singular"
+        for i in range(len(els))
+        for j in range(i + 1, len(els))
+        if coset_of[i] == coset_of[j] and equals(els[i], els[j])
+    )
+    m = len(reps)
+    small = [[0.0] * m for _ in range(m)]
+    unit = float(phi(identity(arity)))
+    for a in range(m):
+        small[a][a] = unit
+        for b in range(a + 1, m):
+            small[a][b] = small[b][a] = float(phi(compose(rep_inverses[a], els[reps[b]])))
+    matrix = tuple(tuple(small[a][b] for b in coset_of) for a in coset_of)
+    sizes = [coset_of.count(a) for a in range(m)]
+    low, threshold, ok = _psd_verdict(small, tol, sizes)
+    return GramReport(els, matrix, low, tol, threshold, ok, warnings)

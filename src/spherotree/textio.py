@@ -18,8 +18,8 @@ from .element import Spheromorphism, from_pieces
 from .errors import DomainError, ValidationError
 from .orbitstats import ClassTable, TransitionCounts
 from .spherical import GramReport, SphericalSpec, TensorSpec
-from .thorn import SubThorn, ThornCode, UP
-from .tree import Address, ClopenSet, format_address, parse_address
+from .thorn import SubThorn, ThornCode
+from .tree import UP, Address, ClopenSet, format_address, parse_address
 
 
 # ---------------------------------------------------------------------------

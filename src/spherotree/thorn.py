@@ -25,31 +25,22 @@ from typing import Callable, Container, Iterable, Iterator, Sequence
 from .errors import DomainError, ValidationError
 from .tree import (
     ROOT,
+    UP,
     Address,
     Ball,
     ClopenSet,
+    Spike,
+    ball_of_spike,
     check_arity,
     children,
     down,
     format_address,
     neighbors,
     require_disjoint,
+    spike_of_ball,
     trusted,
-    up,
     validate_address,
 )
-
-UP = -1
-
-Spike = tuple[Address, int]
-
-
-def ball_of_spike(spike: Spike) -> Ball:
-    """The ball a spike stands for: the branch away from the thorn vertex."""
-    vertex, direction = spike
-    if direction == UP:
-        return up(vertex)
-    return down(vertex + (direction,))
 
 
 @dataclass(frozen=True)
@@ -148,25 +139,22 @@ def subthorn_from_balls(balls: Sequence[Ball], arity: int) -> SubThorn:
         raise DomainError(
             "a two-ball partition of the whole boundary has no thorn vertex"
         )
-    return _subthorn_of(_spanned(blist), arity)
+    return _subthorn_of(_spanned(map(spike_of_ball, blist)), arity)
 
 
-def _spanned(balls: Iterable[Ball]) -> dict[Address, set[int]]:
-    """{vertex: spike directions} of the minimal thorn whose spikes are the balls.
+def _spanned(spikes: Iterable[Spike]) -> dict[Address, set[int]]:
+    """{vertex: spike directions} of the minimal thorn with the given spikes.
 
-    The balls must be nonempty, pairwise disjoint and not the two halves of
-    one mid-edge.  The vertices are the span of the spike anchors: every
-    prefix of an anchor at least as long as the meet, the common prefix of
-    the least and the greatest anchor.  Each anchor walks up toward the meet
+    The spikes' balls must be nonempty, pairwise disjoint and not the two
+    halves of one mid-edge.  The vertices are the span of the spike anchors:
+    every prefix of an anchor at least as long as the meet, the common prefix
+    of the least and the greatest anchor.  Each anchor walks up toward the meet
     and stops at the first vertex already present, which is an anchor or lies
     on an earlier walk, so its own stretch up to the meet is walked once.
     """
     spikes_at: dict[Address, set[int]] = {}
-    for b in balls:
-        if b.up:
-            spikes_at.setdefault(b.cut, set()).add(UP)
-        else:
-            spikes_at.setdefault(b.cut[:-1], set()).add(b.cut[-1])
+    for vertex, direction in spikes:
+        spikes_at.setdefault(vertex, set()).add(direction)
     anchors = tuple(spikes_at)
     low, high = min(anchors), max(anchors)
     meet = 0
@@ -482,7 +470,7 @@ def abstract_from_code(code: ThornCode) -> AbstractThorn:
 
 def maximal_ball_thorn(omega: ClopenSet) -> SubThorn:
     """Reduced sub-thorn of the partition of omega into maximal sub-balls."""
-    spikes_at = _spanned(down(leaf) for leaf in omega.marked_leaves())
+    spikes_at = _spanned(spike_of_ball(down(leaf)) for leaf in omega.marked_leaves())
     return _subthorn_of(_reduce(spikes_at, omega.arity), omega.arity)
 
 
@@ -504,19 +492,21 @@ def classify_balls(balls: Iterable[Ball], arity: int) -> str:
     Works on {vertex: spike directions}: no thorn, abstract thorn or clopen
     object is built and nothing is validated.  The balls must be pairwise
     disjoint and must not be the two halves of one mid-edge.  A partition of
-    the whole boundary gives the empty code text.  θ reduces first and
-    encodes only tracked shapes, through ``classify_balls_among``.
+    the whole boundary gives the empty code text.  θ works on the balls'
+    spikes, reduces first and encodes only tracked shapes, through
+    ``classify_spikes_among``.
     """
-    return _reduced_text(_reduce(_spanned(balls), arity), arity)
+    return _reduced_text(_reduce(_spanned(map(spike_of_ball, balls)), arity), arity)
 
 
-def classify_balls_among(
-    balls: Iterable[Ball], arity: int, shapes: Container[tuple[int, int]]
+def classify_spikes_among(
+    spikes: Iterable[Spike], arity: int, shapes: Container[tuple[int, int]]
 ) -> str | None:
-    """``classify_balls`` for a caller that needs only some classes: None,
-    with no skeleton or text built, unless the reduced thorn's (vertex count,
-    spike count) is among ``shapes``.  Codes of one class share that shape."""
-    spikes_at = _reduce(_spanned(balls), arity)
+    """``classify_balls`` of the spikes' balls, for a caller that needs only
+    some classes: None, with no skeleton or text built, unless the reduced
+    thorn's (vertex count, spike count) is among ``shapes``.  Codes of one
+    class share that shape."""
+    spikes_at = _reduce(_spanned(spikes), arity)
     if (len(spikes_at), sum(map(len, spikes_at.values()))) not in shapes:
         return None
     return _reduced_text(spikes_at, arity)
@@ -637,7 +627,7 @@ def enumerate_embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn
 
     The pattern must be an orbit-class code of the region's arity
     (``class_code_defect``), or ``DomainError`` is raised; ``_embeddings``
-    describes the listing.
+    describes the listing.  The thorns come sorted by ``SubThorn.sort_key``.
     """
     if pattern.arity != region.arity:
         raise DomainError("pattern and region arity differ")
@@ -648,12 +638,16 @@ def enumerate_embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn
     defect = class_code_defect(pattern)
     if defect is not None:
         raise DomainError(f"cannot embed {pattern.text!r}: {defect}")
-    return _embeddings(pattern, region)
+    # every skeleton leaf of a class thorn carries a spike, so the span of
+    # the spike anchors is the whole vertex set
+    found = (_subthorn_of(_spanned(spikes), region.arity) for spikes in _embeddings(pattern, region))
+    return tuple(sorted(found, key=SubThorn.sort_key))
 
 
-def _embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn, ...]:
+def _embeddings(pattern: ThornCode, region: SubThorn) -> list[tuple[Spike, ...]]:
     """``enumerate_embeddings`` without its checks, for an orbit-class code
-    of the region's arity, such as a tracked class of a ``ClassTable``.
+    of the region's arity, such as a tracked class of a ``ClassTable``: the
+    spikes of each thorn, in no particular order, and no ``SubThorn``.
 
     The pattern is placed vertex by vertex in the order of its code text,
     which roots it at vertex 0, a centre, and lists each vertex after its
@@ -711,8 +705,7 @@ def _embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn, ...]:
             if x and x[:-1] not in verts:
                 free.append((x, UP))
             pools.append(list(combinations(free, k)))
-        for pick in product(*pools):
-            results.append(trusted(SubThorn, arity, verts, frozenset(chain.from_iterable(pick))))
+        results.extend(tuple(chain.from_iterable(pick)) for pick in product(*pools))
 
     def place(v: int) -> None:
         if v == V:
@@ -732,8 +725,7 @@ def _embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn, ...]:
         image[0] = root
         place(1)
     del place  # it calls itself through its closure; the cycle would outlive this call
-    results.sort(key=SubThorn.sort_key)
-    return tuple(results)
+    return results
 
 
 def _ball_of_vertices(seeds: Iterable[Address], radius: int, arity: int) -> set[Address]:

@@ -135,6 +135,28 @@ def up(cut: Address) -> Ball:
     return Ball(True, cut)
 
 
+# A spike names a ball by the vertex its cut edge leaves and the direction it
+# leaves in: a child label, or ``UP`` toward the parent.  Thorns and the
+# moved-set loop of θ work on spikes; ``Ball`` objects are built only at the
+# public boundary.
+UP = -1
+
+Spike = tuple[Address, int]
+
+
+def ball_of_spike(spike: Spike) -> Ball:
+    """The ball a spike stands for: the branch away from the vertex."""
+    vertex, direction = spike
+    if direction == UP:
+        return up(vertex)
+    return down(vertex + (direction,))
+
+
+def spike_of_ball(ball: Ball) -> Spike:
+    """The spike that stands for a ball, from the near end of its cut edge."""
+    return (ball.cut, UP) if ball.up else (ball.cut[:-1], ball.cut[-1])
+
+
 def balls_disjoint(a: Ball, b: Ball) -> bool:
     """Whether two balls share no boundary point: two down balls when neither
     cut is a prefix of the other, a down and an up ball when the up ball's cut
@@ -281,10 +303,11 @@ class ClopenSet:
     @staticmethod
     def from_marks(arity: int, marked: Mapping[Address, bool] | Iterable[tuple[Address, bool]]) -> "ClopenSet":
         check_arity(arity)
-        table = dict(marked)
-        code = require_prefix_code(table.keys(), arity, "carrier")
-        if len(code) != len(table):
+        pairs = list(marked.items() if isinstance(marked, Mapping) else marked)
+        table = dict(pairs)
+        if len(table) != len(pairs):
             raise ValidationError("carrier has repeated leaves")
+        require_prefix_code(table, arity, "carrier")
         return normal_clopen(
             arity, {validate_address(k, arity, "leaf"): bool(v) for k, v in table.items()}
         )

@@ -5,9 +5,17 @@ from itertools import chain, combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
 
 from spherotree.bithorn import BiThorn, CosetCode, empty_bithorn, minimal_bithorn
-from spherotree.element import Spheromorphism, act_on_ball, finitary_automorphism, from_pieces
+from spherotree.element import (
+    Spheromorphism,
+    _act_on_spike,
+    act_on_ball,
+    compose,
+    finitary_automorphism,
+    from_pieces,
+    invert,
+)
 from spherotree.errors import DomainError
-from spherotree.orbitstats import ClassTable
+from spherotree.orbitstats import ClassTable, TransitionCounts, _tabulate
 from spherotree.thorn import (
     EMPTY_CODE_TEXT,
     UP,
@@ -16,10 +24,12 @@ from spherotree.thorn import (
     SubThorn,
     ThornCode,
     _center_rooted_text,
+    _embeddings,
     _shape_defect,
     abstract_from_code,
     canonical_code,
     classify_balls,
+    classify_spikes_among,
     maximal_ball_thorn,
     rooted_encoder,
 )
@@ -27,12 +37,14 @@ from spherotree.tree import (
     Address,
     Ball,
     ClopenSet,
+    ball_of_spike,
     children,
     common_refinement,
     down,
     format_address,
     is_prefix,
     neighbors,
+    spike_of_ball,
     trusted,
     up,
 )
@@ -265,13 +277,66 @@ def scan_act_on_ball(g: Spheromorphism, ball: Ball) -> tuple[Ball, ...]:
     return tuple(down(t) for t in (outside if ball.up else inside))
 
 
-def per_thorn_image(
-    g: Spheromorphism, thorn: SubThorn, moved: dict
-) -> tuple[tuple[Ball, ...], tuple[Ball, ...]]:
-    """``orbitstats._balls_and_image`` by its former algorithm: each of the
-    thorn's balls moved with ``act_on_ball``, nothing kept between thorns."""
-    balls = thorn.balls()
-    return balls, tuple(sorted(chain.from_iterable(act_on_ball(g, b) for b in balls)))
+def per_thorn_image(g: Spheromorphism, spikes: Sequence[Spike], moved: dict) -> list[Spike]:
+    """``orbitstats._image`` by a former algorithm: each of the thorn's balls
+    moved with the public ``act_on_ball``, nothing kept between thorns."""
+    balls = [ball_of_spike(spike) for spike in spikes]
+    return [spike_of_ball(b) for b in chain.from_iterable(act_on_ball(g, b) for b in balls)]
+
+
+def two_sided_theta(g: Spheromorphism, table: ClassTable) -> TransitionCounts:
+    """``theta`` by its former two-sided listing, with no class-balance law.
+
+    One loop serves (g, ``pair.dom``) and (g⁻¹, ``pair.ran``), each with a
+    fresh dict from spike to the spikes of its ball's image.  The domain
+    side counts each tracked set that leaves its class, as ``theta`` does;
+    the range side counts each lumped set that enters a tracked class, as
+    the source under g⁻¹ of a tracked set that g⁻¹ moves into the lump.
+    """
+    pair = minimal_bithorn(g)
+    rows = {code.text: i for i, code in enumerate(table.tracked, start=1)}
+    shapes = {(code.vertex_count, code.spike_count) for code in table.tracked}
+    transitions = []
+    for forward, h, region in ((True, g, pair.dom), (False, invert(g), pair.ran)):
+        moved: dict[Spike, tuple[Spike, ...]] = {}
+        for i, pattern in enumerate(table.tracked, start=1):
+            for spikes in _embeddings(pattern, region):
+                image = []
+                for spike in spikes:
+                    if spike not in moved:
+                        moved[spike] = _act_on_spike(h, spike)
+                    image += moved[spike]
+                j = rows.get(classify_spikes_among(image, g.arity, shapes), 0)
+                if forward and j != i:
+                    transitions.append((i, j))
+                elif not forward and not j:
+                    transitions.append((0, i))
+    return _tabulate(table, transitions)
+
+
+def balance_defects(counts: TransitionCounts) -> list[int]:
+    """The tracked classes whose count of sets entering differs from the
+    count leaving: none, by the class-balance law."""
+    m = counts.matrix
+    size = len(m)
+    return [
+        i
+        for i in range(1, size)
+        if sum(m[i][j] for j in range(size) if j != i) != sum(m[k][i] for k in range(size) if k != i)
+    ]
+
+
+def full_gram_matrix(elements: Sequence[Spheromorphism], phi) -> tuple[tuple[float, ...], ...]:
+    """``gram_psd_check``'s matrix by its former algorithm: phi evaluated on
+    every product g_i^-1 g_j of the upper triangle, diagonal included, and
+    mirrored."""
+    size = len(elements)
+    inverses = [invert(g) for g in elements]
+    rows = [[0.0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            rows[i][j] = rows[j][i] = float(phi(compose(inverses[i], elements[j])))
+    return tuple(tuple(row) for row in rows)
 
 
 def pairwise_path_span(balls: Iterable[Ball]) -> dict[Address, set[int]]:

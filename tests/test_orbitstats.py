@@ -23,7 +23,7 @@ from spherotree.element import (
     witness_nonautomorphism,
     witness_translation,
 )
-from spherotree.errors import DomainError, ValidationError
+from spherotree.errors import DomainError, InternalError, ValidationError
 from spherotree.orbitstats import (
     ClassTable,
     TransitionCounts,
@@ -43,14 +43,16 @@ from spherotree.thorn import (
     reduce_subthorn,
     subthorn_from_balls,
 )
-from spherotree.tree import ClopenSet, down, parse_address, up, upsilon
+from spherotree.tree import ClopenSet, down, parse_address, spike_of_ball, up, upsilon
 
 from oracles import (
+    balance_defects,
     cell_touch_embeddings,
     full_class_index,
     irreducible_uniform_pairing,
     per_thorn_image,
     random_finitary,
+    two_sided_theta,
 )
 
 BALL = ThornCode(2, "(1:)")
@@ -151,10 +153,10 @@ def test_witness_ball_counts():
 def test_witness_against_bruteforce():
     g = witness_nonautomorphism()
     for depth in (4, 5):
-        assert theta_bruteforce(g, BALL_TABLE, depth) == theta(g, BALL_TABLE)
-        assert theta_bruteforce(g, COMBINED_TABLE, depth) == theta(
-            g, COMBINED_TABLE
-        )
+        for table in (BALL_TABLE, COMBINED_TABLE):
+            exact = theta_bruteforce(g, table, depth)
+            assert not balance_defects(exact)
+            assert exact == theta(g, table)
 
 
 def test_bruteforce_depth_guard():
@@ -184,8 +186,9 @@ def _small_elements(count: int, max_depth: int, start_seed: int):
 def test_theta_matches_bruteforce_on_random_elements():
     for g in _small_elements(25, 3, 9000):
         depth = g.depth() + 2
-        exact = theta(g, COMBINED_TABLE)
-        assert theta_bruteforce(g, COMBINED_TABLE, depth) == exact
+        exact = theta_bruteforce(g, COMBINED_TABLE, depth)
+        assert not balance_defects(exact)
+        assert theta(g, COMBINED_TABLE) == exact
         assert theta_bruteforce(g, COMBINED_TABLE, depth + 1) == exact
 
 
@@ -235,7 +238,9 @@ def test_longer_pattern_table():
     spread_table = ClassTable(2, 0, (BALL, SPREAD))
     g = witness_nonautomorphism()
     depth = g.depth() + SPREAD.diameter + 1
-    assert theta_bruteforce(g, spread_table, depth) == theta(g, spread_table)
+    exact = theta_bruteforce(g, spread_table, depth)
+    assert not balance_defects(exact)
+    assert exact == theta(g, spread_table)
 
 
 def test_composite_moves_more():
@@ -282,7 +287,9 @@ def test_distinct_cosets_fails_when_too_few_cosets_exist():
 
 
 def _check_against_bruteforce(table, elements):
-    """theta equals the brute force on each element and on coset mates a·g·b.
+    """theta equals the brute force on each element and on coset mates a·g·b,
+    and the brute-force counts, which know nothing of the class-balance law,
+    obey it.
 
     The mates are checked with the coset memo emptied before every call, so
     that each computes its own counts, and then warm, where every mate
@@ -293,6 +300,7 @@ def _check_against_bruteforce(table, elements):
     moved = 0
     for g in elements:
         exact = theta_bruteforce(g, table, g.depth() + max_diameter + 1)
+        assert not balance_defects(exact)
         mates = [
             compose(random_finitary(rng, g.arity), compose(g, random_finitary(rng, g.arity)))
             for _ in range(3)
@@ -391,6 +399,102 @@ def _vertex_rule_case(arity, kind, arg):
     return g, tables
 
 
+def _one_sided_cases():
+    """(element, table) pairs: seeded non-automorphisms of distinct double
+    cosets at arities 2-5 and the shuffled uniform pairings arity-2 (3,3,3)
+    and arity-3 (2,2,2,2), each with, for every residue of its arity, the
+    full class tables up to one cap and random sub-tables, in random order,
+    up to a larger cap."""
+    rng = random.Random("one-sided")
+    # (arity, largest full cap, largest sub-table cap, most classes in a
+    # sub-table, budget, elements): big classes at high arity have many
+    # embeddings, so their sub-tables stay small
+    plan = ((2, 3, 4, 2, 10, 18), (3, 2, 3, 1, 10, 8), (4, 1, 2, 1, 12, 6), (5, 1, 2, 1, 14, 3))
+    cases = []
+    for arity, full, top, most, budget, count in plan:
+        tables = []
+        for iota in range(arity - 1):
+            for cap in range(1, top + 1):
+                codes = enumerate_class_codes(arity, iota, cap)
+                if cap <= full:
+                    tables.append(ClassTable(arity, iota, codes))
+                sample = rng.sample(codes, rng.randint(1, min(most, len(codes))))
+                tables.append(ClassTable(arity, iota, tuple(sample)))
+        elements = _distinct_cosets(arity, budget, 3, count, f"one-sided{arity}")
+        if arity == 2:
+            elements.append(irreducible_uniform_pairing(2, (3, 3, 3), 0))
+        if arity == 3:
+            elements.append(irreducible_uniform_pairing(3, (2, 2, 2, 2), 0))
+        cases += [(g, table) for g in elements for table in tables]
+    return cases
+
+
+def test_theta_matches_the_two_sided_listing():
+    """θ, which lists the domain side only and derives the lump's row from
+    the class-balance law, is tuple-equal to the former two-sided listing,
+    whose range side counts the lumped sets entering each tracked class
+    directly, on every case of ``_one_sided_cases``; that listing obeys the
+    law on every case, and the lump's row is not always zero."""
+    cases = _one_sided_cases()
+    assert len(cases) >= 300
+    assert {(table.arity, table.iota) for _, table in cases} == {
+        (arity, iota) for arity in (2, 3, 4, 5) for iota in range(arity - 1)
+    }
+    theta.cache_clear()
+    entering = 0
+    for g, table in cases:
+        expected = two_sided_theta(g, table)
+        assert not balance_defects(expected), (g, table)
+        assert theta(g, table) == expected, (g, table)
+        entering += any(expected.matrix[0][1:])
+    theta.cache_clear()
+    assert entering > len(cases) // 4
+
+
+def test_theta_refuses_counts_that_break_the_class_balance_law(monkeypatch):
+    """A listing in which a tracked class gains more sets from the other
+    tracked class than it loses would give the lump's row a negative entry:
+    θ raises ``InternalError`` instead."""
+    g = witness_nonautomorphism()
+
+    def unbalanced(h, region, table):
+        yield (), 1, (), 2
+
+    theta.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(orbitstats, "_leaving", unbalanced)
+        with pytest.raises(InternalError, match="gains 1 more sets than it loses"):
+            theta(g, COMBINED_TABLE)
+    theta.cache_clear()
+
+
+def test_theta_never_lists_the_range_side(monkeypatch):
+    """θ calls ``_embeddings`` only on the domain side of the minimal
+    bi-thorn, on elements whose two sides differ."""
+    regions = []
+    real = orbitstats._embeddings
+
+    def recorded(pattern, region):
+        regions.append(region)
+        return real(pattern, region)
+
+    theta.cache_clear()
+    differ = 0
+    with monkeypatch.context() as patch:
+        patch.setattr(orbitstats, "_embeddings", recorded)
+        for g in _gram_products():
+            pair = minimal_bithorn(g)
+            if pair.is_empty:
+                continue
+            regions.clear()
+            theta.cache_clear()
+            theta(g, COMBINED_TABLE)
+            assert regions and all(region == pair.dom for region in regions)
+            differ += pair.dom != pair.ran
+    theta.cache_clear()
+    assert differ > 10
+
+
 def test_thorns_meeting_the_pair_only_at_a_mid_edge_keep_their_class():
     """Every thorn that has a cell but no vertex in a side of the minimal
     bi-thorn, which ``enumerate_embeddings`` leaves out, is fixed or keeps
@@ -425,7 +529,11 @@ def test_theta_with_the_cell_touch_listing_is_the_same(monkeypatch):
     fast = [theta(g, table) for g, tables in cases for table in tables]
     theta.cache_clear()
     with monkeypatch.context() as patch:
-        patch.setattr(orbitstats, "_embeddings", cell_touch_embeddings)
+        patch.setattr(
+            orbitstats,
+            "_embeddings",
+            lambda pattern, region: [tuple(t.spikes) for t in cell_touch_embeddings(pattern, region)],
+        )
         slow = [theta(g, table) for g, tables in cases for table in tables]
     theta.cache_clear()
     assert slow == fast
@@ -461,14 +569,14 @@ def test_shape_shortcut_gives_every_image_the_full_class_index(monkeypatch):
     """Each image θ considers gets the same table index from the shape test
     as from full classification, and θ with the full classification patched
     in is tuple-equal.  Both outcomes of the shape test occur."""
-    real = orbitstats.classify_balls_among
+    real = orbitstats.classify_spikes_among
     outcomes = Counter()
 
     def checked(table):
-        def classify(balls, arity, shapes):
-            text = real(balls, arity, shapes)
+        def classify(spikes, arity, shapes):
+            text = real(spikes, arity, shapes)
             index = next((i for i, code in enumerate(table.tracked, start=1) if code.text == text), 0)
-            assert index == full_class_index(balls, table), (table, balls)
+            assert index == full_class_index(list(map(ball_of_spike, spikes)), table), (table, spikes)
             outcomes[text is None] += 1
             return text
 
@@ -476,17 +584,17 @@ def test_shape_shortcut_gives_every_image_the_full_class_index(monkeypatch):
 
     def full(table):
         texts = (None,) + tuple(code.text for code in table.tracked)
-        return lambda balls, arity, shapes: texts[full_class_index(balls, table)]
+        return lambda spikes, arity, shapes: texts[full_class_index(list(map(ball_of_spike, spikes)), table)]
 
     cases = _shortcut_cases()
     fast, slow = [], []
     for g, table in cases:
         with monkeypatch.context() as patch:
             theta.cache_clear()
-            patch.setattr(orbitstats, "classify_balls_among", checked(table))
+            patch.setattr(orbitstats, "classify_spikes_among", checked(table))
             fast.append(theta(g, table))
             theta.cache_clear()
-            patch.setattr(orbitstats, "classify_balls_among", full(table))
+            patch.setattr(orbitstats, "classify_spikes_among", full(table))
             slow.append(theta(g, table))
     theta.cache_clear()
     assert slow == fast
@@ -502,52 +610,52 @@ def test_theta_encodes_only_images_of_a_tracked_shape(monkeypatch):
     tracked class."""
     calls = [0]
     real_text = thorn._center_rooted_text
-    real_classify = orbitstats.classify_balls_among
+    real_classify = orbitstats.classify_spikes_among
 
     def counted_text(*args):
         calls[0] += 1
         return real_text(*args)
 
     shapes = {(code.vertex_count, code.spike_count) for code in COMBINED_TABLE.tracked}
-    images = []  # (image balls, encoder runs) per classified image
+    images = []  # (image spikes, encoder runs) per classified image
 
-    def classify(balls, arity, tracked_shapes):
+    def classify(spikes, arity, tracked_shapes):
         before = calls[0]
-        text = real_classify(balls, arity, tracked_shapes)
-        images.append((balls, calls[0] - before))
+        text = real_classify(spikes, arity, tracked_shapes)
+        images.append((spikes, calls[0] - before))
         return text
 
     products = _gram_products()
     theta.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(thorn, "_center_rooted_text", counted_text)
-        patch.setattr(orbitstats, "classify_balls_among", classify)
+        patch.setattr(orbitstats, "classify_spikes_among", classify)
         for g in products:
             theta(g, COMBINED_TABLE)
     theta.cache_clear()
     encoded = sum(runs for _, runs in images)
     assert 0 < encoded < len(images)
     untracked = 0
-    for balls, runs in images:
-        reduced = reduce_subthorn(subthorn_from_balls(balls, 2))
+    for spikes, runs in images:
+        reduced = reduce_subthorn(subthorn_from_balls(list(map(ball_of_spike, spikes)), 2))
         if (len(reduced.vertices), len(reduced.spikes)) not in shapes:
             untracked += 1
-            assert runs == 0, balls
+            assert runs == 0, spikes
     assert untracked > len(images) // 2
 
 
-def test_theta_moves_each_spike_once_per_side(monkeypatch):
+def test_theta_moves_each_domain_spike_once(monkeypatch):
     """On the products g_i^-1 g_j of seeded Gram elements, one θ computation
-    moves the ball of each spike of the thorns listed on a side exactly once
-    (g on the domain side, g^-1 on the range side), and θ with the former
-    per-thorn image patched in is tuple-equal."""
+    moves, with g and never g^-1, the ball of each spike of the thorns listed
+    on the domain side exactly once, and θ with a per-thorn image through
+    the public ``act_on_ball`` patched in is tuple-equal."""
     products = _gram_products()
-    real_act = orbitstats._act_on_ball
-    moved = []  # (element, ball) per call
+    real_act = orbitstats._act_on_spike
+    moved = []  # (element, spike) per call
 
-    def counted_act(g, ball):
-        moved.append((g, ball))
-        return real_act(g, ball)
+    def counted_act(g, spike):
+        moved.append((g, spike))
+        return real_act(g, spike)
 
     fast, calls, per_thorn = [], 0, 0
     for g in products:
@@ -555,23 +663,22 @@ def test_theta_moves_each_spike_once_per_side(monkeypatch):
         theta.cache_clear()
         moved.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(orbitstats, "_act_on_ball", counted_act)
+            patch.setattr(orbitstats, "_act_on_spike", counted_act)
             fast.append(theta(g, COMBINED_TABLE))
-        for forward, region in ((True, pair.dom), (False, pair.ran)):
-            listed = [
-                spike
-                for pattern in COMBINED_TABLE.tracked
-                for found in enumerate_embeddings(pattern, region)
-                for spike in found.spikes
-            ]
-            balls = [ball for h, ball in moved if (h is g) == forward]
-            assert sorted(balls) == sorted({ball_of_spike(spike) for spike in listed})
-            per_thorn += len(listed)
+        listed = [
+            spike
+            for pattern in COMBINED_TABLE.tracked
+            for found in enumerate_embeddings(pattern, pair.dom)
+            for spike in found.spikes
+        ]
+        assert all(h is g for h, _ in moved)
+        assert sorted(spike for _, spike in moved) == sorted(set(listed))
+        per_thorn += len(listed)
         calls += len(moved)
     assert per_thorn > 2 * calls
     theta.cache_clear()
     with monkeypatch.context() as patch:
-        patch.setattr(orbitstats, "_balls_and_image", per_thorn_image)
+        patch.setattr(orbitstats, "_image", per_thorn_image)
         slow = [theta(g, COMBINED_TABLE) for g in products]
     theta.cache_clear()
     assert len(products) == 28 and slow == fast
@@ -581,8 +688,9 @@ def test_theta_moves_each_spike_once_per_side(monkeypatch):
 def test_candidates_left_in_place_classify_to_their_own_pattern():
     """On the Gram products, each listed candidate whose image under g (or
     g^-1 on the range side) is the same set gets its own pattern's text from
-    ``classify_balls_among``.  So θ needs no fixed-set test: the domain side
-    sees j = i and the range side j != 0, and neither yields it."""
+    ``classify_spikes_among``.  So ``_leaving`` needs no fixed-set test: it
+    sees j = i and does not yield it, on the domain side θ lists and on the
+    range side ``moved_sets`` lists."""
     shapes = {(code.vertex_count, code.spike_count) for code in COMBINED_TABLE.tracked}
     fixed = listed = 0
     for g in _gram_products():
@@ -595,25 +703,30 @@ def test_candidates_left_in_place_classify_to_their_own_pattern():
                     image = [b for ball in balls for b in act_on_ball(h, ball)]
                     if ClopenSet.from_balls(2, image) == ClopenSet.from_balls(2, balls):
                         fixed += 1
-                        assert orbitstats.classify_balls_among(image, 2, shapes) == pattern.text
+                        spikes = [spike_of_ball(b) for b in image]
+                        assert orbitstats.classify_spikes_among(spikes, 2, shapes) == pattern.text
     assert 0 < fixed < listed
 
 
 def test_theta_and_moved_sets_read_no_order_of_balls(monkeypatch):
-    """θ and the ``moved_sets`` records are unchanged when
-    ``_balls_and_image`` hands out the balls and the image reversed."""
-    real = orbitstats._balls_and_image
+    """θ and the ``moved_sets`` records are unchanged when ``_embeddings``
+    hands out each thorn's spikes, and ``_image`` the image's, reversed."""
+    real_image = orbitstats._image
+    real_embeddings = orbitstats._embeddings
 
-    def reversed_order(g, thorn, moved):
-        balls, image = real(g, thorn, moved)
-        return balls[::-1], image[::-1]
+    def reversed_image(g, spikes, moved):
+        return real_image(g, spikes, moved)[::-1]
+
+    def reversed_embeddings(pattern, region):
+        return [spikes[::-1] for spikes in real_embeddings(pattern, region)]
 
     products = _gram_products()
     theta.cache_clear()
     plain = [(theta(g, COMBINED_TABLE), moved_sets(g, COMBINED_TABLE)) for g in products]
     theta.cache_clear()
     with monkeypatch.context() as patch:
-        patch.setattr(orbitstats, "_balls_and_image", reversed_order)
+        patch.setattr(orbitstats, "_image", reversed_image)
+        patch.setattr(orbitstats, "_embeddings", reversed_embeddings)
         reversed_ = [(theta(g, COMBINED_TABLE), moved_sets(g, COMBINED_TABLE)) for g in products]
     theta.cache_clear()
     assert reversed_ == plain
@@ -705,7 +818,9 @@ def test_large_symmetric_coset_goes_through_the_memo():
     start = time.perf_counter()
     exact = theta(g, COMBINED_TABLE)
     assert time.perf_counter() - start < 2.0
-    assert exact == theta_bruteforce(g, COMBINED_TABLE, g.depth() + 2)
+    brute = theta_bruteforce(g, COMBINED_TABLE, g.depth() + 2)
+    assert not balance_defects(brute)
+    assert exact == brute
     assert theta(mate, COMBINED_TABLE) == exact
     assert theta.cache_info()[:2] == (1, 1)
 
@@ -738,7 +853,9 @@ def test_theta_and_phi_build_no_clopen_sets(monkeypatch):
         counts = [theta(g, COMBINED_TABLE) for g in elements]
         values = [phi_nessonov(invert(g), spec) for g in elements]
     for g, exact, value in zip(elements, counts, values):
-        assert exact == theta_bruteforce(g, COMBINED_TABLE, g.depth() + 2)
+        brute = theta_bruteforce(g, COMBINED_TABLE, g.depth() + 2)
+        assert not balance_defects(brute)
+        assert exact == brute
         assert value == phi_nessonov(g, spec)
 
 
@@ -753,16 +870,18 @@ def test_bruteforce_shares_nothing_with_theta_classification(monkeypatch):
     table = ClassTable(2, 0, (BALL,))
     names = (
         "classify_balls",
-        "classify_balls_among",
+        "classify_spikes_among",
         "_reduced_text",
         "reduce_subthorn",
         "subthorn_from_balls",
         "canonical_code",
         "rooted_encoder",
         "act_on_ball",
-        "_act_on_ball",
+        "_act_on_spike",
         "_spanned",
         "_embeddings",
+        "_leaving",
+        "_image",
     )
     modules = [
         module

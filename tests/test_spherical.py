@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from spherotree.bithorn import coset_code
+from spherotree.bithorn import coset_code, is_automorphism
 from spherotree.element import (
     compose,
     finitary_automorphism,
@@ -19,6 +19,7 @@ from spherotree.orbitstats import ClassTable, theta
 from spherotree.spherical import (
     SphericalSpec,
     TensorSpec,
+    _psd_verdict,
     gram_psd_check,
     nessonov_evaluator,
     phi_l2,
@@ -30,6 +31,8 @@ from spherotree.spherical import (
     validate_spec,
 )
 from spherotree.thorn import ThornCode, enumerate_class_codes
+
+from oracles import full_gram_matrix, random_finitary
 
 BALL = ThornCode(2, "(1:)")
 PAIR = ThornCode(2, "(1:(1:))")
@@ -404,3 +407,132 @@ def test_gram_tensor_family():
     els = [random_element(2, 6, seed=s) for s in range(4)]
     report = gram_psd_check(els, tensor_evaluator(tspec))
     assert report.ok
+
+
+def _family(rng, size, budget=8):
+    """Seeded elements with left-coset mates g·a (a an automorphism), other
+    double-coset mates a·g, repeats and automorphisms, shuffled."""
+    base = [random_element(2, budget, seed=rng.randrange(10**6)) for _ in range(size)]
+    els = list(base)
+    for g in rng.sample(base, 2):
+        els.append(compose(g, random_finitary(rng, 2)))
+        els.append(compose(random_finitary(rng, 2), g))
+    els.append(rng.choice(base))
+    els.append(random_finitary(rng, 2))
+    rng.shuffle(els)
+    return els
+
+
+def _left_cosets(els):
+    """Each element's left coset, numbered by first appearance, by pairwise
+    automorphism tests."""
+    labels = []
+    for i, g in enumerate(els):
+        mate = next((j for j in range(i) if is_automorphism(compose(invert(els[j]), g))), None)
+        labels.append(len(set(labels)) if mate is None else labels[mate])
+    return labels
+
+
+def test_gram_matrix_equals_the_full_loop_on_every_family():
+    """The matrix expanded from the left cosets' values is tuple-equal to
+    phi evaluated on every product g_i^-1 g_j, for the nessonov, l2, tensor
+    and product families, on families with coset mates and repeats; rows
+    within a left coset are equal, min_eig is exactly 0.0 and each repeat
+    is warned about."""
+    rng = random.Random("gram-cosets")
+    table = ClassTable(2, 0, (BALL, PAIR))
+    tspec = TensorSpec(2, 0, 2, ((BALL, _unit(rng, 2)), (PAIR, _unit(rng, 2))), _unit(rng, 2))
+    for trial in range(3):
+        spec = _random_spec(rng, table)
+        els = _family(rng, 4)
+        labels = _left_cosets(els)
+        assert len(set(labels)) < len(els)
+        for phi in (
+            nessonov_evaluator(spec),
+            phi_l2,
+            tensor_evaluator(tspec),
+            phi_product(nessonov_evaluator(spec), phi_l2),
+        ):
+            report = gram_psd_check(els, phi)
+            assert report.matrix == full_gram_matrix(els, phi)
+            for i, j in ((i, j) for i in range(len(els)) for j in range(i)):
+                if labels[i] == labels[j]:
+                    assert report.matrix[i] == report.matrix[j]
+            assert report.min_eigenvalue == 0.0 and report.ok
+            assert report.warnings and len(report.warnings) == sum(
+                els[i] == els[j] for i in range(len(els)) for j in range(i)
+            )
+
+
+def test_gram_evaluates_phi_once_per_pair_of_left_cosets():
+    """phi runs on the identity once and on each pair of distinct left
+    cosets once, whatever the family: nessonov, l2 and tensor alike."""
+    rng = random.Random("gram-calls")
+    els = _family(rng, 5)
+    m = len(set(_left_cosets(els)))
+    tspec = TensorSpec(2, 0, 2, ((BALL, _unit(rng, 2)), (PAIR, _unit(rng, 2))), _unit(rng, 2))
+    for phi in (nessonov_evaluator(_random_spec(rng, BALL_TABLE)), phi_l2, tensor_evaluator(tspec)):
+        seen = []
+
+        def counted(g, phi=phi):
+            seen.append(g)
+            return phi(g)
+
+        gram_psd_check(els, counted)
+        assert len(seen) == 1 + m * (m - 1) // 2
+        assert sum(map(is_automorphism, seen)) == 1
+
+
+def test_gram_min_eig_is_zero_exactly_when_a_left_coset_repeats():
+    """Two elements of one left coset make min_eig exactly 0.0; with every
+    coset once, it is the least eigenvalue of the matrix itself."""
+    g = witness_nonautomorphism()
+    mate = compose(g, witness_translation())
+    assert not mate == g
+    for els in ([g, mate], [identity(2), witness_translation(), g], [g, g]):
+        assert gram_psd_check(els, phi_l2).min_eigenvalue == 0.0
+    spec = SphericalSpec(BALL_TABLE, ((1.0, 0.5), (0.5, 1.0)))
+    report = gram_psd_check([identity(2), g], nessonov_evaluator(spec))
+    assert report.min_eigenvalue == min(symmetric_eigenvalues(report.matrix)) > 0.0
+
+
+def test_gram_spectrum_of_repeated_rows_against_numpy():
+    """For a symmetric A and coset sizes d, the least eigenvalue judged is
+    that of the matrix repeating row and column a d_a times: numpy's least
+    eigenvalue of the expanded matrix, on random duplicate patterns, with A
+    indefinite as well as PSD."""
+    np = pytest.importorskip("numpy")
+    rng = random.Random("gram-spectrum")
+    for trial in range(40):
+        m = rng.randint(1, 7)
+        base = [[rng.uniform(-1, 1) for _ in range(m)] for _ in range(m)]
+        if trial % 2:
+            a = [[sum(base[i][k] * base[j][k] for k in range(m)) for j in range(m)] for i in range(m)]
+        else:
+            a = [[(base[i][j] + base[j][i]) / 2.0 for j in range(m)] for i in range(m)]
+        sizes = [rng.choice((1, 1, 2, 3)) for _ in range(m)]
+        labels = [c for c in range(m) for _ in range(sizes[c])]
+        expanded = np.array([[a[p][q] for q in labels] for p in labels])
+        low, threshold, ok = _psd_verdict(tuple(map(tuple, a)), 1e-8, sizes)
+        ref = min(np.linalg.eigvalsh(expanded))
+        assert abs(low - ref) <= 1e-9 * max(1.0, np.abs(expanded).max())
+        assert threshold == -1e-8 * np.abs(expanded).max()
+        if len(labels) > m:
+            assert low <= 0.0
+
+
+def test_gram_near_one_spec_sees_more_than_the_identity():
+    """A spec with 0.99/0.98 off the diagonal over 32 seeded elements: the
+    matrix is not the identity, its left cosets' matrix has least eigenvalue
+    about 0.62, and the certificate passes with min_eig exactly 0.0."""
+    table = ClassTable(2, 0, enumerate_class_codes(2, 0, 2))
+    spec = SphericalSpec(table, ((1.0, 0.99, 0.98), (0.99, 1.0, 0.99), (0.98, 0.99, 1.0)))
+    els = [random_element(2, 8, seed=seed) for seed in range(32)]
+    report = gram_psd_check(els, nessonov_evaluator(spec))
+    assert report.ok and report.min_eigenvalue == 0.0
+    distinct = list(dict.fromkeys(report.matrix))
+    labels = _left_cosets(els)
+    firsts = [labels.index(c) for c in range(len(set(labels)))]
+    assert len(distinct) == len(firsts) == 10
+    cosets = [[report.matrix[i][j] for j in firsts] for i in firsts]
+    assert 0.6 < min(symmetric_eigenvalues(cosets)) < 0.65

@@ -38,6 +38,7 @@ from spherotree.tree import (
     balls_disjoint,
     down,
     parse_address,
+    spike_of_ball,
     up,
     upsilon,
 )
@@ -562,7 +563,7 @@ def test_spanned_matches_the_pairwise_path_span():
                 balls = _random_disjoint_balls(rng, arity, 4, 6)
             rng.shuffle(balls)
             expected = pairwise_path_span(balls)
-            assert _spanned(balls) == expected, balls
+            assert _spanned([spike_of_ball(b) for b in balls]) == expected, balls
             anchors = {b.cut if b.up else b.cut[:-1] for b in balls}
             seen["up ball"] += any(b.up for b in balls)
             seen["cut next to the root"] += any(len(b.cut) == 1 for b in balls)

@@ -187,6 +187,16 @@ def test_clopen_normal_form_merges_families():
     assert om3.carrier == (A("00"), A("01"), A("1"), A("2"))
 
 
+def test_clopen_from_marks_rejects_a_repeated_leaf():
+    """A leaf given twice is refused, with the same flag or another, and
+    whichever comes last; the pairs without the repeat make a set."""
+    rest = [(A("1"), False), (A("2"), False)]
+    for first, second in ((False, True), (True, False), (True, True)):
+        with pytest.raises(ValidationError, match="repeated leaves"):
+            ClopenSet.from_marks(2, [(A("0"), first), (A("0"), second)] + rest)
+    assert ClopenSet.from_marks(2, [(A("0"), True)] + rest).marked_leaves() == (A("0"),)
+
+
 def test_clopen_rejects_trivial_sets():
     with pytest.raises(DomainError):
         ClopenSet.from_marks(2, {A("0"): True, A("1"): True, A("2"): True})
