@@ -17,8 +17,8 @@ Pointwise products of any of these are again candidates, and
 ``phi(g_i^-1 g_j)`` over a chosen element set with a self-contained cyclic
 Jacobi eigensolver.  Every family here is invariant under automorphisms on
 both sides, so rows repeat within a left coset of the automorphism group;
-the certificate evaluates phi once per pair of cosets and takes the
-spectrum from the cosets' matrix.
+the certificate composes each product it needs once, evaluates phi once per
+pair of cosets and takes the spectrum from the cosets' matrix.
 """
 
 from __future__ import annotations
@@ -107,10 +107,6 @@ class SphericalSpec:
     def size(self) -> int:
         return len(self.matrix)
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.table.labels
-
 
 @dataclass(frozen=True)
 class SpecReport:
@@ -124,7 +120,7 @@ class SpecReport:
 
 def validate_spec(spec: SphericalSpec, tol: float = DEFAULT_PSD_TOL) -> SpecReport:
     """Certify the spec matrix: min eigenvalue >= -tol * (largest |entry|)."""
-    low, threshold, ok = _psd_verdict(spec.matrix, tol)
+    low, threshold, ok = _psd_verdict(spec.matrix, tol, [1] * spec.size)
     messages: tuple[str, ...] = ()
     if not ok:
         messages = (
@@ -135,27 +131,27 @@ def validate_spec(spec: SphericalSpec, tol: float = DEFAULT_PSD_TOL) -> SpecRepo
 
 
 def _psd_verdict(
-    matrix: Sequence[Sequence[float]], tol: float, sizes: Sequence[int] | None = None
+    matrix: Sequence[Sequence[float]], tol: float, sizes: Sequence[int]
 ) -> tuple[float, float, bool]:
-    """(min eigenvalue, threshold, passes): it passes iff the min eigenvalue
-    is at least -tol * max|entry| (-tol for the zero matrix).
+    """(min eigenvalue, threshold, passes) for the matrix that repeats row
+    and column a of ``matrix`` ``sizes[a]`` times; it passes iff the min
+    eigenvalue is at least -tol * max|entry| (-tol for the zero matrix).
 
-    With ``sizes``, the matrix judged is the one that repeats row and column
-    a ``sizes[a]`` times, whose spectrum is that of D^(1/2) A D^(1/2), D the
-    diagonal of the sizes, plus a zero for each repeat (``gram_psd_check``).
+    That matrix is E A E^T, E the n x m matrix assigning each repeat to its
+    row of A, so its spectrum is the n - m zeros plus that of
+    D^(1/2) A D^(1/2), D = E^T E the diagonal of the sizes; the Jacobi
+    solver runs on the m x m scaled matrix.  The zeros are listed first, so
+    a solver's -0.0 never displaces them.
     """
-    if tol < 0:
-        raise ValidationError("tolerance must be nonnegative")
-    if sizes is None or len(sizes) == sum(sizes):
-        low = min(symmetric_eigenvalues(matrix))
-    else:
-        # sqrt(d_a d_b) is one rounding of a symmetric product: the scaled
-        # matrix stays exactly symmetric
-        scaled = [
-            [x * math.sqrt(sizes[a] * sizes[b]) for b, x in enumerate(row)]
-            for a, row in enumerate(matrix)
-        ]
-        low = min(0.0, min(symmetric_eigenvalues(scaled)))
+    if not tol >= 0:
+        raise ValidationError("tolerance must be a nonnegative number")
+    # sqrt(d_a d_b) is one rounding of a symmetric product, so the scaled
+    # matrix stays exactly symmetric, and sqrt(1 * 1) leaves an entry as is
+    scaled = [
+        [x * math.sqrt(sizes[a] * sizes[b]) for b, x in enumerate(row)]
+        for a, row in enumerate(matrix)
+    ]
+    low = min((0.0,) * (sum(sizes) - len(sizes)) + symmetric_eigenvalues(scaled))
     scale = max(abs(x) for row in matrix for x in row)
     threshold = -tol * (scale if scale > 0.0 else 1.0)
     return low, threshold, low >= threshold
@@ -416,20 +412,14 @@ def gram_psd_check(
     invariant under automorphisms on both sides, phi(a·g·b) == phi(g) for
     automorphisms a and b, and symmetric, phi(g) == phi(g^-1), both exactly;
     every family provided here is.  Then two elements of one left coset gK,
-    K the automorphism group, have equal rows.  The elements are grouped
-    into left cosets by testing each against the representatives found so
-    far (the first element of each coset) with
-    ``is_automorphism(compose(invert(rep), g))``; phi is evaluated once per
-    pair of representatives, once more on the identity for every entry
-    within a coset, and M is expanded from those values.
-
-    With E the n x m matrix assigning each element to its coset, A' the
-    representatives' matrix and D = E^T E the coset sizes, M = E A' E^T, so
-    the spectrum of M is that of D^(1/2) A' D^(1/2) plus n - m zeros.  The
-    least eigenvalue is therefore min(0, lambda_min(D^(1/2) A' D^(1/2)))
-    when n > m, and lambda_min(A') otherwise, found with the Jacobi solver
-    on the m x m matrix; the check passes iff it is at least
-    -tol * max|entry|.  Repeated elements are allowed; they make M singular
+    K the automorphism group, have equal rows.  One pass over the elements
+    composes each with the inverses of the representatives found so far
+    (the first element of each coset) until a product is an automorphism,
+    which puts it in that coset.  If none is, the element represents a new
+    coset, and phi of the products just composed is its row of the cosets'
+    matrix; phi runs once more, on the identity, for the diagonal.  M is
+    expanded from that matrix, and ``_psd_verdict`` judges M through it and
+    the coset sizes.  Repeated elements are allowed; they make M singular
     and are reported as a warning.
     """
     els = tuple(elements)
@@ -439,19 +429,25 @@ def gram_psd_check(
     for g in els[1:]:
         if g.arity != arity:
             raise DomainError("elements mix arities")
-    reps: list[int] = []  # index of the first element of each left coset
+    unit = float(phi(identity(arity)))
     rep_inverses: list[Spheromorphism] = []
+    small: list[list[float]] = []  # phi on the representatives' products
     coset_of: list[int] = []
-    for k, g in enumerate(els):
-        found = next(
-            (c for c, inverse in enumerate(rep_inverses) if is_automorphism(compose(inverse, g))),
-            None,
-        )
-        if found is None:
-            found = len(reps)
-            reps.append(k)
+    for g in els:
+        products: list[Spheromorphism] = []
+        for inverse in rep_inverses:
+            product = compose(inverse, g)
+            if is_automorphism(product):
+                coset_of.append(len(products))
+                break
+            products.append(product)
+        else:
+            row = [float(phi(product)) for product in products]
+            for earlier, x in zip(small, row):
+                earlier.append(x)
+            small.append(row + [unit])
+            coset_of.append(len(rep_inverses))
             rep_inverses.append(invert(g))
-        coset_of.append(found)
     # equal elements share a left coset, so only pairs within one are compared
     warnings = tuple(
         f"elements {i} and {j} coincide; the Gram matrix is singular"
@@ -459,14 +455,7 @@ def gram_psd_check(
         for j in range(i + 1, len(els))
         if coset_of[i] == coset_of[j] and equals(els[i], els[j])
     )
-    m = len(reps)
-    small = [[0.0] * m for _ in range(m)]
-    unit = float(phi(identity(arity)))
-    for a in range(m):
-        small[a][a] = unit
-        for b in range(a + 1, m):
-            small[a][b] = small[b][a] = float(phi(compose(rep_inverses[a], els[reps[b]])))
     matrix = tuple(tuple(small[a][b] for b in coset_of) for a in coset_of)
-    sizes = [coset_of.count(a) for a in range(m)]
+    sizes = [coset_of.count(a) for a in range(len(small))]
     low, threshold, ok = _psd_verdict(small, tol, sizes)
     return GramReport(els, matrix, low, tol, threshold, ok, warnings)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import DomainError, ValidationError
@@ -389,16 +389,5 @@ def all_words(arity: int, depth: int) -> Iterator[Address]:
     if depth == 0:
         yield ROOT
         return
-    for first in range(arity + 1):
-        for tail in _tails(arity, depth - 1):
-            yield (first,) + tail
-
-
-def _tails(arity: int, length: int) -> Iterator[Address]:
-    if length == 0:
-        yield ()
-        return
-    for tail in _tails(arity, length - 1):
-        for c in range(arity):
-            yield tail + (c,)
+    yield from product(range(arity + 1), *[range(arity)] * (depth - 1))
 

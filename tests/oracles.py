@@ -1,5 +1,6 @@
 """Reference helpers that only the tests need, kept apart from the library."""
 
+import math
 import random
 from itertools import chain, combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
@@ -14,8 +15,9 @@ from spherotree.element import (
     from_pieces,
     invert,
 )
-from spherotree.errors import DomainError
+from spherotree.errors import DomainError, ValidationError
 from spherotree.orbitstats import ClassTable, TransitionCounts, _tabulate
+from spherotree.spherical import symmetric_eigenvalues
 from spherotree.thorn import (
     EMPTY_CODE_TEXT,
     UP,
@@ -337,6 +339,29 @@ def full_gram_matrix(elements: Sequence[Spheromorphism], phi) -> tuple[tuple[flo
         for j in range(i, size):
             rows[i][j] = rows[j][i] = float(phi(compose(inverses[i], elements[j])))
     return tuple(tuple(row) for row in rows)
+
+
+def two_branch_psd_verdict(
+    matrix: Sequence[Sequence[float]], tol: float, sizes: Sequence[int] | None = None
+) -> tuple[float, float, bool]:
+    """``spherical._psd_verdict`` by its former two-branch rule: without
+    ``sizes``, or with every size 1, the least eigenvalue of the matrix
+    itself; otherwise min(0, lambda_min(D^(1/2) A D^(1/2))), D the diagonal
+    of the sizes.  The threshold is -tol * max|entry| (-tol for the zero
+    matrix)."""
+    if tol < 0:
+        raise ValidationError("tolerance must be nonnegative")
+    if sizes is None or len(sizes) == sum(sizes):
+        low = min(symmetric_eigenvalues(matrix))
+    else:
+        scaled = [
+            [x * math.sqrt(sizes[a] * sizes[b]) for b, x in enumerate(row)]
+            for a, row in enumerate(matrix)
+        ]
+        low = min(0.0, min(symmetric_eigenvalues(scaled)))
+    scale = max(abs(x) for row in matrix for x in row)
+    threshold = -tol * (scale if scale > 0.0 else 1.0)
+    return low, threshold, low >= threshold
 
 
 def pairwise_path_span(balls: Iterable[Ball]) -> dict[Address, set[int]]:

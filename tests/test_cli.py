@@ -255,6 +255,16 @@ def test_phi_rejects_non_psd_spec(work, capsys, tmp_path):
     assert "badspec.txt" in err
 
 
+def test_a_tolerance_that_is_not_a_nonnegative_number_exits_one(work, capsys):
+    for tol in ("nan", "-1e-8"):
+        for argv in (
+            ["validate", work["spec"], "--kind", "spec"],
+            ["gram", work["id2"], work["g0"], "--family", "l2"],
+        ):
+            code, out, err = _run(capsys, *argv, f"--tol={tol}")
+            assert code == 1 and not out and "nonnegative number" in err
+
+
 def test_gram_accepts_files_and_directories(work, capsys, tmp_path):
     code, out, _ = _run(
         capsys, "gram", work["id2"], work["g0"], work["r1"], "--family", "l2"

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from spherotree import spherical
 from spherotree.bithorn import coset_code, is_automorphism
 from spherotree.element import (
     compose,
+    equals,
     finitary_automorphism,
     identity,
     invert,
@@ -32,7 +34,7 @@ from spherotree.spherical import (
 )
 from spherotree.thorn import ThornCode, enumerate_class_codes
 
-from oracles import full_gram_matrix, random_finitary
+from oracles import full_gram_matrix, random_finitary, two_branch_psd_verdict
 
 BALL = ThornCode(2, "(1:)")
 PAIR = ThornCode(2, "(1:(1:))")
@@ -399,6 +401,17 @@ def test_gram_guards():
         gram_psd_check([identity(2)], phi_l2, tol=-1.0)
 
 
+def test_a_nan_tolerance_is_refused():
+    """A tolerance that is not a nonnegative number is refused before any
+    verdict: NaN, whose comparisons are all false, as well as negatives."""
+    spec = SphericalSpec(BALL_TABLE, ((1.0, 0.0), (0.0, 1.0)))
+    for tol in (math.nan, -math.nan, -1.0, -math.inf):
+        with pytest.raises(ValidationError, match="nonnegative number"):
+            gram_psd_check([identity(2)], phi_l2, tol=tol)
+        with pytest.raises(ValidationError, match="nonnegative number"):
+            validate_spec(spec, tol=tol)
+
+
 def test_gram_tensor_family():
     rng = random.Random("gram-tensor")
     tspec = TensorSpec(
@@ -536,3 +549,86 @@ def test_gram_near_one_spec_sees_more_than_the_identity():
     assert len(distinct) == len(firsts) == 10
     cosets = [[report.matrix[i][j] for j in firsts] for i in firsts]
     assert 0.6 < min(symmetric_eigenvalues(cosets)) < 0.65
+
+
+def _recording(monkeypatch, name, log):
+    """Patch ``spherical.<name>`` to append the arguments of each call to ``log``."""
+    real = getattr(spherical, name)
+
+    def recorded(*args):
+        log.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(spherical, name, recorded)
+
+
+def test_gram_hands_phi_the_products_the_grouping_composed(monkeypatch):
+    """Every product phi receives, the identity aside, is by object identity
+    one that the grouping composed and tested for being an automorphism: no
+    product is composed a second time for phi."""
+    rng = random.Random("gram-one-pass")
+    els = _family(rng, 5)
+    spec = _random_spec(rng, BALL_TABLE)
+    tested = []
+    _recording(monkeypatch, "is_automorphism", tested)
+    seen = []
+
+    def counted(g, phi=nessonov_evaluator(spec)):
+        seen.append(g)
+        return phi(g)
+
+    gram_psd_check(els, counted)
+    fresh = [g for g in seen if not any(g is h for (h,) in tested)]
+    assert len(fresh) == 1 and equals(fresh[0], identity(2))
+    assert len(seen) > 1
+
+
+def test_gram_composes_each_element_once_with_each_earlier_representative(monkeypatch):
+    """On representatives A and B, a mate of A, a representative C and a
+    mate of B, compose runs once per (element, earlier representative) that
+    the grouping tries: B with A, A's mate with A, C with A and B, B's mate
+    with A and B, and nothing more."""
+    a, b, c = (random_element(2, 8, seed=seed) for seed in ("one-pass-a", "one-pass-b", "one-pass-c"))
+    els = [a, b, compose(a, witness_translation()), c, compose(b, finitary_automorphism(2, (2, 0, 1)))]
+    assert _left_cosets(els) == [0, 1, 0, 2, 1]
+    composed = []
+    _recording(monkeypatch, "compose", composed)
+    report = gram_psd_check(els, phi_l2)
+    pairs = [
+        (next(r for r, rep in enumerate((a, b, c)) if equals(invert(inverse), rep)),
+         next(k for k, g in enumerate(els) if g is element))
+        for inverse, element in composed
+    ]
+    assert pairs == [(0, 1), (0, 2), (0, 3), (1, 3), (0, 4), (1, 4)]
+    assert report.matrix == full_gram_matrix(els, phi_l2)
+
+
+def test_psd_verdict_matches_the_two_branch_rule():
+    """The one spectrum rule gives (low, threshold, ok) bit for bit as the
+    former two branches on 240 seeded symmetric matrices and coset sizes,
+    all-ones sizes included, and a spec's min_eig is exactly the least
+    eigenvalue of its matrix."""
+    rng = random.Random("psd-verdict")
+    for trial in range(240):
+        m = rng.randint(1, 6)
+        base = [[rng.uniform(-1, 1) for _ in range(m)] for _ in range(m)]
+        kind = trial % 4
+        if kind == 0:
+            a = [[(base[i][j] + base[j][i]) / 2.0 for j in range(m)] for i in range(m)]
+        elif kind == 1:
+            a = [[sum(base[i][k] * base[j][k] for k in range(m)) for j in range(m)] for i in range(m)]
+        elif kind == 2:
+            a = [[1.0] * m for _ in range(m)]  # rank one: zeros from the solver
+        else:
+            a = [[0.0] * m for _ in range(m)]
+        sizes = [1] * m if trial % 3 == 0 else [rng.choice((1, 1, 2, 3)) for _ in range(m)]
+        tol = rng.choice((0.0, 1e-8, 1e-3))
+        got = _psd_verdict(a, tol, sizes)
+        want = two_branch_psd_verdict(a, tol, sizes)
+        assert list(map(repr, got)) == list(map(repr, want)), (a, sizes)
+        if set(sizes) == {1}:
+            assert list(map(repr, got)) == list(map(repr, two_branch_psd_verdict(a, tol)))
+    table = ClassTable(2, 0, (BALL, PAIR))
+    for _ in range(20):
+        spec = _random_spec(rng, table)
+        assert validate_spec(spec).min_eigenvalue == min(symmetric_eigenvalues(spec.matrix))
