@@ -19,7 +19,7 @@ import binascii
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import chain, combinations, combinations_with_replacement, product
 from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .errors import DomainError, ValidationError
@@ -310,11 +310,13 @@ class ThornCode:
 
     @property
     def vertex_count(self) -> int:
-        return self._model[0].vertex_count
+        """One ``(`` per vertex, read off the text with no parse."""
+        return self.text.count("(")
 
     @property
     def spike_count(self) -> int:
-        return self._model[0].spike_count
+        """The sum of the k in each ``(k:``, read off the text with no parse."""
+        return sum(map(int, _VERTEX_OPEN.findall(self.text)))
 
     @property
     def diameter(self) -> int:
@@ -578,10 +580,21 @@ def enumerate_class_codes(arity: int, iota: int, max_vertices: int) -> tuple[Tho
     """All orbit-class codes of the residue sector with at most V vertices.
 
     Each unlabelled tree on at most V vertices (``_free_trees``) is taken
-    once and combined with every spike-count vector that fits its degrees,
-    lies in the residue sector and passes ``_shape_defect``; the centre-
-    rooted text then merges vectors that differ by a skeleton automorphism.
-    Codes come sorted by (vertex count, spike count, text).
+    once and combined with every spike-count vector in the residue sector
+    that the leaf rule admits.  A skeleton leaf, or a lone vertex, takes a
+    count in 1 .. n-1: 0 would leave it bare (or the thorn spikeless), n
+    unreduced and n+1 perfect.  Any other vertex takes 0 .. n+1-d, with d
+    its degree.  Each test of ``_shape_defect`` fails only where some leaf
+    or lone vertex has a count outside 1 .. n-1 (every tree has a leaf or
+    is one vertex, so a spikeless or perfect thorn has such a vertex), so
+    every vector the rule admits is an orbit class and none is tested.
+
+    Leaves that hang from one vertex are swapped by a skeleton automorphism,
+    so their counts are taken as a multiset (``combinations_with_replacement``
+    over the group of them), and each other vertex is a group of its own; a
+    vector is one pick per group.  The centre-rooted text then merges the
+    vectors that differ by any other automorphism.  Codes come sorted by
+    (vertex count, spike count, text).
     """
     check_sector(arity, iota)
     if max_vertices < 1:
@@ -589,12 +602,31 @@ def enumerate_class_codes(arity: int, iota: int, max_vertices: int) -> tuple[Tho
     found: set[tuple[int, int, str]] = set()
     for V, trees in enumerate(_free_trees(max_vertices), start=1):
         for adjacency in trees:
-            degs = tuple(len(nbrs) for nbrs in adjacency)
-            for counts in product(*(range(arity + 2 - d) for d in degs)):
+            # the vertices renumbered group by group, so that the picks of
+            # the groups, chained, are a vector in the new numbering
+            leaves_at: dict[int, list[int]] = {}
+            groups = []
+            for v, nbrs in enumerate(adjacency):
+                if len(nbrs) == 1:
+                    leaves_at.setdefault(min(nbrs), []).append(v)
+                else:
+                    groups.append([v])
+            groups += leaves_at.values()
+            order = [v for group in groups for v in group]
+            index = {v: i for i, v in enumerate(order)}
+            skeleton = tuple(frozenset(index[w] for w in adjacency[v]) for v in order)
+            centers = _skeleton_centers(skeleton)
+            choices = []
+            for group in groups:
+                d = len(adjacency[group[0]])
+                allowed = range(1, arity) if d <= 1 else range(arity + 2 - d)
+                choices.append(combinations_with_replacement(allowed, len(group)))
+            for pick in product(*choices):
+                counts = tuple(chain.from_iterable(pick))
                 spikes = sum(counts)
-                if spikes % (arity - 1) != iota or _shape_defect(degs, counts, arity):
-                    continue
-                found.add((V, spikes, _center_rooted_text(adjacency, counts)))
+                if spikes % (arity - 1) == iota:
+                    encode = rooted_encoder(skeleton, counts)
+                    found.add((V, spikes, min(map(encode, centers))))
     return tuple(trusted(ThornCode, arity, text) for _, _, text in sorted(found))
 
 

@@ -27,6 +27,7 @@ from spherotree.thorn import (
     ThornCode,
     _center_rooted_text,
     _embeddings,
+    _free_trees,
     _shape_defect,
     abstract_from_code,
     canonical_code,
@@ -449,6 +450,25 @@ def pruefer_class_codes(arity: int, iota: int, max_vertices: int) -> tuple[Thorn
                     continue
                 found.add(canonical_code(AbstractThorn(arity, adjacency, counts)))
     return tuple(sorted(found, key=lambda c: (c.vertex_count, c.spike_count, c.text)))
+
+
+def every_vector_class_codes(arity: int, iota: int, max_vertices: int) -> tuple[ThornCode, ...]:
+    """``enumerate_class_codes`` as first written, over every spike vector.
+
+    Each unlabelled tree (``_free_trees``) with every spike-count vector
+    that fits its degrees; the residue test and ``_shape_defect`` drop the
+    vectors that are no orbit class, and a set of texts drops repeats.
+    """
+    found: set[tuple[int, int, str]] = set()
+    for V, trees in enumerate(_free_trees(max_vertices), start=1):
+        for adjacency in trees:
+            degs = tuple(len(nbrs) for nbrs in adjacency)
+            for counts in product(*(range(arity + 2 - d) for d in degs)):
+                spikes = sum(counts)
+                if spikes % (arity - 1) != iota or _shape_defect(degs, counts, arity):
+                    continue
+                found.add((V, spikes, _center_rooted_text(adjacency, counts)))
+    return tuple(trusted(ThornCode, arity, text) for _, _, text in sorted(found))
 
 
 def labeled_trees(V: int) -> Iterator[tuple[frozenset[int], ...]]:

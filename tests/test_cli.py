@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line front end (exit codes and bytes)."""
 
+import ast
+import hashlib
 import os
 import random
 import subprocess
@@ -19,6 +21,7 @@ from spherotree import (
     identity,
     random_element,
     thompson_generators,
+    thorn,
     witness_nonautomorphism,
 )
 from spherotree.cli import build_parser, main
@@ -298,6 +301,46 @@ def test_enum_thorns_listing(capsys):
     code, _, err = _run(capsys, "enum-thorns", "--arity", "2", "--iota", "1",
                         "--max-vertices", "2")
     assert code == 1 and "residue" in err
+
+
+def _recorded_enum_digests() -> dict[str, str]:
+    """The benchmark's ``ENUM_DIGESTS``, read from its source, not imported."""
+    source = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    for node in ast.parse(source.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["ENUM_DIGESTS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{source} records no ENUM_DIGESTS")
+
+
+def test_enum_thorns_matches_every_recorded_class_list_digest(capsys):
+    # sha256 of the newline-joined tokens, as the benchmark's enum check takes it
+    digests = _recorded_enum_digests()
+    assert len(digests) == 13
+    for config, digest in digests.items():
+        arity, iota, cap = config.split(",")
+        code, out, _ = _run(capsys, "enum-thorns", "--arity", arity, "--iota", iota, "--max-vertices", cap)
+        tokens = "\n".join(line.split()[0] for line in out.splitlines())
+        assert code == 0
+        assert hashlib.sha256(tokens.encode("utf-8")).hexdigest() == digest, config
+
+
+def test_enum_thorns_parses_no_code(capsys, monkeypatch):
+    """enum-thorns prints each class's counts off its text: the code-text
+    parser runs zero times."""
+    calls = []
+    parse = thorn._parse_code
+
+    def counting(*args):
+        calls.append(args)
+        return parse(*args)
+
+    monkeypatch.setattr(thorn, "_parse_code", counting)
+    ThornCode(2, "(1:)")  # the patch does bite
+    assert len(calls) == 1
+    calls.clear()
+    code, out, _ = _run(capsys, "enum-thorns", "--arity", "4", "--iota", "0", "--max-vertices", "5")
+    assert code == 0 and len(out.splitlines()) == 233
+    assert calls == []
 
 
 def test_random_element_is_seed_deterministic(capsys):

@@ -47,6 +47,7 @@ from oracles import (
     ball_contains_word,
     ball_relation,
     depth_members,
+    every_vector_class_codes,
     labeled_trees,
     pairwise_path_span,
     pruefer_class_codes,
@@ -749,6 +750,39 @@ def test_enumerate_class_codes_match_pruefer_oracle(arity, iota, max_vertices):
     assert enumerate_class_codes(arity, iota, max_vertices) == pruefer_class_codes(
         arity, iota, max_vertices
     )
+
+
+# every residue at the benchmark's ``enum-thorns`` caps, and arity 2 beyond
+EVERY_VECTOR_GRID = [(2, 0, 8)] + [
+    (arity, iota, cap) for arity, cap in ((3, 5), (4, 5), (5, 4), (6, 4)) for iota in range(arity - 1)
+]
+
+
+@pytest.mark.parametrize("arity, iota, max_vertices", EVERY_VECTOR_GRID)
+def test_enumerate_class_codes_match_every_vector_oracle(arity, iota, max_vertices):
+    # tuple equality: the same texts in the same order
+    assert enumerate_class_codes(arity, iota, max_vertices) == every_vector_class_codes(
+        arity, iota, max_vertices
+    )
+
+
+def test_code_counts_are_read_off_the_text():
+    """vertex_count and spike_count, read off the text, match the parsed
+    model on enumerated codes, on validated hand-written ones (two-digit
+    spike counts included) and on the empty code."""
+    codes = [c for arity in range(2, 7) for iota in range(arity - 1) for c in enumerate_class_codes(arity, iota, 4)]
+    codes += [
+        ThornCode(2, "E"),
+        ThornCode(2, "(0:)"),
+        ThornCode(3, "(0:(2:)(1:(1:)))"),
+        ThornCode(9, "(10:)"),
+        ThornCode(9, "(8:(9:)(0:(9:)))"),
+    ]
+    for code in codes:
+        model = abstract_from_code(code)
+        assert (code.vertex_count, code.spike_count) == (model.vertex_count, model.spike_count), code.text
+    assert (ThornCode(2, "E").vertex_count, ThornCode(2, "E").spike_count) == (0, 0)
+    assert ThornCode(9, "(8:(9:)(0:(9:)))").spike_count == 26
 
 
 def _skeleton_texts(trees):
