@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import binascii
 import random
+from bisect import insort
 from dataclasses import dataclass
+from itertools import chain, count, repeat
 from operator import itemgetter
 
 from .element import Spheromorphism
 from .errors import ValidationError
 from .thorn import (
+    _VERTEX_OPEN,
     EMPTY_CODE_TEXT,
-    AbstractThorn,
     Spike,
     SubThorn,
     ThornCode,
@@ -34,7 +36,6 @@ from .thorn import (
     abstract_from_code,
     decode_token,
     empty_subthorn,
-    rooted_encoder,
 )
 from .tree import Address, check_arity, children, merge_families, root_code, trusted
 
@@ -140,8 +141,9 @@ def reduce_bithorn(b: BiThorn, rng: random.Random | None = None) -> BiThorn:
     vertex itself is cut, so each is tested once, when it reaches n spikes.
     A single matched vertex pair matches two full branch stars, which any
     tree automorphism can align, so reaching one vertex means reaching the
-    empty pair.  Passing a random generator pops the worklist at random
-    instead of from its end; the result is the same either way.
+    empty pair.  A pair with nothing to cut comes back as itself.  Passing
+    a random generator pops the worklist at random instead of from its end;
+    the result is the same either way.
     """
     if b.is_empty:
         return b
@@ -165,12 +167,21 @@ def reduce_bithorn(b: BiThorn, rng: random.Random | None = None) -> BiThorn:
             pending.append(w)
     if len(dom) == 1:
         return empty_bithorn(arity)
+    if len(dom) == b.vertex_count:  # nothing was cut
+        return b
     pairing = tuple(sorted(pair.items()))
     return trusted(BiThorn, arity, _subthorn_of(dom, arity), _subthorn_of(ran, arity), pairing)
 
 
 def minimal_bithorn(g: Spheromorphism) -> BiThorn:
-    return reduce_bithorn(bithorn_of(g))
+    """g's minimal bi-thorn, kept on g as ``g.sources`` keeps its value: g
+    is immutable, so a product that the Gram grouping has reduced to test
+    for an automorphism is not reduced again when θ reads it."""
+    kept = vars(g)
+    pair = kept.get("minimal_bithorn")
+    if pair is None:
+        pair = kept["minimal_bithorn"] = reduce_bithorn(bithorn_of(g))
+    return pair
 
 
 def is_automorphism(g: Spheromorphism) -> bool:
@@ -254,131 +265,368 @@ def _validate_coset_text(arity: int, text: str) -> None:
         raise ValidationError("arc multiplicities disagree with the range shape")
 
 
-class _Side:
-    """The minimal rooted shape text of one side and its minimal roots.
+_FIRST = itemgetter(0)
 
-    Vertices are indexed in address order.  A numbering gives each index its
-    place in a preorder from a minimal root, with sibling subtrees in sorted
-    shape order; equal shapes may come in any order.
+
+class _Side:
+    """One side of a bi-thorn: its vertices, its rooted shape text, its
+    minimal roots, and the sibling groups of any rooting at one of them,
+    from one rerooting pass.
+
+    Vertices are indexed in address order, so the meet of the side, vertex
+    0, comes first and every other vertex after its parent address.  The
+    pass builds each subtree's text bottom-up, then top-down the text of
+    the rest of the thorn seen from the vertices that need it.  Each
+    vertex's neighbour texts are sorted once (``toward``), and a vertex's
+    rooted text is its head and those texts.
     """
 
     def __init__(self, t: SubThorn) -> None:
-        self.index = {v: i for i, v in enumerate(sorted(t.vertices))}
-        model = AbstractThorn.from_subthorn(t)
-        self.adjacency = model.adjacency
-        self.text = rooted_encoder(model.adjacency, model.spike_counts)
-        texts = [self.text(v) for v in range(len(self.index))]
-        self.shape = min(texts)
-        self.roots = [v for v, text in enumerate(texts) if text == self.shape]
+        vertices = sorted(t.vertices)
+        self.index = index = {v: i for i, v in enumerate(vertices)}
+        parent = [-1] * len(vertices)
+        heads = [""] * len(vertices)
+        # toward[v]: (text of the neighbour's side, neighbour), in text order
+        self.toward = toward = [[] for _ in vertices]
+        for w in range(len(vertices) - 1, 0, -1):  # w's subtree away from its parent
+            parent[w] = index[vertices[w][:-1]]
+            near = toward[w]
+            # both sides are perfect: the spikes fill each vertex up to n + 1
+            heads[w] = f"({t.arity - len(near)}:"
+            near.sort()
+            toward[parent[w]].append((heads[w] + "".join([text for text, _ in near]) + ")", w))
+        heads[0] = f"({t.arity + 1 - len(toward[0])}:"
+        toward[0].sort()
+        # A rooted text starts with its head, and no head is a prefix of
+        # another, so only the vertices of the least head can be minimal
+        # roots.  Their texts need the rest of the thorn seen from each
+        # vertex on their paths up to vertex 0, and a rooting at one of them
+        # enters every other vertex from its parent address.
+        low = min(heads)
+        path = [False] * len(vertices)
+        for v, head in enumerate(heads):
+            if head == low:
+                while v > 0 and not path[v]:
+                    path[v] = True
+                    v = parent[v]
+        rooted = []
+        for v, near in enumerate(toward):
+            if v and not path[v]:
+                continue
+            whole = heads[v] + "".join([text for text, _ in near]) + ")"
+            if heads[v] == low:
+                rooted.append((whole, v))
+            at = len(heads[v])
+            for text, w in near:
+                if w != parent[v] and path[w]:  # v's side seen from w: its text cut out of v's
+                    insort(toward[w], (whole[:at] + whole[at + len(text) :], v))
+                at += len(text)
+        self.shape = min(rooted)[0]
+        self.roots = [v for text, v in rooted if text == self.shape]
 
-    def rooted(self, root: int) -> dict[int, list[list[int]]]:
-        """Each vertex's children away from root, grouped by equal shape with
-        the groups in shape order, vertices in preorder: each vertex, then its
-        children's subtrees group by group, the order of the shape text."""
-        kids: dict[int, list[list[int]]] = {}
-        stack: list[tuple[int, int | None]] = [(root, None)]
-        while stack:
-            v, parent = stack.pop()
-            groups: dict[str, list[int]] = {}
-            for w in sorted(self.adjacency[v]):
-                if w != parent:
-                    groups.setdefault(self.text(w, v), []).append(w)
-            kids[v] = [groups[key] for key in sorted(groups)]
-            stack += reversed([(w, v) for group in kids[v] for w in group])
-        return kids
+    def rooting(self, root: int) -> list:
+        """(v, parent, groups) for each vertex, parents first: v's children
+        away from root as (subtree size, members, ranked) groups of equal
+        text, in text order, with ``ranked`` empty.  The root's parent is
+        -1."""
+        out: list = [(root, -1, [])]
+        for v, up, groups in out:
+            last = None
+            for text, w in self.toward[v]:
+                if w != up:
+                    out.append((w, v, []))
+                    if text == last:
+                        groups[-1][1].append(w)
+                    else:
+                        groups.append((text.count("("), [w], []))
+                        last = text
+        return out
+
+
+class _Passes:
+    """The bottom-up passes of every minimal domain root, sharing the
+    directed edges they have in common.
+
+    An edge (v, parent) stands for the subtree at v away from its parent
+    (away from nothing at a root).  The edges of the first root's pass have
+    their vertices' ids, the others the ids after them.  ``edges`` lists
+    (id, partners, children's equal-shape groups as edge ids), children
+    before parents; ``need[e]`` has bit k set when root k's pass uses edge
+    e, and ``tops[k]`` is the edge of root k itself.  ``least`` runs the
+    passes of the roots in a bit mask.
+    """
+
+    def __init__(self, side: _Side, partners: list[list[int]]) -> None:
+        first = side.rooting(side.roots[0])
+        self.edges = [
+            (v, partners[v], [members for _, members, _ in groups]) for v, _, groups in reversed(first)
+        ]
+        self.need = [1] * len(partners)
+        self.tops = [side.roots[0]]
+        parent = [-1] * len(partners)  # in the first rooting, for the others
+        if len(side.roots) > 1:
+            for v, up, _ in first:
+                parent[v] = up
+        ids: dict[tuple[int, int], int] = {}  # the edges of no pass before
+        for k, root in enumerate(side.roots[1:], 1):
+            rooting = side.rooting(root)
+            for v, up, groups in reversed(rooting):
+                e = v if parent[v] == up else ids.get((v, up))
+                if e is None:
+                    e = ids[v, up] = len(self.need)
+                    kids = [
+                        [w if parent[w] == v else ids[w, v] for w in members]
+                        for _, members, _ in groups
+                    ]
+                    self.edges.append((e, partners[v], kids))
+                    self.need.append(0)
+                self.need[e] |= 1 << k
+            self.tops.append(e)
+        self.everyone = (1 << len(self.tops)) - 1
+        # per mask: the edges its passes use, and (root, its edge) for each root
+        self.schedules = {self.everyone: (self.edges, list(enumerate(self.tops)))}
+
+    def least(self, mask: int, place: list[int], top: list) -> tuple[list, list[int]]:
+        """The bound of a search node: (least sequence, top of its first
+        inexact entry, k) for each root k in the mask, from the edges their
+        passes use (``_least``), and the places it was taken from."""
+        found = self.schedules.get(mask)
+        if found is None:
+            edges = [edge for edge in self.edges if self.need[edge[0]] & mask]
+            roots = [(k, e) for k, e in enumerate(self.tops) if mask >> k & 1]
+            found = self.schedules[mask] = edges, roots
+        seq = _least(found[0], len(self.need), place, top)
+        return [(*seq[e], k) for k, e in found[1]], place
+
+
+def _least(schedule: list, size: int, place: list[int], top: list) -> list:
+    """Each scheduled edge's least sequence under the places, with the top of
+    its first inexact entry, by edge id: the bound of one search node.
+
+    The least sequence below v is the sorted places of v's partners and
+    then, group by group, the least sequences of its children in ascending
+    order.
+    """
+    seq: list = [None] * size
+    at = place.__getitem__
+    for e, near, groups in schedule:
+        block = sorted(near, key=at)
+        values = list(map(at, block))
+        split = None
+        for j in block:
+            if top[j] is not None:
+                split = top[j]
+                break
+        for group in groups:
+            if len(group) == 1:  # a lone child needs no sort
+                part, below = seq[group[0]]
+                values += part
+                if split is None:
+                    split = below
+                continue
+            for part, below in sorted([seq[f] for f in group], key=_FIRST):
+                values += part
+                if split is None:
+                    split = below
+        seq[e] = values, split
+    return seq
+
+
+class _Ranking:
+    """The range side rooted at one minimal root, with the sibling ranks
+    given out so far: ``group[w]`` is (size, members, ranked) of w's group
+    when it has more than one member, ``ranked`` growing as ranks are
+    given out."""
+
+    def __init__(self, side: _Side, root: int) -> None:
+        self.root = root
+        self.size = len(side.index)
+        self.kids = side.rooting(root)
+        self.group = {
+            w: group
+            for _, _, groups in self.kids
+            for group in groups
+            if len(group[1]) > 1
+            for w in group[1]
+        }
+
+    def places(self) -> tuple[list[int], list]:
+        """Each vertex's place, a rank not yet given out counting as the
+        least one left, and ``top``: the topmost vertex at or above it
+        whose rank is open, if any."""
+        place = [0] * self.size
+        top: list = [None] * self.size
+        for v, _, groups in self.kids:
+            at = place[v] + 1
+            above = top[v]
+            for size, members, ranked in groups:
+                free = at + len(ranked) * size
+                opened = above is None and len(members) - len(ranked) > 1
+                for w in members:
+                    if w in ranked:
+                        place[w] = at + ranked.index(w) * size
+                        top[w] = above
+                    else:
+                        place[w] = free
+                        top[w] = w if opened else above
+                at += len(members) * size
+        return place, top
+
+
+def _orbit(w: int, generators: list[list[int]]) -> set[int]:
+    """The orbit of w under the group the permutations generate."""
+    orbit = {w}
+    stack = [w]
+    while stack:
+        x = stack.pop()
+        for g in generators:
+            if g[x] not in orbit:
+                orbit.add(g[x])
+                stack.append(g[x])
+    return orbit
+
+
+class _Search:
+    """Branch and bound over range numberings, with the best sequence, the
+    numbering that gave it and the range automorphisms found so far."""
+
+    def __init__(self, passes: _Passes, ran: _Side) -> None:
+        self.passes = passes
+        self.ran = ran
+        self.best = [len(ran.index)]  # above every sequence: all places are smaller
+        self.best_place: list[int] = []
+        self.automorphisms: list[list[int]] = []
+
+    def run(self) -> list[int]:
+        starts = []
+        for root in self.ran.roots:
+            ranking = _Ranking(self.ran, root)
+            found = self.passes.least(self.passes.everyone, *ranking.places())
+            starts.append((min(found[0], key=_FIRST)[0], root, found, ranking))
+        starts.sort(key=itemgetter(0, 1))
+        explored: list[int] = []
+        for _, root, found, ranking in starts:
+            if explored and not _orbit(root, self.automorphisms).isdisjoint(explored):
+                continue
+            explored.append(root)
+            self.descend(ranking, found)
+        return self.best
+
+    def descend(self, ranking: _Ranking, found: tuple) -> None:
+        """Search below a range root with the bound ``found``, from a stack
+        with one entry per split on the current branch, so that deep
+        searches need no deep recursion."""
+        fixed = [ranking.root]  # the root and the ranks given out
+        stack: list = []
+        while True:
+            node = self.visit(found)
+            if node is not None:
+                stack.append(self.branches(ranking, *node))
+            while stack:  # the next branch, backing up from splits with none left
+                found = self.advance(stack[-1], fixed)
+                if found is not None:
+                    break
+                stack.pop()
+            else:
+                return
+
+    def visit(self, found: tuple) -> tuple[int, int] | None:
+        """End a node whose bound reaches the best sequence or holds only
+        exact places; otherwise its split and the bit mask of the roots
+        whose passes stay below the best sequence."""
+        seqs, place = found
+        values, split, _ = min(seqs, key=_FIRST)
+        if values >= self.best:
+            if split is None and values == self.best:
+                # the range automorphism taking this numbering to the best one
+                inverse = [0] * len(place)
+                for w, at in enumerate(self.best_place):
+                    inverse[at] = w
+                self.automorphisms.append([inverse[at] for at in place])
+            return None
+        if split is None:
+            self.best, self.best_place = values, place
+            return None
+        return split, sum(1 << k for seq, _, k in seqs if seq < self.best)
+
+    def branches(self, ranking: _Ranking, split: int, live: int) -> tuple:
+        """The stack entry of a split: (the group's ranks, the bound of
+        giving each open member the next rank under the passes of the roots
+        in ``live``, the least bound last, the members taken)."""
+        _, members, ranked = ranking.group[split]
+        todo = []
+        for w in members:
+            if w not in ranked:
+                ranked.append(w)
+                found = self.passes.least(live, *ranking.places())
+                todo.append((min(found[0], key=_FIRST)[0], w, found))
+                ranked.pop()
+        todo.sort(key=itemgetter(0, 1), reverse=True)
+        return ranked, todo, []
+
+    def advance(self, entry: tuple, fixed: list[int]) -> tuple | None:
+        """Move a split's entry to its next branch: take back the rank of
+        the branch searched last, if any, and give the next rank to the next
+        member that no automorphism fixing ``fixed`` maps onto a member
+        taken.  Its bound, or None when no branch is left."""
+        ranked, todo, taken = entry
+        if taken:
+            ranked.pop()
+            fixed.pop()
+        while todo:
+            _, w, found = todo.pop()
+            if taken and self.automorphisms:
+                generators = [g for g in self.automorphisms if all(g[x] == x for x in fixed)]
+                if generators and not _orbit(w, generators).isdisjoint(taken):
+                    continue
+            taken.append(w)
+            ranked.append(w)
+            fixed.append(w)
+            return found
+        return None
 
 
 def canonical_coset_code(b: BiThorn) -> CosetCode:
     """The least sorted arc list of (domain place, range place) over numberings.
 
-    For a fixed range numbering τ the arc lists compare as the blocks K(v),
-    the sorted τ-places of v's partners, in domain preorder, and the least
-    sequence below v is K(v) and then, group by group, the least sequences
-    of its equal-shape children in ascending order: one bottom-up pass per
-    minimal domain root.  τ is fixed by each range vertex's rank among its
-    equal-shape siblings and found by branch and bound over ranks (McKay and
-    Piperno, "Practical graph isomorphism, II", 2014): a rank not yet given
-    out counts as the least one left, which bounds places and sequence from
-    below.  A branch ends when its bound reaches the best sequence or holds
-    only exact places, and splits on the topmost open rank above the first
-    inexact entry.
+    Each side comes from one rerooting pass (``_Side``): its subtree texts,
+    its minimal roots, and the equal-shape sibling groups of each rooting at
+    one of them.  For a fixed range numbering τ the arc lists compare as the
+    blocks K(v), the sorted τ-places of v's partners, in domain preorder,
+    and the least sequence below v is K(v) and then, group by group, the
+    least sequences of its equal-shape children in ascending order: one
+    bottom-up pass per minimal domain root, the passes sharing the subtrees
+    they have in common (``_Passes``).  τ is fixed by its root and each
+    range vertex's rank among its equal-shape siblings, and found by branch
+    and bound (McKay and Piperno, "Practical graph isomorphism, II", 2014):
+    a rank not yet given out counts as the least one left, which bounds
+    places and sequence from below.  One search runs over all minimal range
+    roots, in the order of their bounds, with one best sequence.  A branch
+    ends when its bound reaches the best sequence or holds only exact
+    places, and splits on the topmost open rank above the first inexact
+    entry; the splits of the current branch are kept on a stack, not in
+    Python frames, so a deep search needs no deep recursion.  It prunes in
+    two more ways:
+
+    - by root: fixing a rank only raises places, so a domain root whose own
+      pass reaches the best sequence at a node is dropped below it;
+    - by automorphism: two leaves with equal sequences differ by an
+      automorphism of the bi-thorn, whose range part is recorded.  A range
+      root in the orbit of one explored is skipped, and so is a branch that
+      the automorphisms fixing the node's root and ranks map onto a branch
+      already explored.
     """
     if b.is_empty:
         return trusted(CosetCode, b.arity, EMPTY_CODE_TEXT)
     dom, ran = _Side(b.dom), _Side(b.ran)
     partners: list[list[int]] = [[] for _ in dom.index]
+    near, far = dom.index, ran.index
     for s, q in b.pairing:
-        partners[dom.index[s[0]]].append(ran.index[q[0]])
-    rootings = [dom.rooted(root) for root in dom.roots]
-    passes = [[(v, partners[v], kids[v]) for v in reversed(kids)] for kids in rootings]
-    best = [len(partners)]  # above every sequence: all places are smaller
-
-    def least(place: list[int], top: list[int | None]) -> tuple[list[int], int | None]:
-        """The least sequence and the ``top`` of its first inexact entry."""
-        found = []
-        for order in passes:
-            seq: dict[int, tuple[list[int], int | None]] = {}
-            for v, near, groups in order:
-                block = sorted((place[j], j) for j in near)
-                values = [x for x, _ in block]
-                split = next((top[j] for _, j in block if top[j] is not None), None)
-                for group in groups:
-                    for part, below in sorted((seq.pop(w) for w in group), key=itemgetter(0)):
-                        values += part
-                        split = below if split is None else split
-                seq[v] = values, split
-            found.append(seq[v])
-        return min(found, key=itemgetter(0))
-
-    def bound() -> tuple[list[int], int | None]:
-        # top[w]: the topmost vertex at or above w whose rank is open, if any
-        place = [0] * len(partners)
-        top: list[int | None] = [None] * len(partners)
-        for v, groups in kids.items():
-            at = place[v] + 1
-            for group in groups:
-                size, ranked = sizes[group[0]], chosen[group[0]]
-                for w in group:
-                    known = w in ranked
-                    place[w] = at + (ranked.index(w) if known else len(ranked)) * size
-                    open_rank = not known and len(group) - len(ranked) > 1
-                    top[w] = w if top[v] is None and open_rank else top[v]
-                at += len(group) * size
-        return least(place, top)
-
-    def search(values: list[int], split: int | None) -> None:
-        nonlocal best
-        if values >= best:
-            return
-        if split is None:
-            best = values
-            return
-        group = home[split]
-        ranked = chosen[group[0]]
-        branches = []
-        for w in group:
-            if w not in ranked:
-                ranked.append(w)
-                branches.append((*bound(), w))
-                ranked.pop()
-        branches.sort(key=itemgetter(0))
-        for values, split, w in branches:
-            ranked.append(w)
-            search(values, split)
-            ranked.pop()
-
-    for root in ran.roots:  # the state below describes the current rooting
-        kids = ran.rooted(root)
-        home = {w: group for groups in kids.values() for group in groups for w in group}
-        chosen: dict[int, list[int]] = {group[0]: [] for group in home.values()}
-        sizes: dict[int, int] = {}
-        for v in reversed(kids):
-            sizes[v] = 1 + sum(sizes[w] for group in kids[v] for w in group)
-        search(*bound())
-    del search  # it calls itself through its closure; the cycle would outlive this call
+        partners[near[s[0]]].append(far[q[0]])
+    best = _Search(_Passes(dom, partners), ran).run()
     # an arc's domain place is that of its vertex in the shape text's order
-    firsts = [p for p, v in enumerate(rootings[0]) for _ in partners[v]]
-    arc_text = ",".join(f"{i}>{j}" for i, j in zip(firsts, best))
+    firsts = chain.from_iterable(map(repeat, count(), map(int, _VERTEX_OPEN.findall(dom.shape))))
+    arc_text = ",".join(map("{}>{}".format, firsts, best))
     return trusted(CosetCode, b.arity, f"{dom.shape}|{ran.shape}|{arc_text}")
 
 

@@ -37,7 +37,7 @@ from .tree import (
     is_prefix,
     merge_families,
     normal_clopen,
-    require_prefix_code,
+    require_complete_code,
     root_code,
     spike_of_ball,
     trusted,
@@ -104,6 +104,13 @@ def from_pieces(arity: int, pieces: Iterable[tuple[Iterable[int], Iterable[int]]
     return _reduced(arity, _checked_pieces(arity, pieces))
 
 
+def _from_addresses(arity: int, pieces: list[Piece]) -> Spheromorphism:
+    """``from_pieces`` for address pairs whose addresses were each checked
+    already (``parse_address`` checks them): only the table is checked."""
+    check_arity(arity)
+    return _reduced(arity, _paired_codes(arity, pieces))
+
+
 def _checked_pieces(arity: int, pieces: Iterable[tuple[Iterable[int], Iterable[int]]]) -> list[Piece]:
     """The pieces as address pairs, checked to pair two complete prefix codes."""
     check_arity(arity)
@@ -111,6 +118,11 @@ def _checked_pieces(arity: int, pieces: Iterable[tuple[Iterable[int], Iterable[i
         (validate_address(u, arity, "table source"), validate_address(v, arity, "table target"))
         for u, v in pieces
     ]
+    return _paired_codes(arity, raw)
+
+
+def _paired_codes(arity: int, raw: list[Piece]) -> list[Piece]:
+    """Pairs of valid addresses, checked to pair two complete prefix codes."""
     for side, name in ((0, "source"), (1, "target")):
         seen = set()
         for piece in raw:
@@ -120,8 +132,9 @@ def _checked_pieces(arity: int, pieces: Iterable[tuple[Iterable[int], Iterable[i
             if leaf in seen:
                 raise ValidationError(f"duplicate {name} {format_address(leaf)} in table")
             seen.add(leaf)
-    require_prefix_code((u for u, _ in raw), arity, "domain code")
-    require_prefix_code((v for _, v in raw), arity, "range code")
+    # the leaves of each side are distinct valid addresses by now
+    require_complete_code(tuple(sorted(u for u, _ in raw)), arity, "domain code")
+    require_complete_code(tuple(sorted(v for _, v in raw)), arity, "range code")
     return raw
 
 

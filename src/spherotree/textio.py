@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, NoReturn
 
 from .bithorn import BiThorn
-from .element import Spheromorphism, from_pieces
+from .element import Spheromorphism, _from_addresses
 from .errors import DomainError, ValidationError
 from .orbitstats import ClassTable, TransitionCounts
 from .spherical import GramReport, SphericalSpec, TensorSpec
@@ -100,7 +100,7 @@ def parse_element(text: str, source: str = "<element>") -> Spheromorphism:
         u = _build(source, lineno, parse_address, fields[0], arity, what="table source")
         v = _build(source, lineno, parse_address, fields[2], arity, what="table target")
         pieces.append((u, v))
-    return _build(source, last, from_pieces, arity, pieces)
+    return _build(source, last, _from_addresses, arity, pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -192,12 +192,12 @@ def validate_prefix_code(leaves: Iterable[Address], arity: int) -> bool:
     overlapping code just returns False.
     """
     check_arity(arity)
-    return _prefix_code_ok(tuple(leaves), arity)
+    return _prefix_code_ok(tuple(validate_address(leaf, arity, what="leaf") for leaf in leaves), arity)
 
 
 @lru_cache(maxsize=65536)
-def _prefix_code_ok(leaves: tuple, arity: int) -> bool:
-    code = [validate_address(leaf, arity, what="leaf") for leaf in leaves]
+def _prefix_code_ok(code: tuple, arity: int) -> bool:
+    """``validate_prefix_code`` for addresses already checked."""
     if not code:
         return False
     seen = set()
@@ -223,7 +223,15 @@ def _prefix_code_ok(leaves: tuple, arity: int) -> bool:
 
 def require_prefix_code(leaves: Iterable[Address], arity: int, what: str = "code") -> tuple[Address, ...]:
     code = tuple(sorted(set(leaves)))
-    if not validate_prefix_code(code, arity):
+    check_arity(arity)
+    for leaf in code:
+        validate_address(leaf, arity, what="leaf")
+    return require_complete_code(code, arity, what)
+
+
+def require_complete_code(code: tuple[Address, ...], arity: int, what: str) -> tuple[Address, ...]:
+    """``require_prefix_code`` for sorted distinct addresses already checked."""
+    if not _prefix_code_ok(code, arity):
         raise ValidationError(f"{what} is not a complete prefix code")
     return code
 

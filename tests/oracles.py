@@ -3,6 +3,7 @@
 import math
 import random
 from itertools import chain, combinations, permutations, product
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from spherotree.bithorn import BiThorn, CosetCode, empty_bithorn, minimal_bithorn
@@ -145,16 +146,23 @@ def axis_translation(arity: int) -> Spheromorphism:
     return from_pieces(arity, pieces)
 
 
-def irreducible_uniform_pairing(arity: int, depths: tuple[int, ...], seed: int) -> Spheromorphism:
-    """The uniform prefix code of the given root-branch depths, paired with
-    itself by a seeded shuffle whose minimal bi-thorn keeps every vertex of
-    the code's tree: the symmetric case where coset codes are most costly."""
+def _uniform_code(arity: int, depths: tuple[int, ...]) -> list[Address]:
+    """The prefix code whose root branch k has all its leaves at depth
+    ``depths[k]``."""
     code = []
     for child, depth in enumerate(depths):
         level = [(child,)]
         for _ in range(depth - 1):
             level = [w + (k,) for w in level for k in range(arity)]
         code.extend(level)
+    return code
+
+
+def irreducible_uniform_pairing(arity: int, depths: tuple[int, ...], seed: int) -> Spheromorphism:
+    """The uniform prefix code of the given root-branch depths, paired with
+    itself by a seeded shuffle whose minimal bi-thorn keeps every vertex of
+    the code's tree: the symmetric case where coset codes are most costly."""
+    code = _uniform_code(arity, depths)
     vertices = len({w[:i] for w in code for i in range(len(w))})
     rng = random.Random(seed)
     for _ in range(1000):
@@ -164,6 +172,17 @@ def irreducible_uniform_pairing(arity: int, depths: tuple[int, ...], seed: int) 
         if minimal_bithorn(g).vertex_count == vertices:
             return g
     raise RuntimeError(f"no irreducible pairing of the code {depths}")
+
+
+def twisted_uniform_pairing(arity: int, depths: tuple[int, ...]) -> Spheromorphism:
+    """The uniform prefix code of the given root-branch depths, each leaf of
+    length three or more paired with the leaf that swaps its last two
+    labels.  No two spikes of a skeleton leaf meet one range vertex, so the
+    minimal bi-thorn keeps those branches whole, and every automorphism of
+    their upper levels preserves the pairing: the case automorphism pruning
+    is for."""
+    code = _uniform_code(arity, depths)
+    return from_pieces(arity, [(w, w[:-2] + (w[-1], w[-2]) if len(w) > 2 else w) for w in code])
 
 
 def exhaustive_coset_code(b: BiThorn) -> CosetCode:
@@ -217,6 +236,136 @@ def _side_numberings(t: SubThorn):
                 place[v] = i
             numberings.append(tuple(place))
     return index, shape, numberings
+
+
+class _Side:
+    """The minimal rooted shape text of one side and its minimal roots.
+
+    Vertices are indexed in address order.  A numbering gives each index its
+    place in a preorder from a minimal root, with sibling subtrees in sorted
+    shape order; equal shapes may come in any order.
+    """
+
+    def __init__(self, t: SubThorn) -> None:
+        self.index = {v: i for i, v in enumerate(sorted(t.vertices))}
+        model = AbstractThorn.from_subthorn(t)
+        self.adjacency = model.adjacency
+        self.text = rooted_encoder(model.adjacency, model.spike_counts)
+        texts = [self.text(v) for v in range(len(self.index))]
+        self.shape = min(texts)
+        self.roots = [v for v, text in enumerate(texts) if text == self.shape]
+
+    def rooted(self, root: int) -> dict[int, list[list[int]]]:
+        """Each vertex's children away from root, grouped by equal shape with
+        the groups in shape order, vertices in preorder: each vertex, then its
+        children's subtrees group by group, the order of the shape text."""
+        kids: dict[int, list[list[int]]] = {}
+        stack: list[tuple[int, int | None]] = [(root, None)]
+        while stack:
+            v, parent = stack.pop()
+            groups: dict[str, list[int]] = {}
+            for w in sorted(self.adjacency[v]):
+                if w != parent:
+                    groups.setdefault(self.text(w, v), []).append(w)
+            kids[v] = [groups[key] for key in sorted(groups)]
+            stack += reversed([(w, v) for group in kids[v] for w in group])
+        return kids
+
+
+def reference_coset_code(b: BiThorn) -> CosetCode:
+    """``canonical_coset_code`` by its former search, kept as a reference.
+
+    The least sorted arc list of (domain place, range place) over numberings.
+
+    For a fixed range numbering τ the arc lists compare as the blocks K(v),
+    the sorted τ-places of v's partners, in domain preorder, and the least
+    sequence below v is K(v) and then, group by group, the least sequences
+    of its equal-shape children in ascending order: one bottom-up pass per
+    minimal domain root.  τ is fixed by each range vertex's rank among its
+    equal-shape siblings and found by branch and bound over ranks (McKay and
+    Piperno, "Practical graph isomorphism, II", 2014): a rank not yet given
+    out counts as the least one left, which bounds places and sequence from
+    below.  A branch ends when its bound reaches the best sequence or holds
+    only exact places, and splits on the topmost open rank above the first
+    inexact entry.
+    """
+    if b.is_empty:
+        return trusted(CosetCode, b.arity, EMPTY_CODE_TEXT)
+    dom, ran = _Side(b.dom), _Side(b.ran)
+    partners: list[list[int]] = [[] for _ in dom.index]
+    for s, q in b.pairing:
+        partners[dom.index[s[0]]].append(ran.index[q[0]])
+    rootings = [dom.rooted(root) for root in dom.roots]
+    passes = [[(v, partners[v], kids[v]) for v in reversed(kids)] for kids in rootings]
+    best = [len(partners)]  # above every sequence: all places are smaller
+
+    def least(place: list[int], top: list[int | None]) -> tuple[list[int], int | None]:
+        """The least sequence and the ``top`` of its first inexact entry."""
+        found = []
+        for order in passes:
+            seq: dict[int, tuple[list[int], int | None]] = {}
+            for v, near, groups in order:
+                block = sorted((place[j], j) for j in near)
+                values = [x for x, _ in block]
+                split = next((top[j] for _, j in block if top[j] is not None), None)
+                for group in groups:
+                    for part, below in sorted((seq.pop(w) for w in group), key=itemgetter(0)):
+                        values += part
+                        split = below if split is None else split
+                seq[v] = values, split
+            found.append(seq[v])
+        return min(found, key=itemgetter(0))
+
+    def bound() -> tuple[list[int], int | None]:
+        # top[w]: the topmost vertex at or above w whose rank is open, if any
+        place = [0] * len(partners)
+        top: list[int | None] = [None] * len(partners)
+        for v, groups in kids.items():
+            at = place[v] + 1
+            for group in groups:
+                size, ranked = sizes[group[0]], chosen[group[0]]
+                for w in group:
+                    known = w in ranked
+                    place[w] = at + (ranked.index(w) if known else len(ranked)) * size
+                    open_rank = not known and len(group) - len(ranked) > 1
+                    top[w] = w if top[v] is None and open_rank else top[v]
+                at += len(group) * size
+        return least(place, top)
+
+    def search(values: list[int], split: int | None) -> None:
+        nonlocal best
+        if values >= best:
+            return
+        if split is None:
+            best = values
+            return
+        group = home[split]
+        ranked = chosen[group[0]]
+        branches = []
+        for w in group:
+            if w not in ranked:
+                ranked.append(w)
+                branches.append((*bound(), w))
+                ranked.pop()
+        branches.sort(key=itemgetter(0))
+        for values, split, w in branches:
+            ranked.append(w)
+            search(values, split)
+            ranked.pop()
+
+    for root in ran.roots:  # the state below describes the current rooting
+        kids = ran.rooted(root)
+        home = {w: group for groups in kids.values() for group in groups for w in group}
+        chosen: dict[int, list[int]] = {group[0]: [] for group in home.values()}
+        sizes: dict[int, int] = {}
+        for v in reversed(kids):
+            sizes[v] = 1 + sum(sizes[w] for group in kids[v] for w in group)
+        search(*bound())
+    del search  # it calls itself through its closure; the cycle would outlive this call
+    # an arc's domain place is that of its vertex in the shape text's order
+    firsts = [p for p, v in enumerate(rootings[0]) for _ in partners[v]]
+    arc_text = ",".join(f"{i}>{j}" for i, j in zip(firsts, best))
+    return trusted(CosetCode, b.arity, f"{dom.shape}|{ran.shape}|{arc_text}")
 
 
 def scan_reduce_bithorn(b: BiThorn) -> BiThorn:

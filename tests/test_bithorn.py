@@ -1,9 +1,11 @@
 """Tests for matched thorn pairs, similar-pair reduction, and coset codes."""
 
 import random
+import sys
 
 import pytest
 
+from spherotree import bithorn
 from spherotree.bithorn import (
     BiThorn,
     CosetCode,
@@ -37,7 +39,9 @@ from oracles import (
     exhaustive_coset_code,
     irreducible_uniform_pairing,
     random_finitary,
+    reference_coset_code,
     scan_reduce_bithorn,
+    twisted_uniform_pairing,
 )
 
 
@@ -210,9 +214,15 @@ UNIFORM_CASES = (
 )
 
 
+# twisted pairings the exhaustive search finishes: (2, (3, 3, 3)) has 10
+# vertices, (3, (3, 3, 2, 2)) 9 and (4, (3, 2, 2, 2, 2)) 5
+TWISTED_CASES = ((2, (3, 3, 3)), (3, (3, 3, 2, 2)), (4, (3, 2, 2, 2, 2)))
+
+
 def test_coset_code_matches_the_exhaustive_search():
     """The pruned one-sided search finds the code that comparing every
-    domain numbering with every range numbering finds."""
+    domain numbering with every range numbering finds, and the code the
+    former search without root and automorphism pruning finds."""
     rng = random.Random(29)
     pairs = []
     for arity in (2, 3, 4):
@@ -225,10 +235,89 @@ def test_coset_code_matches_the_exhaustive_search():
         for arity, depths in UNIFORM_CASES
         for seed in range(3)
     ]
+    pairs += [
+        minimal_bithorn(twisted_uniform_pairing(arity, depths)) for arity, depths in TWISTED_CASES
+    ]
     pairs += [pair.flip() for pair in pairs]  # the inverse elements
     assert sum(not pair.is_empty for pair in pairs) >= 250
     for pair in pairs:
-        assert canonical_coset_code(pair) == exhaustive_coset_code(pair)
+        code = canonical_coset_code(pair)
+        assert code == exhaustive_coset_code(pair)
+        assert code == reference_coset_code(pair)
+
+
+def test_coset_code_matches_the_reference_search():
+    """The rerooted search with root and automorphism pruning gives the code
+    the former search gives on 300 seeded random budget-16 elements at
+    arities 2-4 and their inverses, and on twisted pairings whose
+    automorphisms the former search never used."""
+    randoms = [
+        minimal_bithorn(random_element(arity, 16, f"reference:{arity}:{seed}"))
+        for arity in (2, 3, 4)
+        for seed in range(100)
+    ]
+    pairs = randoms + [pair.flip() for pair in randoms]
+    pairs += [
+        minimal_bithorn(twisted_uniform_pairing(arity, depths))
+        for arity, depths in ((2, (3, 3, 4)), (2, (3, 4, 4)))
+    ]
+    assert sum(not pair.is_empty for pair in pairs) >= 350
+    for pair in pairs:
+        assert canonical_coset_code(pair) == reference_coset_code(pair)
+
+
+@pytest.mark.parametrize("arity, depths", [(2, (5, 5, 6)), (3, (4, 4, 4, 4))])
+def test_coset_code_matches_the_reference_on_large_symmetric_pairings(arity, depths):
+    """62 and 53 vertices, 16 and 12 minimal roots a side: about a second
+    each for the former search."""
+    pair = minimal_bithorn(irreducible_uniform_pairing(arity, depths, 0))
+    assert canonical_coset_code(pair) == reference_coset_code(pair)
+
+
+def test_the_coset_search_work_is_pinned(monkeypatch):
+    """The bound evaluations (``_Passes.least`` calls) and the domain root
+    passes they run, on the arity-2 (6, 6, 6) pairing of seed 0 (94
+    vertices, 24 minimal roots a side) and on the twisted arity-2 (4, 4, 4)
+    pairing.  Losing the root pruning raises the passes on the first, and
+    losing the automorphism pruning raises the evaluations on the second
+    from 148 to 6,138, with no timing involved.  A search that does less
+    work changes the pins too; they are then updated."""
+    work = [0, 0]
+    least = bithorn._Passes.least
+
+    def counted(passes, mask, place, top):
+        work[0] += 1
+        work[1] += bin(mask).count("1")
+        return least(passes, mask, place, top)
+
+    monkeypatch.setattr(bithorn._Passes, "least", counted)
+    for g, pinned in (
+        (irreducible_uniform_pairing(2, (6, 6, 6), 0), [1332, 23312]),
+        (twisted_uniform_pairing(2, (4, 4, 4)), [148, 426]),
+    ):
+        pair = minimal_bithorn(g)
+        work[:] = [0, 0]
+        canonical_coset_code(pair)
+        assert work == pinned
+
+
+def test_the_coset_search_depth_costs_no_recursion():
+    """The search keeps one stack entry per split, not a Python frame: the
+    twisted arity-2 (5, 5, 5) pairing goes 20 splits deep, and its code
+    comes out the same with the recursion limit 20 frames above the
+    caller, where one frame per split would need more."""
+    pair = minimal_bithorn(twisted_uniform_pairing(2, (5, 5, 5)))
+    expected = canonical_coset_code(pair)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 20)
+    try:
+        code = canonical_coset_code(pair)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == expected
 
 
 def test_reduction_matches_the_rescanning_reduction():

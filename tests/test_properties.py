@@ -1,4 +1,4 @@
-"""Generated-input properties of θ and the Gram certificate.
+"""Generated-input properties of θ, the Gram certificate and coset codes.
 
 Each property draws seeds with Hypothesis, derandomized and with a fixed
 example budget, so every run tries the same inputs; the module skips
@@ -12,7 +12,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 strategies = hypothesis.strategies
 
-from spherotree.bithorn import is_automorphism
+from spherotree.bithorn import coset_code, is_automorphism
 from spherotree.element import compose, invert, random_element
 from spherotree.orbitstats import ClassTable, theta
 from spherotree.spherical import SphericalSpec, gram_psd_check, nessonov_evaluator
@@ -98,3 +98,18 @@ def test_gram_rows_are_equal_within_a_left_coset(seeds, mates, spec_seed):
         for j in range(i):
             if is_automorphism(compose(invert(els[j]), els[i])):
                 assert full[i] == full[j]
+
+
+@derandomized
+@hypothesis.given(
+    strategies.integers(2, 4),
+    strategies.integers(0, 10**6),
+    strategies.integers(0, 10**6),
+)
+def test_coset_token_is_invariant_under_two_sided_automorphisms(arity, seed, moves):
+    """a·g·b has the coset token of g for random finitary automorphisms a
+    and b, g a random budget-16 element."""
+    g = random_element(arity, 16, seed)
+    rng = random.Random(moves)
+    a, b = random_finitary(rng, arity), random_finitary(rng, arity)
+    assert coset_code(compose(a, compose(g, b))).token == coset_code(g).token

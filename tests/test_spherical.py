@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from spherotree import spherical
+from spherotree import bithorn, spherical
 from spherotree.bithorn import coset_code, is_automorphism
 from spherotree.element import (
     compose,
@@ -494,6 +494,31 @@ def test_gram_evaluates_phi_once_per_pair_of_left_cosets():
         gram_psd_check(els, counted)
         assert len(seen) == 1 + m * (m - 1) // 2
         assert sum(map(is_automorphism, seen)) == 1
+
+
+def test_gram_reduces_each_element_once(monkeypatch):
+    """The grouping reduces each product it composes to test it for an
+    automorphism, and θ inside φ reads that reduction back from the
+    product: ``reduce_bithorn`` runs once per element, the identity that
+    gives the diagonal included."""
+    seen = []
+    reductions = [0]
+    bithorn_of, reduce_bithorn = bithorn.bithorn_of, bithorn.reduce_bithorn
+
+    def recorded(g):
+        seen.append(g)  # kept alive, so no two of them share an id
+        return bithorn_of(g)
+
+    def counted(pair):
+        reductions[0] += 1
+        return reduce_bithorn(pair)
+
+    monkeypatch.setattr(bithorn, "bithorn_of", recorded)
+    monkeypatch.setattr(bithorn, "reduce_bithorn", counted)
+    rng = random.Random("gram-reductions")
+    els = _family(rng, 5)
+    gram_psd_check(els, nessonov_evaluator(_random_spec(rng, BALL_TABLE)))
+    assert len({id(g) for g in seen}) == len(seen) == reductions[0] > len(els)
 
 
 def test_gram_min_eig_is_zero_exactly_when_a_left_coset_repeats():
