@@ -10,14 +10,14 @@ Cutting "similar" vertex pairs (a boundary vertex whose matched balls all
 sit at a single far-side vertex) shrinks the pair without changing the
 two-sided coset; the fixpoint is empty exactly when g is induced by a tree
 automorphism.  ``CosetCode`` serializes the fixpoint canonically, giving a
-computable invariant of the two-sided automorphism coset of g.
+computable invariant of the two-sided automorphism coset of g; the texts of
+its two sides come from ``thorn._rooted_texts``, as every thorn code does.
 """
 
 from __future__ import annotations
 
 import binascii
 import random
-from bisect import insort
 from dataclasses import dataclass
 from itertools import chain, count, repeat
 from operator import itemgetter
@@ -31,6 +31,8 @@ from .thorn import (
     SubThorn,
     ThornCode,
     _across,
+    _rooted_texts,
+    _spanned,
     _spike_dirs,
     _subthorn_of,
     abstract_from_code,
@@ -95,14 +97,6 @@ def empty_bithorn(arity: int) -> BiThorn:
     return BiThorn(arity, empty_subthorn(arity), empty_subthorn(arity), ())
 
 
-def _code_thorn(arity: int, leaves) -> SubThorn:
-    """Perfect sub-thorn spanned by the interior of a complete prefix code."""
-    leaf_list = list(leaves)
-    interior = {leaf[:k] for leaf in leaf_list for k in range(len(leaf))}
-    spikes = frozenset((leaf[:-1], leaf[-1]) for leaf in leaf_list)
-    return trusted(SubThorn, arity, frozenset(interior), spikes)
-
-
 def bithorn_of(g: Spheromorphism) -> BiThorn:
     """The matched thorn pair of a table element.
 
@@ -122,11 +116,13 @@ def bithorn_of(g: Spheromorphism) -> BiThorn:
     table = merge_families(g.arity, dict(g.pieces), onto_family)
     if set(table) == set(root_code(g.arity)):
         return empty_bithorn(g.arity)
-    dom = _code_thorn(g.arity, table.keys())
-    ran = _code_thorn(g.arity, table.values())
     pairing = tuple(
         sorted(((u[:-1], u[-1]), (v[:-1], v[-1])) for u, v in table.items())
     )
+    # a complete prefix code has leaves in every root branch, so its spikes'
+    # anchors meet at the root and span the whole interior of the code
+    dom = _subthorn_of(_spanned(s for s, _ in pairing), g.arity)
+    ran = _subthorn_of(_spanned(q for _, q in pairing), g.arity)
     return trusted(BiThorn, g.arity, dom, ran, pairing)
 
 
@@ -271,58 +267,28 @@ _FIRST = itemgetter(0)
 class _Side:
     """One side of a bi-thorn: its vertices, its rooted shape text, its
     minimal roots, and the sibling groups of any rooting at one of them,
-    from one rerooting pass.
+    from one rerooting pass (``_rooted_texts``).
 
     Vertices are indexed in address order, so the meet of the side, vertex
-    0, comes first and every other vertex after its parent address.  The
-    pass builds each subtree's text bottom-up, then top-down the text of
-    the rest of the thorn seen from the vertices that need it.  Each
-    vertex's neighbour texts are sorted once (``toward``), and a vertex's
-    rooted text is its head and those texts.
+    0, comes first and every other vertex after its parent address.
     """
 
     def __init__(self, t: SubThorn) -> None:
         vertices = sorted(t.vertices)
         self.index = index = {v: i for i, v in enumerate(vertices)}
-        parent = [-1] * len(vertices)
-        heads = [""] * len(vertices)
+        parent = [-1] + [index[v[:-1]] for v in vertices[1:]]
+        # the side is perfect: spikes fill the directions its edges leave free
+        counts = [t.arity + 1] + [t.arity] * (len(vertices) - 1)
+        for p in parent[1:]:
+            counts[p] -= 1
+        # a rooted text starts with its root's spike count, one digit when
+        # there are two or more vertices: only the least count can be minimal
+        low = min(counts)
+        candidates = [v for v, k in enumerate(counts) if k == low]
         # toward[v]: (text of the neighbour's side, neighbour), in text order
-        self.toward = toward = [[] for _ in vertices]
-        for w in range(len(vertices) - 1, 0, -1):  # w's subtree away from its parent
-            parent[w] = index[vertices[w][:-1]]
-            near = toward[w]
-            # both sides are perfect: the spikes fill each vertex up to n + 1
-            heads[w] = f"({t.arity - len(near)}:"
-            near.sort()
-            toward[parent[w]].append((heads[w] + "".join([text for text, _ in near]) + ")", w))
-        heads[0] = f"({t.arity + 1 - len(toward[0])}:"
-        toward[0].sort()
-        # A rooted text starts with its head, and no head is a prefix of
-        # another, so only the vertices of the least head can be minimal
-        # roots.  Their texts need the rest of the thorn seen from each
-        # vertex on their paths up to vertex 0, and a rooting at one of them
-        # enters every other vertex from its parent address.
-        low = min(heads)
-        path = [False] * len(vertices)
-        for v, head in enumerate(heads):
-            if head == low:
-                while v > 0 and not path[v]:
-                    path[v] = True
-                    v = parent[v]
-        rooted = []
-        for v, near in enumerate(toward):
-            if v and not path[v]:
-                continue
-            whole = heads[v] + "".join([text for text, _ in near]) + ")"
-            if heads[v] == low:
-                rooted.append((whole, v))
-            at = len(heads[v])
-            for text, w in near:
-                if w != parent[v] and path[w]:  # v's side seen from w: its text cut out of v's
-                    insort(toward[w], (whole[:at] + whole[at + len(text) :], v))
-                at += len(text)
-        self.shape = min(rooted)[0]
-        self.roots = [v for text, v in rooted if text == self.shape]
+        self.toward, rooted = _rooted_texts(parent, counts, candidates)
+        self.shape = min(rooted)
+        self.roots = [v for v, text in zip(candidates, rooted) if text == self.shape]
 
     def rooting(self, root: int) -> list:
         """(v, parent, groups) for each vertex, parents first: v's children

@@ -19,7 +19,7 @@ from .errors import DomainError, ValidationError
 from .orbitstats import ClassTable, TransitionCounts
 from .spherical import GramReport, SphericalSpec, TensorSpec
 from .thorn import SubThorn, ThornCode
-from .tree import UP, Address, ClopenSet, format_address, parse_address
+from .tree import UP, Address, ClopenSet, _marked_clopen, format_address, parse_address
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,7 @@ def parse_clopen(text: str, source: str = "<clopen>") -> ClopenSet:
         if leaf in flags:
             _fail(source, lineno, f"leaf {fields[0]} appears twice")
         flags[leaf] = fields[1] == "1"
-    return _build(source, last, ClopenSet.from_marks, arity, flags)
+    return _build(source, last, _marked_clopen, arity, flags)
 
 
 # ---------------------------------------------------------------------------

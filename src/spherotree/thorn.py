@@ -10,7 +10,8 @@ via their partition into maximal sub-balls.
 
 The orbit of a clopen set under the full automorphism group is captured by
 the isomorphism class of its reduced thorn, encoded here as a canonical
-center-rooted string (``ThornCode``).
+center-rooted string (``ThornCode``).  One rerooting pass, ``_rooted_texts``,
+builds every rooted text of the library, coset-code shapes included.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from __future__ import annotations
 import binascii
 import re
 from dataclasses import dataclass
+from bisect import insort
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement, product
-from typing import Callable, Container, Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from .errors import DomainError, ValidationError
 from .tree import (
@@ -197,12 +199,11 @@ def _skeleton(
     spikes_at: dict[Address, set[int]], arity: int
 ) -> tuple[tuple[frozenset[int], ...], tuple[int, ...]]:
     """(skeleton adjacency, spike counts) of {vertex: spike directions},
-    vertices numbered in the dict's order."""
-    index = {v: i for i, v in enumerate(spikes_at)}
-    adjacency = tuple(
-        frozenset(index[w] for w in neighbors(v, arity) if w in index) for v in spikes_at
-    )
-    return adjacency, tuple(len(dirs) for dirs in spikes_at.values())
+    vertices numbered in address order, which is parent first."""
+    order = sorted(spikes_at)
+    index = {v: i for i, v in enumerate(order)}
+    adjacency = tuple(frozenset(index[w] for w in neighbors(v, arity) if w in index) for v in order)
+    return adjacency, tuple(len(spikes_at[v]) for v in order)
 
 
 def _reduce(spikes_at: dict[Address, set[int]], arity: int) -> dict[Address, set[int]]:
@@ -250,7 +251,8 @@ class AbstractThorn:
     """A thorn up to embedding: skeleton adjacency plus spike counts.
 
     Only the library builds these, from sub-thorns, parsed code texts and
-    class enumeration, so the constructor checks nothing.
+    class enumeration, so the constructor checks nothing.  All number the
+    vertices parent first: each vertex but 0 has one earlier neighbour.
     """
 
     arity: int
@@ -389,8 +391,9 @@ def _parse_code(text: str, arity: int) -> tuple[tuple[frozenset[int], ...], tupl
 
 def canonical_code(t: AbstractThorn | SubThorn) -> ThornCode:
     """Center-rooted canonical code of any thorn, reduced or not; equal codes
-    mean isomorphic thorns.  Clopen sets and ball unions are classified by
-    ``classify_clopen`` and ``classify_balls``, which reduce first."""
+    mean isomorphic thorns; an ``AbstractThorn`` is numbered parent first.
+    Clopen sets and ball unions are classified by ``classify_clopen`` and
+    ``classify_balls``, which reduce first."""
     if isinstance(t, SubThorn):
         t = AbstractThorn.from_subthorn(t)
     if t.vertex_count == 0:
@@ -401,9 +404,10 @@ def canonical_code(t: AbstractThorn | SubThorn) -> ThornCode:
 def _center_rooted_text(
     adjacency: Sequence[Iterable[int]], spike_counts: Sequence[int]
 ) -> str:
-    """Least rooted text over the skeleton centers: the canonical code text."""
-    text = rooted_encoder(adjacency, spike_counts)
-    return min(text(c) for c in _skeleton_centers(adjacency))
+    """Least rooted text over the skeleton centers: the canonical code text.
+    Numbered parent first, a vertex's parent is its least neighbour."""
+    parent = [-1] + [min(nbrs) for nbrs in adjacency[1:]]
+    return min(_rooted_texts(parent, spike_counts, _skeleton_centers(adjacency))[1])
 
 
 def _skeleton_centers(adjacency: Sequence[frozenset[int]]) -> list[int]:
@@ -427,36 +431,51 @@ def _skeleton_centers(adjacency: Sequence[frozenset[int]]) -> list[int]:
     return sorted(alive)
 
 
-def rooted_encoder(
-    adjacency: Sequence[Iterable[int]], spike_counts: Sequence[int]
-) -> Callable[..., str]:
-    """Memoised rooted encoding of a skeleton (Aho-Hopcroft-Ullman style).
+def _rooted_texts(
+    parent: Sequence[int], spike_counts: Sequence[int], roots: Sequence[int]
+) -> tuple[list[list[tuple[str, int]]], list[str]]:
+    """The rooted texts of a skeleton, from one rerooting pass: the only
+    place that builds them.
 
-    ``text(v, parent)`` is the canonical text of the subtree at v on the far
-    side of the edge to ``parent`` (the whole thorn rooted at v when parent
-    is None): ``(k:`` with k the spike count of v, the sorted texts of its
-    children, then ``)``.  Equal texts mean isomorphic rooted subtrees.
+    The vertices are numbered parent first: ``parent[v] < v`` for every v
+    but 0, and ``parent[0]`` is -1.  A rooted text is ``(k:`` with k the
+    spike count of its vertex, the sorted texts of the vertex's subtrees,
+    then ``)``; equal texts mean isomorphic rooted subtrees (Aho, Hopcroft
+    and Ullman).  The pass builds each subtree's text away from its parent,
+    children first, then, parents first, the text of the rest of the thorn
+    seen from each vertex on the paths from the roots up to vertex 0, cut
+    out of its parent's whole text.
+
+    Returns ``toward`` and the whole text rooted at each of ``roots``.
+    ``toward[v]`` lists (text of the side of neighbour w away from v, w),
+    sorted; it holds every neighbour of vertex 0 and of the vertices on
+    those paths, and only the children of any other vertex, which is all a
+    rooting at one of the roots reads.
     """
-    memo: dict[tuple[int, int | None], str] = {}
-
-    def text(v: int, parent: int | None = None) -> str:
-        found = memo.get((v, parent))
-        if found is not None:
-            return found
-        # breadth-first list of the directed edges not yet encoded; reversed,
-        # it has every child edge before its parent's
-        order = [(v, parent)]
-        for u, p in order:
-            for w in adjacency[u]:
-                if w != p and (w, u) not in memo:
-                    order.append((w, u))
-        for u, p in reversed(order):
-            kids = [memo[w, u] for w in adjacency[u] if w != p]
-            kids.sort()
-            memo[u, p] = f"({spike_counts[u]}:{''.join(kids)})"
-        return memo[v, parent]
-
-    return text
+    V = len(spike_counts)
+    heads = [f"({k}:" for k in spike_counts]
+    toward: list[list[tuple[str, int]]] = [[] for _ in range(V)]
+    for w in range(V - 1, 0, -1):
+        near = toward[w]
+        near.sort()
+        toward[parent[w]].append((heads[w] + "".join([text for text, _ in near]) + ")", w))
+    toward[0].sort()
+    on_path = [False] * V
+    for v in roots:
+        while v and not on_path[v]:
+            on_path[v] = True
+            v = parent[v]
+    whole = [""] * V
+    for v, near in enumerate(toward):
+        if v and not on_path[v]:
+            continue
+        whole[v] = heads[v] + "".join([text for text, _ in near]) + ")"
+        at = len(heads[v])
+        for text, w in near:
+            if on_path[w] and w != parent[v]:  # v's side seen from w
+                insort(toward[w], (whole[v][:at] + whole[v][at + len(text) :], v))
+            at += len(text)
+    return toward, [whole[r] for r in roots]
 
 
 def abstract_from_code(code: ThornCode) -> AbstractThorn:
@@ -518,9 +537,6 @@ def _reduced_text(spikes_at: dict[Address, set[int]], arity: int) -> str:
     """Code text of a reduced {vertex: spike directions}, empty or not."""
     if not spikes_at:
         return EMPTY_CODE_TEXT
-    if len(spikes_at) == 1:
-        (dirs,) = spikes_at.values()
-        return f"({len(dirs)}:)"
     return _center_rooted_text(*_skeleton(spikes_at, arity))
 
 
@@ -616,6 +632,8 @@ def enumerate_class_codes(arity: int, iota: int, max_vertices: int) -> tuple[Tho
             index = {v: i for i, v in enumerate(order)}
             skeleton = tuple(frozenset(index[w] for w in adjacency[v]) for v in order)
             centers = _skeleton_centers(skeleton)
+            # leaves come after the rest, so each vertex's parent is still its least neighbour
+            parent = [-1] + [min(nbrs) for nbrs in skeleton[1:]]
             choices = []
             for group in groups:
                 d = len(adjacency[group[0]])
@@ -625,8 +643,7 @@ def enumerate_class_codes(arity: int, iota: int, max_vertices: int) -> tuple[Tho
                 counts = tuple(chain.from_iterable(pick))
                 spikes = sum(counts)
                 if spikes % (arity - 1) == iota:
-                    encode = rooted_encoder(skeleton, counts)
-                    found.add((V, spikes, min(map(encode, centers))))
+                    found.add((V, spikes, min(_rooted_texts(parent, counts, centers)[1])))
     return tuple(trusted(ThornCode, arity, text) for _, _, text in sorted(found))
 
 
@@ -686,8 +703,9 @@ def _embeddings(pattern: ThornCode, region: SubThorn) -> list[tuple[Spike, ...]]
     parent.  A child goes to a neighbour of its parent's image other than
     the grandparent's image, so every placement embeds the skeleton.  Each
     thorn is built once: equal sibling subtrees sit next to each other in the
-    text and take increasing addresses, and when the halves on either side
-    of a bicentre are equal, the other centre takes the larger address.
+    text and take increasing addresses, and when the texts rooted at the two
+    centres of a bicentre are equal, the other centre takes the larger
+    address.
 
     No vertex lies further from vertex 0 than the pattern's height from it,
     so vertex 0 goes only to vertices within that height of the region, and
@@ -707,17 +725,20 @@ def _embeddings(pattern: ThornCode, region: SubThorn) -> list[tuple[Spike, ...]]
     adjacency, counts = model.adjacency, model.spike_counts
     V = len(adjacency)
     # text order is a preorder: a vertex's one smaller neighbour is its parent
-    parent = [0] + [min(adjacency[v]) for v in range(1, V)]
+    parent = [-1] + [min(adjacency[v]) for v in range(1, V)]
+    centre_nbrs = sorted(adjacency[0])
+    toward, rooted = _rooted_texts(parent, counts, [0, *centre_nbrs])
     # above[v]: the vertex whose image v's image must exceed, if any
     above: list[int | None] = [None] * V
-    text = rooted_encoder(adjacency, counts)
-    for v in range(V):
-        kids = sorted(w for w in adjacency[v] if w > v)
-        for a, b in zip(kids, kids[1:]):
-            if text(a, v) == text(b, v):
-                above[b] = a
-    for w in adjacency[0]:
-        if text(w, 0) == text(0, w):
+    for v, near in enumerate(toward):
+        last = None
+        for text, w in near:  # equal sibling texts are adjacent, in text order
+            if w != parent[v]:
+                if last is not None and last[0] == text:
+                    above[w] = last[1]
+                last = text, w
+    for w, text in zip(centre_nbrs, rooted[1:]):
+        if text == rooted[0]:
             above[w] = 0
     region_verts = region.vertices
     image: list[Address] = [ROOT] * V

@@ -315,10 +315,9 @@ class ClopenSet:
         table = dict(pairs)
         if len(table) != len(pairs):
             raise ValidationError("carrier has repeated leaves")
-        require_prefix_code(table, arity, "carrier")
-        return normal_clopen(
-            arity, {validate_address(k, arity, "leaf"): bool(v) for k, v in table.items()}
-        )
+        for leaf in sorted(table):
+            validate_address(leaf, arity, "leaf")
+        return _marked_clopen(arity, {leaf: bool(v) for leaf, v in table.items()})
 
     @staticmethod
     def from_balls(arity: int, balls: Iterable[Ball]) -> "ClopenSet":
@@ -364,6 +363,14 @@ class ClopenSet:
     def is_single_ball(self) -> bool:
         """A clopen set is a ball iff exactly one leaf is marked or exactly one is not."""
         return len(self.marks) == 1 or len(self.carrier) - len(self.marks) == 1
+
+
+def _marked_clopen(arity: int, flags: dict[Address, bool]) -> ClopenSet:
+    """``ClopenSet.from_marks`` for distinct leaves each checked already
+    (``parse_address`` checks them): only the carrier is checked."""
+    check_arity(arity)
+    require_complete_code(tuple(sorted(flags)), arity, "carrier")
+    return normal_clopen(arity, flags)
 
 
 def normal_clopen(arity: int, flags: dict[Address, bool]) -> ClopenSet:

@@ -4,7 +4,7 @@ import math
 import random
 from itertools import chain, combinations, permutations, product
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from spherotree.bithorn import BiThorn, CosetCode, empty_bithorn, minimal_bithorn
 from spherotree.element import (
@@ -26,16 +26,13 @@ from spherotree.thorn import (
     Spike,
     SubThorn,
     ThornCode,
-    _center_rooted_text,
     _embeddings,
     _free_trees,
     _shape_defect,
     abstract_from_code,
-    canonical_code,
     classify_balls,
     classify_spikes_among,
     maximal_ball_thorn,
-    rooted_encoder,
 )
 from spherotree.tree import (
     Address,
@@ -112,13 +109,73 @@ def depth_members(omega: ClopenSet, depth: int) -> frozenset[Address]:
     return frozenset(out)
 
 
+def rooted_encoder(
+    adjacency: Sequence[Iterable[int]], spike_counts: Sequence[int]
+) -> Callable[..., str]:
+    """The library's former rooted encoder, memoised (Aho-Hopcroft-Ullman
+    style), kept as the reference for ``thorn._rooted_texts``; it takes any
+    numbering of the vertices.
+
+    ``text(v, parent)`` is the canonical text of the subtree at v on the far
+    side of the edge to ``parent`` (the whole thorn rooted at v when parent
+    is None): ``(k:`` with k the spike count of v, the sorted texts of its
+    children, then ``)``.  Equal texts mean isomorphic rooted subtrees.
+    """
+    memo: dict[tuple[int, int | None], str] = {}
+
+    def text(v: int, parent: int | None = None) -> str:
+        found = memo.get((v, parent))
+        if found is not None:
+            return found
+        # breadth-first list of the directed edges not yet encoded; reversed,
+        # it has every child edge before its parent's
+        order = [(v, parent)]
+        for u, p in order:
+            for w in adjacency[u]:
+                if w != p and (w, u) not in memo:
+                    order.append((w, u))
+        for u, p in reversed(order):
+            kids = [memo[w, u] for w in adjacency[u] if w != p]
+            kids.sort()
+            memo[u, p] = f"({spike_counts[u]}:{''.join(kids)})"
+        return memo[v, parent]
+
+    return text
+
+
+def skeleton_centres(adjacency: Sequence[Iterable[int]]) -> list[int]:
+    """The vertices of least eccentricity, by a breadth-first search from
+    each vertex."""
+    eccentricity = []
+    for start in range(len(adjacency)):
+        dist = {start: 0}
+        frontier = [start]
+        for v in frontier:
+            for w in adjacency[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    frontier.append(w)
+        eccentricity.append(max(dist.values()))
+    return [v for v, e in enumerate(eccentricity) if e == min(eccentricity)]
+
+
+def reference_code_text(
+    adjacency: Sequence[Iterable[int]], spike_counts: Sequence[int], centres: Sequence[int] | None = None
+) -> str:
+    """The canonical code text by the reference encoder, for any numbering:
+    the least text rooted at a skeleton centre.  Callers that encode one
+    skeleton under many spike vectors pass its centres."""
+    text = rooted_encoder(adjacency, spike_counts)
+    return min(map(text, skeleton_centres(adjacency) if centres is None else centres))
+
+
 def subthorn_route_code(omega: ClopenSet) -> ThornCode:
     """``classify_clopen`` by its former route: the reduced maximal-ball
     ``SubThorn``, renumbered in address order as an ``AbstractThorn``, then
-    encoded from its centre, where the library now encodes the reduced
-    {vertex: spike directions} directly."""
+    encoded from its centre by the reference encoder, where the library now
+    encodes the reduced {vertex: spike directions} directly."""
     t = AbstractThorn.from_subthorn(maximal_ball_thorn(omega))
-    return ThornCode(omega.arity, _center_rooted_text(t.adjacency, t.spike_counts))
+    return ThornCode(omega.arity, reference_code_text(t.adjacency, t.spike_counts))
 
 
 def random_finitary(rng: random.Random, arity: int) -> Spheromorphism:
@@ -587,17 +644,18 @@ def pruefer_class_codes(arity: int, iota: int, max_vertices: int) -> tuple[Thorn
     """``enumerate_class_codes`` by brute force over labelled trees.
 
     Every labelled tree (Prüfer decoding) with every admissible spike-count
-    vector, deduplicated through ``canonical_code``; V^(V-2) trees per size,
-    so only small bounds finish.
+    vector, deduplicated through the reference encoder's code texts;
+    V^(V-2) trees per size, so only small bounds finish.
     """
     found: set[ThornCode] = set()
     for V in range(1, max_vertices + 1):
         for adjacency in labeled_trees(V):
             degs = tuple(len(nbrs) for nbrs in adjacency)
+            centres = skeleton_centres(adjacency)
             for counts in product(*(range(arity + 2 - d) for d in degs)):
                 if sum(counts) % (arity - 1) != iota or _shape_defect(degs, counts, arity):
                     continue
-                found.add(canonical_code(AbstractThorn(arity, adjacency, counts)))
+                found.add(trusted(ThornCode, arity, reference_code_text(adjacency, counts, centres)))
     return tuple(sorted(found, key=lambda c: (c.vertex_count, c.spike_count, c.text)))
 
 
@@ -606,17 +664,19 @@ def every_vector_class_codes(arity: int, iota: int, max_vertices: int) -> tuple[
 
     Each unlabelled tree (``_free_trees``) with every spike-count vector
     that fits its degrees; the residue test and ``_shape_defect`` drop the
-    vectors that are no orbit class, and a set of texts drops repeats.
+    vectors that are no orbit class, and a set of the reference encoder's
+    texts drops repeats.
     """
     found: set[tuple[int, int, str]] = set()
     for V, trees in enumerate(_free_trees(max_vertices), start=1):
         for adjacency in trees:
             degs = tuple(len(nbrs) for nbrs in adjacency)
+            centres = skeleton_centres(adjacency)
             for counts in product(*(range(arity + 2 - d) for d in degs)):
                 spikes = sum(counts)
                 if spikes % (arity - 1) != iota or _shape_defect(degs, counts, arity):
                     continue
-                found.add((V, spikes, _center_rooted_text(adjacency, counts)))
+                found.add((V, spikes, reference_code_text(adjacency, counts, centres)))
     return tuple(trusted(ThornCode, arity, text) for _, _, text in sorted(found))
 
 
@@ -745,7 +805,7 @@ def _class_placements(
         # shape is settled once per spike-count vector; vectors share the
         # pattern's (count, degree) profile, hence its reducedness
         for counts in _count_vectors(free, degs, model.spike_count, profile):
-            if canonical_code(AbstractThorn(arity, tuple(adjacency), counts)) == pattern:
+            if reference_code_text(adjacency, counts) == pattern.text:
                 yield from _direction_combos(vlist, free, counts)
 
     universe = _neighbourhood(seeds, radius, arity)

@@ -875,7 +875,7 @@ def test_bruteforce_shares_nothing_with_theta_classification(monkeypatch):
         "reduce_subthorn",
         "subthorn_from_balls",
         "canonical_code",
-        "rooted_encoder",
+        "_rooted_texts",
         "act_on_ball",
         "_act_on_spike",
         "_spanned",

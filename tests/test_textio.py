@@ -1,9 +1,11 @@
 """Round-trip and diagnostic tests for the plain-text formats."""
 
 import random
+import sys
 
 import pytest
 
+from spherotree import tree
 from spherotree import (
     ClassTable,
     ClopenSet,
@@ -103,6 +105,31 @@ def test_clopen_parse_errors():
         parse_clopen("arity 2\n0 1\n0 0\n1 0\n2 0\n")
     with pytest.raises(ValidationError, match="empty"):
         parse_clopen("arity 2\n0 0\n1 0\n2 0\n")
+
+
+def test_parsers_check_each_address_once(monkeypatch):
+    """A four-leaf clopen file and ``ClopenSet.from_marks`` on its leaves
+    make one ``validate_address`` call per leaf, and a five-piece element
+    file one per address."""
+    calls = []
+    real = tree.validate_address
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for key, module in sorted(sys.modules.items()):
+        if (key == "spherotree" or key.startswith("spherotree.")) and hasattr(module, "validate_address"):
+            monkeypatch.setattr(module, "validate_address", counted)
+    omega = parse_clopen("arity 2\n00 1\n01 0\n1 1\n2 0\n")
+    assert sorted(calls) == sorted(omega.carrier) == [(0, 0), (0, 1), (1,), (2,)]
+    calls.clear()
+    assert ClopenSet.from_marks(2, omega.leaf_flags()) == omega
+    assert sorted(calls) == sorted(omega.carrier)
+    calls.clear()
+    g = parse_element("arity 2\n000 -> 0\n001 -> 10\n01 -> 11\n1 -> 20\n2 -> 21\n")
+    assert len(g.pieces) == 5
+    assert len(calls) == 10
 
 
 def test_subthorn_round_trip_including_empty_and_up():

@@ -11,8 +11,8 @@ from spherotree import orbitstats
 from spherotree.orbitstats import _maximal_balls
 from spherotree.thorn import (
     UP,
-    _center_rooted_text,
     _free_trees,
+    _rooted_texts,
     _spanned,
     AbstractThorn,
     SubThorn,
@@ -51,6 +51,8 @@ from oracles import (
     labeled_trees,
     pairwise_path_span,
     pruefer_class_codes,
+    reference_code_text,
+    rooted_encoder,
     skeleton_diameter,
     split_ball,
     subset_embeddings,
@@ -305,8 +307,17 @@ def _random_abstract(rng, arity, max_v=5):
 
 
 def _relabel(t: AbstractThorn, rng) -> AbstractThorn:
-    perm = list(range(t.vertex_count))
-    rng.shuffle(perm)
+    """t renumbered parent first, as the library numbers abstract thorns,
+    from a random root and in a random order."""
+    order = [rng.randrange(t.vertex_count)]
+    frontier = list(t.adjacency[order[0]])
+    while frontier:
+        v = frontier.pop(rng.randrange(len(frontier)))
+        order.append(v)
+        frontier += [w for w in t.adjacency[v] if w not in order]
+    perm = [0] * t.vertex_count
+    for i, v in enumerate(order):
+        perm[v] = i
     adj = [frozenset()] * t.vertex_count
     counts = [0] * t.vertex_count
     for v in range(t.vertex_count):
@@ -324,6 +335,47 @@ def test_code_equality_matches_isomorphism():
         assert canonical_code(a) == canonical_code(b)
         c = _random_abstract(rng, arity)
         assert (canonical_code(a) == canonical_code(c)) == _rooted_isomorphic(a, c)
+
+
+def test_rooted_texts_match_the_reference_encoder():
+    """On random labelled trees with random spike counts at arities 2-9,
+    the rerooting pass, fed the tree renumbered parent first from a random
+    vertex, gives the reference encoder's text rooted at every vertex and
+    of every neighbour's side; asked for some roots only, it gives their
+    texts and still every child's subtree text."""
+    rng = random.Random("rooted-texts")
+    for _ in range(300):
+        arity = rng.randint(2, 9)
+        V = rng.randint(1, 12)
+        labels = list(range(V))
+        rng.shuffle(labels)
+        adjacency = [set() for _ in range(V)]
+        for i in range(1, V):
+            j = rng.choice([j for j in range(i) if len(adjacency[labels[j]]) <= arity])
+            adjacency[labels[i]].add(labels[j])
+            adjacency[labels[j]].add(labels[i])
+        counts = [rng.randint(0, arity + 1 - len(nbrs)) for nbrs in adjacency]
+        text = rooted_encoder(adjacency, counts)
+        order = [rng.randrange(V)]  # parent first, from a random vertex
+        parent = [-1]
+        for i, v in enumerate(order):
+            kids = [w for w in adjacency[v] if w not in order]
+            rng.shuffle(kids)
+            order += kids
+            parent += [i] * len(kids)
+        index = {v: i for i, v in enumerate(order)}
+        counts_in_order = [counts[v] for v in order]
+        toward, rooted = _rooted_texts(parent, counts_in_order, range(V))
+        assert rooted == [text(v) for v in order]
+        for i, v in enumerate(order):
+            assert toward[i] == sorted((text(w, v), index[w]) for w in adjacency[v])
+        roots = rng.sample(range(V), rng.randint(1, V))
+        toward, rooted = _rooted_texts(parent, counts_in_order, roots)
+        assert rooted == [text(order[r]) for r in roots]
+        for i, near in enumerate(toward):
+            assert near == sorted(near)
+            assert all(text(order[w], order[i]) == side for side, w in near)
+            assert {w for _, w in near} >= {w for w in range(V) if parent[w] == i}
 
 
 def test_code_round_trip():
@@ -786,7 +838,9 @@ def test_code_counts_are_read_off_the_text():
 
 
 def _skeleton_texts(trees):
-    return [_center_rooted_text(adjacency, [0] * len(adjacency)) for adjacency in trees]
+    """Centre-rooted texts of bare skeletons in any numbering, by the
+    reference encoder."""
+    return [reference_code_text(adjacency, [0] * len(adjacency)) for adjacency in trees]
 
 
 def test_free_trees_counts():
