@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import binascii
 import re
-from dataclasses import dataclass
 from bisect import insort
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement, product
 from typing import Container, Iterable, Iterator, Sequence
@@ -725,18 +725,16 @@ def _embeddings(pattern: ThornCode, region: SubThorn) -> list[tuple[Spike, ...]]
     adjacency, counts = model.adjacency, model.spike_counts
     V = len(adjacency)
     # text order is a preorder: a vertex's one smaller neighbour is its parent
-    parent = [-1] + [min(adjacency[v]) for v in range(1, V)]
+    parent = [-1] + [min(nbrs) for nbrs in adjacency[1:]]
     centre_nbrs = sorted(adjacency[0])
     toward, rooted = _rooted_texts(parent, counts, [0, *centre_nbrs])
     # above[v]: the vertex whose image v's image must exceed, if any
     above: list[int | None] = [None] * V
     for v, near in enumerate(toward):
-        last = None
-        for text, w in near:  # equal sibling texts are adjacent, in text order
-            if w != parent[v]:
-                if last is not None and last[0] == text:
-                    above[w] = last[1]
-                last = text, w
+        kids = [(text, w) for text, w in near if w != parent[v]]  # in text order
+        for (a_text, a), (b_text, b) in zip(kids, kids[1:]):
+            if a_text == b_text:
+                above[b] = a
     for w, text in zip(centre_nbrs, rooted[1:]):
         if text == rooted[0]:
             above[w] = 0
