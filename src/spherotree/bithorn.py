@@ -17,7 +17,6 @@ its two sides come from ``thorn._rooted_texts``, as every thorn code does.
 from __future__ import annotations
 
 import binascii
-import random
 from dataclasses import dataclass
 from itertools import chain, count, repeat
 from operator import itemgetter
@@ -126,7 +125,7 @@ def bithorn_of(g: Spheromorphism) -> BiThorn:
     return trusted(BiThorn, g.arity, dom, ran, pairing)
 
 
-def reduce_bithorn(b: BiThorn, rng: random.Random | None = None) -> BiThorn:
+def reduce_bithorn(b: BiThorn) -> BiThorn:
     """Cut similar pairs until none remain.  The fixpoint is order-independent.
 
     Both sides are read into {vertex: spike directions}.  A worklist holds
@@ -137,9 +136,7 @@ def reduce_bithorn(b: BiThorn, rng: random.Random | None = None) -> BiThorn:
     vertex itself is cut, so each is tested once, when it reaches n spikes.
     A single matched vertex pair matches two full branch stars, which any
     tree automorphism can align, so reaching one vertex means reaching the
-    empty pair.  A pair with nothing to cut comes back as itself.  Passing
-    a random generator pops the worklist at random instead of from its end;
-    the result is the same either way.
+    empty pair.  A pair with nothing to cut comes back as itself.
     """
     if b.is_empty:
         return b
@@ -148,7 +145,7 @@ def reduce_bithorn(b: BiThorn, rng: random.Random | None = None) -> BiThorn:
     pair = dict(b.pairing)
     pending = [a for a, dirs in dom.items() if len(dirs) == arity]
     while pending and len(dom) > 1:
-        a = pending.pop() if rng is None else pending.pop(rng.randrange(len(pending)))
+        a = pending.pop()
         far = {pair[a, d][0] for d in dom[a]}
         if len(far) > 1:
             continue

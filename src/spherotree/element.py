@@ -32,7 +32,6 @@ from .tree import (
     children,
     check_arity,
     common_refinement,
-    down,
     format_address,
     is_prefix,
     merge_families,
@@ -140,10 +139,6 @@ def _paired_codes(arity: int, raw: list[Piece]) -> list[Piece]:
 
 def identity(arity: int) -> Spheromorphism:
     return from_pieces(arity, [(leaf, leaf) for leaf in root_code(arity)])
-
-
-def is_identity(g: Spheromorphism) -> bool:
-    return all(u == v for u, v in g.pieces)
 
 
 def _covering(g: Spheromorphism, word: Address) -> slice:
@@ -255,28 +250,6 @@ def truncated_action(g: Spheromorphism, depth: int) -> dict[Address, Address]:
     return {word: g.apply_word(word) for word in all_words(g.arity, depth)}
 
 
-def preserves_all_balls(g: Spheromorphism) -> bool:
-    """Independent automorphism oracle: every ball maps to a ball, both ways.
-
-    Cuts deeper than the table act literally, so checking every cut down to
-    two levels below the table depth decides the property for all balls.
-    A map sending balls to balls bijectively is induced by a tree isomorphism
-    (balls are mid-edges; inclusion recovers adjacency), so this is the
-    extendability test, built only from table/refinement primitives.
-    """
-    for element in (g, invert(g)):
-        bound = element.depth() + 2
-        for depth in range(1, bound + 1):
-            for word in all_words(element.arity, depth):
-                balls = act_on_ball(element, down(word))
-                if len(balls) == 1:
-                    continue
-                image = ClopenSet.from_balls(element.arity, list(balls))
-                if not image.is_single_ball():
-                    return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # constructors for notable elements
 # ---------------------------------------------------------------------------
@@ -318,37 +291,6 @@ def finitary_automorphism(
             image.append(perm[word[k]] if perm else word[k])
         pieces.append((word, tuple(image)))
     return from_pieces(arity, pieces)
-
-
-def witness_nonautomorphism() -> Spheromorphism:
-    """A 4-piece element of arity 2 outside the automorphism subgroup.
-
-    It tears the ball under 0 apart: the image of Down(0) is the union of
-    Down(0) and Down(20), which is not a ball.
-    """
-    return from_pieces(
-        2,
-        [((0, 0), (0,)), ((0, 1), (2, 0)), ((1,), (1,)), ((2,), (2, 1))],
-    )
-
-
-def witness_translation() -> Spheromorphism:
-    """A hyperbolic translation of arity 2: an automorphism moving the root.
-
-    The table has pieces of unequal depth displacement, so it is not
-    finitary, yet every ball still maps to a ball.
-    """
-    return from_pieces(
-        2,
-        [
-            ((0, 0), (0, 0, 0)),
-            ((0, 1), (0, 0, 1)),
-            ((1, 0), (2,)),
-            ((1, 1, 0), (1, 0)),
-            ((1, 1, 1), (1, 1)),
-            ((2,), (0, 1)),
-        ],
-    )
 
 
 def thompson_generators() -> tuple[Spheromorphism, Spheromorphism, Spheromorphism]:

@@ -26,10 +26,9 @@ images are lumped unencoded.  A candidate the element leaves in place is
 classified like any other and keeps its class.  ``moved_sets`` lists the
 same sets plus the lumped ones entering a tracked class, read off the
 range side with g⁻¹, with ``omega``/``image`` built as clopen normal
-forms, classifying lumped ones from them.  ``theta_bruteforce`` sweeps every
-tracked-class set of bounded carrier depth, moves it with
-``act_on_clopen`` and matches the thorn of its maximal balls against the
-tracked codes by an isomorphism test: an independent, much slower oracle.
+forms, classifying lumped ones from them.  The tests check ``theta``
+against a brute-force oracle that sweeps every tracked-class set of bounded
+carrier depth and shares none of its enumeration, reduction or encoding.
 
 θ is the same for every element of a double coset of the automorphism
 group, so ``theta`` memoises it on (coset code, table) in an ``lru_cache``
@@ -38,39 +37,24 @@ of ``MEMO_SIZE`` entries.  Automorphisms move nothing and skip the memo.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .bithorn import BiThorn, CosetCode, canonical_coset_code, minimal_bithorn
-from .element import Spheromorphism, _act_on_spike, act_on_clopen, invert
+from .element import Spheromorphism, _act_on_spike, invert
 from .errors import DomainError, InternalError, ValidationError
 from .thorn import (
-    AbstractThorn,
     SubThorn,
     ThornCode,
     _embeddings,
-    abstract_from_code,
     check_sector,
     classify_clopen,
     classify_spikes_among,
     require_class_code,
 )
-from .tree import (
-    Address,
-    Ball,
-    ClopenSet,
-    Spike,
-    all_words,
-    ball_of_spike,
-    balls_disjoint,
-    down,
-    neighbors,
-    trusted,
-    up,
-)
+from .tree import ClopenSet, Spike, ball_of_spike, trusted
 
 LUMP_LABEL = "P"
 
@@ -241,16 +225,6 @@ def moved_sets(g: Spheromorphism, table: ClassTable) -> tuple[MovedSet, ...]:
     return tuple(sorted(records, key=lambda rec: rec.omega.leaf_flags()))
 
 
-def _tabulate(table: ClassTable, transitions) -> TransitionCounts:
-    size = len(table.tracked) + 1
-    counts = [[0] * size for _ in range(size)]
-    for i, j in transitions:
-        if i == j:
-            raise InternalError("a class transition cannot sit on the diagonal")
-        counts[i][j] += 1
-    return _counts(table, counts)
-
-
 def _counts(table: ClassTable, counts: list[list[int]]) -> TransitionCounts:
     """The finished counts of an off-diagonal count table."""
     matrix = tuple(
@@ -316,174 +290,10 @@ def theta(g: Spheromorphism, table: ClassTable) -> TransitionCounts:
         raise DomainError(f"arity mismatch: {g.arity} vs {table.arity}")
     pair = minimal_bithorn(g)
     if pair.is_empty:
-        return _tabulate(table, ())
+        size = len(table.tracked) + 1
+        return _counts(table, [[0] * size for _ in range(size)])
     return _coset_theta(_Coset(canonical_coset_code(pair), g, pair), table)
 
 
 theta.cache_info = _coset_theta.cache_info  # type: ignore[attr-defined]
 theta.cache_clear = _coset_theta.cache_clear  # type: ignore[attr-defined]
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-# ---------------------------------------------------------------------------
-
-
-def _anchor(ball: Ball) -> Address:
-    """The vertex a ball's spike hangs off: the near end of its cut edge."""
-    return ball.cut if ball.up else ball.cut[:-1]
-
-
-def _span(words: Iterable[Address]) -> set[Address]:
-    """Every prefix of the words at least as long as their longest common one,
-    which is that of the least and the greatest word.  For spike anchors this
-    is their thorn's vertex set: every path between them runs through it."""
-    words = set(words)
-    low, high = min(words), max(words)
-    meet = next((k for k, (a, b) in enumerate(zip(low, high)) if a != b), min(len(low), len(high)))
-    return {w[:k] for w in words for k in range(meet, len(w) + 1)}
-
-
-def _maximal_balls(omega: ClopenSet) -> tuple[Ball, ...]:
-    """The balls inside omega that lie in no larger ball inside omega.
-
-    ``down(u)`` lies inside when u starts no unmarked carrier leaf, and
-    ``up(u)`` when u starts every one of them.  So the one maximal up ball,
-    if any, is cut at the stem of the unmarked leaves (their longest common
-    prefix), and each marked leaf below the stem lies in the down ball of its
-    shortest prefix past the stem that starts no unmarked leaf.
-    """
-    near = _span(leaf for leaf in omega.carrier if leaf not in omega.marks)
-    stem = min(near)
-    found = {up(stem)} if stem else set()
-    for leaf in omega.marks:
-        if leaf[: len(stem)] == stem:
-            k = len(stem) + 1
-            while leaf[:k] in near:
-                k += 1
-            found.add(down(leaf[:k]))
-    return tuple(sorted(found))
-
-
-def _shape(balls: Sequence[Ball], arity: int) -> AbstractThorn:
-    """Skeleton and spike counts of the thorn whose spikes are the balls.
-
-    Vertices are numbered in address order, which puts the anchors' common
-    prefix first and every other vertex after its parent.
-    """
-    anchors = Counter(_anchor(b) for b in balls)
-    order = sorted(_span(anchors))
-    index = {v: i for i, v in enumerate(order)}
-    adjacency: list[set[int]] = [set() for _ in order]
-    for i, v in enumerate(order[1:], start=1):
-        adjacency[i].add(index[v[:-1]])
-        adjacency[index[v[:-1]]].add(i)
-    return AbstractThorn(arity, tuple(map(frozenset, adjacency)), tuple(anchors[v] for v in order))
-
-
-def _isomorphic(a: AbstractThorn, b: AbstractThorn) -> bool:
-    """True iff a bijection between the vertices keeps edges and spike counts.
-
-    The vertices of a are placed in index order, each on a free vertex of b
-    with its spike count and its adjacency to the vertices placed before.
-    """
-
-    def place(image: list[int]) -> bool:
-        v = len(image)
-        return v == a.vertex_count or any(
-            place(image + [x])
-            for x in range(a.vertex_count)
-            if x not in image
-            and b.spike_counts[x] == a.spike_counts[v]
-            and all((image[u] in b.adjacency[x]) == (u in a.adjacency[v]) for u in range(v))
-        )
-
-    found = a.vertex_count == b.vertex_count and place([])
-    del place  # it calls itself through its closure; the cycle would outlive this call
-    return found
-
-
-@lru_cache(maxsize=32)
-def _classified_unions(
-    arity: int, depth: int, count: int, max_vertices: int
-) -> tuple[tuple[ClopenSet, AbstractThorn], ...]:
-    """Sets of ``count`` maximal balls of cut depth <= depth, with their thorns.
-
-    A set's maximal balls are the spikes of its reduced thorn, so each set
-    whose reduced thorn has ``count`` spikes, at most ``max_vertices``
-    vertices and carrier depth at most ``depth`` is listed once, in the
-    order of its balls.  The anchors of such balls span at most
-    ``max_vertices`` vertices, so all lie within ``max_vertices - 1`` edges
-    of the first one, and none is deeper than ``depth``.
-    """
-    balls = [Ball(raised, cut) for k in range(depth) for cut in all_words(arity, k + 1) for raised in (False, True)]
-    at: dict[Address, list[int]] = {}
-    for i, ball in enumerate(balls):
-        at.setdefault(_anchor(ball), []).append(i)
-    found = {}
-
-    def extend(chosen: list[Ball], candidates: list[int]) -> None:
-        if len(chosen) == count:
-            key = tuple(sorted(chosen))
-            try:
-                omega = ClopenSet.from_balls(arity, key)
-            except DomainError:
-                return  # the union is the whole boundary
-            if _maximal_balls(omega) == key:
-                found[key] = (omega, _shape(key, arity))
-            return
-        for k, i in enumerate(candidates):
-            wider = chosen + [balls[i]]
-            if all(balls_disjoint(balls[i], b) for b in chosen) and (
-                len(_span(map(_anchor, wider))) <= max_vertices
-            ):
-                extend(wider, candidates[k + 1 :])
-
-    for i, first in enumerate(balls):
-        near = {_anchor(first)}
-        for _ in range(min(max_vertices - 1, 2 * depth)):
-            near |= {w for v in near for w in neighbors(v, arity) if len(w) <= depth}
-        extend([first], sorted(j for v in near for j in at.get(v, ()) if j > i))
-    del extend  # it calls itself through its closure; the cycle would outlive this call
-    return tuple(found[key] for key in sorted(found))
-
-
-def theta_bruteforce(g: Spheromorphism, table: ClassTable, depth: int) -> TransitionCounts:
-    """Transition counts recomputed by sweeping all bounded-depth candidates.
-
-    The pool holds every set of a tracked class whose carrier reaches at
-    most ``depth``; the depth must exceed the table depth of g plus the
-    largest tracked diameter, so that every set that can change class (in
-    either direction) is inside the pool.
-    """
-    if g.arity != table.arity:
-        raise DomainError(f"arity mismatch: {g.arity} vs {table.arity}")
-    max_diameter = max(code.diameter for code in table.tracked)
-    needed = g.depth() + max_diameter + 1
-    if depth < needed:
-        raise DomainError(
-            f"depth {depth} cannot certify this element; it needs at least {needed}"
-        )
-    models = [abstract_from_code(code) for code in table.tracked]
-
-    def class_of(thorn: AbstractThorn) -> int:
-        """Matrix index of a thorn's class: 1.. for tracked, 0 for lumped."""
-        return next((i + 1 for i, model in enumerate(models) if _isomorphic(thorn, model)), 0)
-
-    max_vertices = max(code.vertex_count for code in table.tracked)
-    inverse = invert(g)
-    transitions = []
-    for count in sorted({code.spike_count for code in table.tracked}):
-        for omega, thorn in _classified_unions(g.arity, depth, count, max_vertices):
-            i = class_of(thorn)
-            if not i:
-                continue
-            image = act_on_clopen(g, omega)
-            if image != omega:
-                after = class_of(_shape(_maximal_balls(image), g.arity))
-                if after != i:
-                    transitions.append((i, after))
-            source = act_on_clopen(inverse, omega)
-            if source != omega and not class_of(_shape(_maximal_balls(source), g.arity)):
-                transitions.append((0, i))
-    return _tabulate(table, transitions)

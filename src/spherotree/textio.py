@@ -18,7 +18,7 @@ from .element import Spheromorphism, _from_addresses
 from .errors import DomainError, ValidationError
 from .orbitstats import ClassTable, TransitionCounts
 from .spherical import GramReport, SphericalSpec, TensorSpec
-from .thorn import SubThorn, ThornCode
+from .thorn import _INTEGER, SubThorn, ThornCode
 from .tree import UP, Address, ClopenSet, _marked_clopen, format_address, parse_address
 
 
@@ -43,10 +43,9 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 
 def _parse_int(field: str, source: str, lineno: int, what: str) -> int:
-    try:
-        return int(field)
-    except ValueError:
+    if not _INTEGER.fullmatch(field):
         _fail(source, lineno, f"{what} {field!r} is not an integer")
+    return int(field)
 
 
 def _parse_float(field: str, source: str, lineno: int, what: str) -> float:

@@ -250,9 +250,9 @@ def _across(v: Address, spikes_at: dict[Address, set[int]], arity: int) -> tuple
 class AbstractThorn:
     """A thorn up to embedding: skeleton adjacency plus spike counts.
 
-    Only the library builds these, from sub-thorns, parsed code texts and
-    class enumeration, so the constructor checks nothing.  All number the
-    vertices parent first: each vertex but 0 has one earlier neighbour.
+    The library builds these only from parsed code texts, so the
+    constructor checks nothing.  The vertices are numbered in text order,
+    which is parent first: each vertex but 0 has one earlier neighbour.
     """
 
     arity: int
@@ -266,11 +266,6 @@ class AbstractThorn:
     @property
     def spike_count(self) -> int:
         return sum(self.spike_counts)
-
-    @staticmethod
-    def from_subthorn(t: SubThorn) -> "AbstractThorn":
-        """The skeleton of a sub-thorn, vertices numbered in address order."""
-        return AbstractThorn(t.arity, *_skeleton(_spike_dirs(t), t.arity))
 
 
 EMPTY_CODE_TEXT = "E"
@@ -333,11 +328,15 @@ def decode_token(token: str, sep: str, what: str) -> tuple[int, str]:
     """(arity, text) of a ``<arity><sep><hex of text>`` token."""
     try:
         arity_part, hex_part = token.split(sep, 1)
+        if not _INTEGER.fullmatch(arity_part):
+            raise ValueError(f"arity {arity_part!r} is not an integer")
         return int(arity_part), binascii.unhexlify(hex_part.encode("ascii")).decode("ascii")
     except (ValueError, binascii.Error) as err:
         raise ValidationError(f"bad {what} token {token!r}: {err}") from None
 
 
+# int() alone admits other scripts' digits, a plus sign and underscores
+_INTEGER = re.compile(r"-?[0-9]+")
 _VERTEX_OPEN = re.compile(r"\(([0-9]+):")
 
 
@@ -389,16 +388,14 @@ def _parse_code(text: str, arity: int) -> tuple[tuple[frozenset[int], ...], tupl
             raise ValidationError(f"bad thorn code text {text!r} at {pos}")
 
 
-def canonical_code(t: AbstractThorn | SubThorn) -> ThornCode:
-    """Center-rooted canonical code of any thorn, reduced or not; equal codes
-    mean isomorphic thorns; an ``AbstractThorn`` is numbered parent first.
-    Clopen sets and ball unions are classified by ``classify_clopen`` and
-    ``classify_balls``, which reduce first."""
-    if isinstance(t, SubThorn):
-        t = AbstractThorn.from_subthorn(t)
-    if t.vertex_count == 0:
-        return trusted(ThornCode, t.arity, EMPTY_CODE_TEXT)
-    return trusted(ThornCode, t.arity, _center_rooted_text(t.adjacency, t.spike_counts))
+def canonical_code(t: SubThorn) -> ThornCode:
+    """Center-rooted canonical code of any sub-thorn, reduced or not; equal
+    codes mean isomorphic thorns.  Clopen sets and ball unions are
+    classified by ``classify_clopen`` and ``classify_balls``, which reduce
+    first."""
+    if not isinstance(t, SubThorn):
+        raise DomainError("canonical_code expects a sub-thorn")
+    return trusted(ThornCode, t.arity, _reduced_text(_spike_dirs(t), t.arity))
 
 
 def _center_rooted_text(
@@ -534,7 +531,8 @@ def classify_spikes_among(
 
 
 def _reduced_text(spikes_at: dict[Address, set[int]], arity: int) -> str:
-    """Code text of a reduced {vertex: spike directions}, empty or not."""
+    """Code text of a {vertex: spike directions}, empty or not; classifiers
+    pass it reduced."""
     if not spikes_at:
         return EMPTY_CODE_TEXT
     return _center_rooted_text(*_skeleton(spikes_at, arity))
@@ -553,7 +551,7 @@ def class_code_defect(code: ThornCode) -> str | None:
         return "the empty code"
     t = abstract_from_code(code)
     defect = _shape_defect(tuple(len(nbrs) for nbrs in t.adjacency), t.spike_counts, code.arity)
-    if defect is None and canonical_code(t) != code:
+    if defect is None and _center_rooted_text(t.adjacency, t.spike_counts) != code.text:
         return "the text is not in canonical center-rooted form"
     return defect
 

@@ -2,6 +2,8 @@
 
 import math
 import random
+from collections import Counter
+from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -11,13 +13,14 @@ from spherotree.element import (
     Spheromorphism,
     _act_on_spike,
     act_on_ball,
+    act_on_clopen,
     compose,
     finitary_automorphism,
     from_pieces,
     invert,
 )
-from spherotree.errors import DomainError, ValidationError
-from spherotree.orbitstats import ClassTable, TransitionCounts, _tabulate
+from spherotree.errors import DomainError, InternalError, ValidationError
+from spherotree.orbitstats import ClassTable, TransitionCounts, _counts
 from spherotree.spherical import symmetric_eigenvalues
 from spherotree.thorn import (
     EMPTY_CODE_TEXT,
@@ -29,6 +32,8 @@ from spherotree.thorn import (
     _embeddings,
     _free_trees,
     _shape_defect,
+    _skeleton,
+    _spike_dirs,
     abstract_from_code,
     classify_balls,
     classify_spikes_among,
@@ -38,7 +43,9 @@ from spherotree.tree import (
     Address,
     Ball,
     ClopenSet,
+    all_words,
     ball_of_spike,
+    balls_disjoint,
     children,
     common_refinement,
     down,
@@ -169,12 +176,18 @@ def reference_code_text(
     return min(map(text, skeleton_centres(adjacency) if centres is None else centres))
 
 
+def _subthorn_model(t: SubThorn) -> AbstractThorn:
+    """The skeleton of a sub-thorn with its spike counts, vertices numbered
+    in address order, which is parent first."""
+    return AbstractThorn(t.arity, *_skeleton(_spike_dirs(t), t.arity))
+
+
 def subthorn_route_code(omega: ClopenSet) -> ThornCode:
     """``classify_clopen`` by its former route: the reduced maximal-ball
     ``SubThorn``, renumbered in address order as an ``AbstractThorn``, then
     encoded from its centre by the reference encoder, where the library now
     encodes the reduced {vertex: spike directions} directly."""
-    t = AbstractThorn.from_subthorn(maximal_ball_thorn(omega))
+    t = _subthorn_model(maximal_ball_thorn(omega))
     return ThornCode(omega.arity, reference_code_text(t.adjacency, t.spike_counts))
 
 
@@ -201,6 +214,59 @@ def axis_translation(arity: int) -> Spheromorphism:
     pieces = [((0,), (0, 0))] + [((i,), (0, i)) for i in range(1, arity)]
     pieces += [((arity, c), (c + 1,)) for c in range(arity)]
     return from_pieces(arity, pieces)
+
+
+def witness_nonautomorphism() -> Spheromorphism:
+    """A 4-piece element of arity 2 outside the automorphism subgroup.
+
+    It tears the ball under 0 apart: the image of Down(0) is the union of
+    Down(0) and Down(20), which is not a ball.
+    """
+    return from_pieces(
+        2,
+        [((0, 0), (0,)), ((0, 1), (2, 0)), ((1,), (1,)), ((2,), (2, 1))],
+    )
+
+
+def witness_translation() -> Spheromorphism:
+    """A hyperbolic translation of arity 2: an automorphism moving the root.
+
+    The table has pieces of unequal depth displacement, so it is not
+    finitary, yet every ball still maps to a ball.
+    """
+    return from_pieces(
+        2,
+        [
+            ((0, 0), (0, 0, 0)),
+            ((0, 1), (0, 0, 1)),
+            ((1, 0), (2,)),
+            ((1, 1, 0), (1, 0)),
+            ((1, 1, 1), (1, 1)),
+            ((2,), (0, 1)),
+        ],
+    )
+
+
+def preserves_all_balls(g: Spheromorphism) -> bool:
+    """Independent automorphism oracle: every ball maps to a ball, both ways.
+
+    Cuts deeper than the table act literally, so checking every cut down to
+    two levels below the table depth decides the property for all balls.
+    A map sending balls to balls bijectively is induced by a tree isomorphism
+    (balls are mid-edges; inclusion recovers adjacency), so this is the
+    extendability test, built only from table/refinement primitives.
+    """
+    for element in (g, invert(g)):
+        bound = element.depth() + 2
+        for depth in range(1, bound + 1):
+            for word in all_words(element.arity, depth):
+                balls = act_on_ball(element, down(word))
+                if len(balls) == 1:
+                    continue
+                image = ClopenSet.from_balls(element.arity, list(balls))
+                if not image.is_single_ball():
+                    return False
+    return True
 
 
 def _uniform_code(arity: int, depths: tuple[int, ...]) -> list[Address]:
@@ -269,7 +335,7 @@ def exhaustive_coset_code(b: BiThorn) -> CosetCode:
 def _side_numberings(t: SubThorn):
     """(vertex index, minimal shape text, every numbering) of one side."""
     index = {v: i for i, v in enumerate(sorted(t.vertices))}
-    model = AbstractThorn.from_subthorn(t)
+    model = _subthorn_model(t)
     text = rooted_encoder(model.adjacency, model.spike_counts)
     texts = [text(v) for v in range(len(index))]
     shape = min(texts)
@@ -305,7 +371,7 @@ class _Side:
 
     def __init__(self, t: SubThorn) -> None:
         self.index = {v: i for i, v in enumerate(sorted(t.vertices))}
-        model = AbstractThorn.from_subthorn(t)
+        model = _subthorn_model(t)
         self.adjacency = model.adjacency
         self.text = rooted_encoder(model.adjacency, model.spike_counts)
         texts = [self.text(v) for v in range(len(self.index))]
@@ -425,29 +491,32 @@ def reference_coset_code(b: BiThorn) -> CosetCode:
     return trusted(CosetCode, b.arity, f"{dom.shape}|{ran.shape}|{arc_text}")
 
 
-def scan_reduce_bithorn(b: BiThorn) -> BiThorn:
+def scan_reduce_bithorn(b: BiThorn, rng: random.Random | None = None) -> BiThorn:
     """``reduce_bithorn`` by its former algorithm: after every cut, rebuild
     both sides and rescan every domain vertex for a similar pair.
 
     The first domain vertex in address order with n spikes whose partners
-    all sit at one range vertex is cut together with that vertex: each
-    one's internal edge becomes a spike at its neighbour, and the two new
-    spikes are paired.
+    all sit at one range vertex, or a random one of them given ``rng``, is
+    cut together with that range vertex: each one's internal edge becomes a
+    spike at its neighbour, and the two new spikes are paired.  The fixpoint
+    does not depend on the picks.
     """
     current = b
     while not current.is_empty:
         if len(current.dom.vertices) == 1:
             return empty_bithorn(current.arity)
         pair = dict(current.pairing)
+        similar = []
         for a in sorted(current.dom.vertices):
             a_spikes = [s for s in current.dom.spikes if s[0] == a]
             far = {pair[s][0] for s in a_spikes}
             if len(a_spikes) == current.arity and len(far) == 1:
-                break
-        else:
+                similar.append((a, far.pop()))
+        if not similar:
             return current
+        a, far = similar[0] if rng is None else rng.choice(similar)
         new_dom, new_dom_spike = _cut_leaf(current.dom, a)
-        new_ran, new_ran_spike = _cut_leaf(current.ran, far.pop())
+        new_ran, new_ran_spike = _cut_leaf(current.ran, far)
         pairs = [(s, q) for s, q in current.pairing if s[0] != a]
         pairs.append((new_dom_spike, new_ran_spike))
         current = trusted(BiThorn, current.arity, new_dom, new_ran, tuple(sorted(pairs)))
@@ -491,6 +560,16 @@ def per_thorn_image(g: Spheromorphism, spikes: Sequence[Spike], moved: dict) -> 
     moved with the public ``act_on_ball``, nothing kept between thorns."""
     balls = [ball_of_spike(spike) for spike in spikes]
     return [spike_of_ball(b) for b in chain.from_iterable(act_on_ball(g, b) for b in balls)]
+
+
+def _tabulate(table: ClassTable, transitions) -> TransitionCounts:
+    size = len(table.tracked) + 1
+    counts = [[0] * size for _ in range(size)]
+    for i, j in transitions:
+        if i == j:
+            raise InternalError("a class transition cannot sit on the diagonal")
+        counts[i][j] += 1
+    return _counts(table, counts)
 
 
 def two_sided_theta(g: Spheromorphism, table: ClassTable) -> TransitionCounts:
@@ -883,3 +962,168 @@ def _connected_subsets(universe: set[Address], size: int, arity: int) -> Iterato
 
         start = [w for w in nbrs(root) if rank[w] > r]
         yield from grow({root}, start, set())
+
+
+# ---------------------------------------------------------------------------
+# brute-force theta oracle
+# ---------------------------------------------------------------------------
+
+
+def _anchor(ball: Ball) -> Address:
+    """The vertex a ball's spike hangs off: the near end of its cut edge."""
+    return ball.cut if ball.up else ball.cut[:-1]
+
+
+def _span(words: Iterable[Address]) -> set[Address]:
+    """Every prefix of the words at least as long as their longest common one,
+    which is that of the least and the greatest word.  For spike anchors this
+    is their thorn's vertex set: every path between them runs through it."""
+    words = set(words)
+    low, high = min(words), max(words)
+    meet = next((k for k, (a, b) in enumerate(zip(low, high)) if a != b), min(len(low), len(high)))
+    return {w[:k] for w in words for k in range(meet, len(w) + 1)}
+
+
+def _maximal_balls(omega: ClopenSet) -> tuple[Ball, ...]:
+    """The balls inside omega that lie in no larger ball inside omega.
+
+    ``down(u)`` lies inside when u starts no unmarked carrier leaf, and
+    ``up(u)`` when u starts every one of them.  So the one maximal up ball,
+    if any, is cut at the stem of the unmarked leaves (their longest common
+    prefix), and each marked leaf below the stem lies in the down ball of its
+    shortest prefix past the stem that starts no unmarked leaf.
+    """
+    near = _span(leaf for leaf in omega.carrier if leaf not in omega.marks)
+    stem = min(near)
+    found = {up(stem)} if stem else set()
+    for leaf in omega.marks:
+        if leaf[: len(stem)] == stem:
+            k = len(stem) + 1
+            while leaf[:k] in near:
+                k += 1
+            found.add(down(leaf[:k]))
+    return tuple(sorted(found))
+
+
+def _shape(balls: Sequence[Ball], arity: int) -> AbstractThorn:
+    """Skeleton and spike counts of the thorn whose spikes are the balls.
+
+    Vertices are numbered in address order, which puts the anchors' common
+    prefix first and every other vertex after its parent.
+    """
+    anchors = Counter(_anchor(b) for b in balls)
+    order = sorted(_span(anchors))
+    index = {v: i for i, v in enumerate(order)}
+    adjacency: list[set[int]] = [set() for _ in order]
+    for i, v in enumerate(order[1:], start=1):
+        adjacency[i].add(index[v[:-1]])
+        adjacency[index[v[:-1]]].add(i)
+    return AbstractThorn(arity, tuple(map(frozenset, adjacency)), tuple(anchors[v] for v in order))
+
+
+def _isomorphic(a: AbstractThorn, b: AbstractThorn) -> bool:
+    """True iff a bijection between the vertices keeps edges and spike counts.
+
+    The vertices of a are placed in index order, each on a free vertex of b
+    with its spike count and its adjacency to the vertices placed before.
+    """
+
+    def place(image: list[int]) -> bool:
+        v = len(image)
+        return v == a.vertex_count or any(
+            place(image + [x])
+            for x in range(a.vertex_count)
+            if x not in image
+            and b.spike_counts[x] == a.spike_counts[v]
+            and all((image[u] in b.adjacency[x]) == (u in a.adjacency[v]) for u in range(v))
+        )
+
+    found = a.vertex_count == b.vertex_count and place([])
+    del place  # it calls itself through its closure; the cycle would outlive this call
+    return found
+
+
+@lru_cache(maxsize=32)
+def _classified_unions(
+    arity: int, depth: int, count: int, max_vertices: int
+) -> tuple[tuple[ClopenSet, AbstractThorn], ...]:
+    """Sets of ``count`` maximal balls of cut depth <= depth, with their thorns.
+
+    A set's maximal balls are the spikes of its reduced thorn, so each set
+    whose reduced thorn has ``count`` spikes, at most ``max_vertices``
+    vertices and carrier depth at most ``depth`` is listed once, in the
+    order of its balls.  The anchors of such balls span at most
+    ``max_vertices`` vertices, so all lie within ``max_vertices - 1`` edges
+    of the first one, and none is deeper than ``depth``.
+    """
+    balls = [Ball(raised, cut) for k in range(depth) for cut in all_words(arity, k + 1) for raised in (False, True)]
+    at: dict[Address, list[int]] = {}
+    for i, ball in enumerate(balls):
+        at.setdefault(_anchor(ball), []).append(i)
+    found = {}
+
+    def extend(chosen: list[Ball], candidates: list[int]) -> None:
+        if len(chosen) == count:
+            key = tuple(sorted(chosen))
+            try:
+                omega = ClopenSet.from_balls(arity, key)
+            except DomainError:
+                return  # the union is the whole boundary
+            if _maximal_balls(omega) == key:
+                found[key] = (omega, _shape(key, arity))
+            return
+        for k, i in enumerate(candidates):
+            wider = chosen + [balls[i]]
+            if all(balls_disjoint(balls[i], b) for b in chosen) and (
+                len(_span(map(_anchor, wider))) <= max_vertices
+            ):
+                extend(wider, candidates[k + 1 :])
+
+    for i, first in enumerate(balls):
+        near = {_anchor(first)}
+        for _ in range(min(max_vertices - 1, 2 * depth)):
+            near |= {w for v in near for w in neighbors(v, arity) if len(w) <= depth}
+        extend([first], sorted(j for v in near for j in at.get(v, ()) if j > i))
+    del extend  # it calls itself through its closure; the cycle would outlive this call
+    return tuple(found[key] for key in sorted(found))
+
+
+def theta_bruteforce(g: Spheromorphism, table: ClassTable, depth: int) -> TransitionCounts:
+    """Transition counts recomputed by sweeping all bounded-depth candidates.
+
+    The pool holds every set of a tracked class whose carrier reaches at
+    most ``depth``; the depth must exceed the table depth of g plus the
+    largest tracked diameter, so that every set that can change class (in
+    either direction) is inside the pool.
+    """
+    if g.arity != table.arity:
+        raise DomainError(f"arity mismatch: {g.arity} vs {table.arity}")
+    max_diameter = max(code.diameter for code in table.tracked)
+    needed = g.depth() + max_diameter + 1
+    if depth < needed:
+        raise DomainError(
+            f"depth {depth} cannot certify this element; it needs at least {needed}"
+        )
+    models = [abstract_from_code(code) for code in table.tracked]
+
+    def class_of(thorn: AbstractThorn) -> int:
+        """Matrix index of a thorn's class: 1.. for tracked, 0 for lumped."""
+        return next((i + 1 for i, model in enumerate(models) if _isomorphic(thorn, model)), 0)
+
+    max_vertices = max(code.vertex_count for code in table.tracked)
+    inverse = invert(g)
+    transitions = []
+    for count in sorted({code.spike_count for code in table.tracked}):
+        for omega, thorn in _classified_unions(g.arity, depth, count, max_vertices):
+            i = class_of(thorn)
+            if not i:
+                continue
+            image = act_on_clopen(g, omega)
+            if image != omega:
+                after = class_of(_shape(_maximal_balls(image), g.arity))
+                if after != i:
+                    transitions.append((i, after))
+            source = act_on_clopen(inverse, omega)
+            if source != omega and not class_of(_shape(_maximal_balls(source), g.arity)):
+                transitions.append((0, i))
+    return _tabulate(table, transitions)

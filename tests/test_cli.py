@@ -22,7 +22,6 @@ from spherotree import (
     random_element,
     thompson_generators,
     thorn,
-    witness_nonautomorphism,
 )
 from spherotree.cli import build_parser, main
 from spherotree.textio import (
@@ -35,7 +34,7 @@ from spherotree.textio import (
 )
 from spherotree.tree import ClopenSet, down
 
-from oracles import irreducible_uniform_pairing, random_finitary
+from oracles import irreducible_uniform_pairing, random_finitary, witness_nonautomorphism
 
 BALL = ThornCode(2, "(1:)")
 PAIR = ThornCode(2, "(1:(1:))")

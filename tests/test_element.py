@@ -15,14 +15,10 @@ from spherotree.element import (
     from_pieces,
     identity,
     invert,
-    is_identity,
     power,
-    preserves_all_balls,
     random_element,
     thompson_generators,
     truncated_action,
-    witness_nonautomorphism,
-    witness_translation,
 )
 from spherotree.bithorn import is_automorphism
 from spherotree.errors import DomainError, ValidationError
@@ -39,8 +35,11 @@ from spherotree.tree import (
 from oracles import (
     axis_translation,
     irreducible_uniform_pairing,
+    preserves_all_balls,
     scan_act_on_ball,
     scan_compose,
+    witness_nonautomorphism,
+    witness_translation,
 )
 
 
@@ -101,7 +100,7 @@ def test_from_pieces_canonicalizes_literal_families():
 def test_root_family_is_never_merged():
     g = identity(2)
     assert len(g.pieces) == 3
-    assert is_identity(g)
+    assert equals(g, identity(2))
 
 
 def test_canonical_form_is_refinement_invariant():
@@ -167,15 +166,15 @@ def test_associativity_structural():
 def test_identity_and_inverse_laws():
     for arity in (2, 3, 4):
         e = identity(arity)
-        assert is_identity(e)
+        assert e.pieces == tuple((leaf, leaf) for leaf in root_code(arity))
         assert e.depth() == 1
         for trial in range(40):
             g = random_element(arity, 9, 600 + trial)
             assert equals(compose(g, e), g)
             assert equals(compose(e, g), g)
             gi = invert(g)
-            assert is_identity(compose(g, gi))
-            assert is_identity(compose(gi, g))
+            assert equals(compose(g, gi), e)
+            assert equals(compose(gi, g), e)
             assert equals(invert(gi), g)
 
 
@@ -207,7 +206,7 @@ def test_power_and_conjugate():
     g = witness_translation()
     assert equals(power(g, 3), compose(g, compose(g, g)))
     assert equals(power(g, -2), invert(compose(g, g)))
-    assert is_identity(power(g, 0))
+    assert equals(power(g, 0), identity(2))
     h = witness_nonautomorphism()
     c = conjugate(g, h)
     assert equals(c, compose(h, compose(g, invert(h))))
@@ -245,7 +244,7 @@ def test_disjoint_support_elements_commute():
         [((0,), (0,)), ((1, 0), (1, 1, 0)), ((1, 1, 0), (1, 1, 1)), ((1, 1, 1), (1, 0)), ((2,), (2,))],
     )
     assert equals(compose(g, h), compose(h, g))
-    assert not is_identity(compose(g, h))
+    assert not equals(compose(g, h), identity(2))
 
 
 def test_arity_mismatch_rejected():
@@ -375,14 +374,14 @@ def test_piece_lookup_matches_the_table_scan_on_many_piece_elements():
 
 
 def test_finitary_trivial_is_identity():
-    assert is_identity(finitary_automorphism(2))
-    assert is_identity(finitary_automorphism(3, (0, 1, 2, 3), {}))
+    assert equals(finitary_automorphism(2), identity(2))
+    assert equals(finitary_automorphism(3, (0, 1, 2, 3), {}), identity(3))
 
 
 def test_finitary_root_cycle():
     r = finitary_automorphism(2, (1, 2, 0))
     assert r.pieces == (((0,), (1,)), ((1,), (2,)), ((2,), (0,)))
-    assert is_identity(power(r, 3))
+    assert equals(power(r, 3), identity(2))
 
 
 def test_finitary_child_permutation():
@@ -424,17 +423,18 @@ def test_witnesses():
     assert not preserves_all_balls(g)
     h = witness_translation()
     assert preserves_all_balls(h)
-    assert not is_identity(h)
+    assert not equals(h, identity(2))
 
 
 def test_thompson_generators():
     r, a, b = thompson_generators()
-    assert is_identity(power(r, 3))
-    assert not is_identity(r)
-    assert not is_identity(a)
-    assert not is_identity(b)
-    assert is_identity(compose(a, invert(a)))
-    assert is_identity(compose(b, invert(b)))
+    e = identity(2)
+    assert equals(power(r, 3), e)
+    assert not equals(r, e)
+    assert not equals(a, e)
+    assert not equals(b, e)
+    assert equals(compose(a, invert(a)), e)
+    assert equals(compose(b, invert(b)), e)
     assert preserves_all_balls(r)
     assert not preserves_all_balls(a)
     assert not preserves_all_balls(b)

@@ -20,17 +20,13 @@ from spherotree.element import (
     identity,
     invert,
     random_element,
-    witness_nonautomorphism,
-    witness_translation,
 )
 from spherotree.errors import DomainError, InternalError, ValidationError
 from spherotree.orbitstats import (
     ClassTable,
     TransitionCounts,
-    _classified_unions,
     moved_sets,
     theta,
-    theta_bruteforce,
 )
 from spherotree.spherical import SphericalSpec, phi_nessonov
 from spherotree.thorn import (
@@ -45,14 +41,19 @@ from spherotree.thorn import (
 )
 from spherotree.tree import ClopenSet, down, parse_address, spike_of_ball, up, upsilon
 
+import oracles
 from oracles import (
+    _classified_unions,
     balance_defects,
     cell_touch_embeddings,
     full_class_index,
     irreducible_uniform_pairing,
     per_thorn_image,
     random_finitary,
+    theta_bruteforce,
     two_sided_theta,
+    witness_nonautomorphism,
+    witness_translation,
 )
 
 BALL = ThornCode(2, "(1:)")
@@ -366,6 +367,18 @@ def test_theta_matches_bruteforce_at_arity_four():
     elements = _distinct_cosets(4, 8, 2, 2, "arity4")
     _check_against_bruteforce(table, elements)
     assert _moves_between(table, elements, 2)
+
+
+def test_theta_matches_bruteforce_with_four_vertex_classes():
+    """Two 4-vertex classes, a path and a star, each with 3 spikes, so one
+    sweep of the oracle's 3-ball unions serves both; sets move between
+    them."""
+    path, star = ThornCode(2, "(0:(1:(1:))(1:))"), ThornCode(2, "(0:(1:)(1:)(1:))")
+    table = ClassTable(2, 0, (path, star))
+    assert {(code.vertex_count, code.spike_count) for code in table.tracked} == {(4, 3)}
+    elements = _distinct_cosets(2, 6, 3, 2, "four-vertex")
+    _check_against_bruteforce(table, elements)
+    assert sum(theta(g, table).matrix[1][2] + theta(g, table).matrix[2][1] for g in elements) > 0
 
 
 # (arity, "seeded", index) draws a seeded non-automorphism and (arity,
@@ -861,7 +874,8 @@ def test_theta_and_phi_build_no_clopen_sets(monkeypatch):
 
 def test_bruteforce_shares_nothing_with_theta_classification(monkeypatch):
     """With theta's reduction, encoding and ball-image helpers refusing to run
-    in every module that binds them, the oracle still gives the pinned counts."""
+    in every library module that binds them and in the oracles module, the
+    oracle still gives the pinned counts."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the brute-force oracle reached theta's machinery")
@@ -887,7 +901,7 @@ def test_bruteforce_shares_nothing_with_theta_classification(monkeypatch):
         module
         for key, module in sorted(sys.modules.items())
         if key == "spherotree" or key.startswith("spherotree.")
-    ]
+    ] + [oracles]
     bound = [(module, name) for module in modules for name in names if hasattr(module, name)]
     assert {name for _, name in bound} == set(names)
     with monkeypatch.context() as patch:

@@ -13,8 +13,6 @@ from spherotree.element import (
     invert,
     random_element,
     thompson_generators,
-    witness_nonautomorphism,
-    witness_translation,
 )
 from spherotree.errors import DomainError, ValidationError
 from spherotree.orbitstats import ClassTable, theta
@@ -34,7 +32,13 @@ from spherotree.spherical import (
 )
 from spherotree.thorn import ThornCode, enumerate_class_codes
 
-from oracles import full_gram_matrix, random_finitary, two_branch_psd_verdict
+from oracles import (
+    full_gram_matrix,
+    random_finitary,
+    two_branch_psd_verdict,
+    witness_nonautomorphism,
+    witness_translation,
+)
 
 BALL = ThornCode(2, "(1:)")
 PAIR = ThornCode(2, "(1:(1:))")

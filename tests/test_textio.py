@@ -1,6 +1,7 @@
 """Round-trip and diagnostic tests for the plain-text formats."""
 
 import random
+import re
 import sys
 
 import pytest
@@ -21,8 +22,6 @@ from spherotree import (
     random_element,
     theta,
     thompson_generators,
-    witness_nonautomorphism,
-    witness_translation,
 )
 from spherotree.spherical import gram_psd_check, phi_l2
 from spherotree.textio import (
@@ -43,6 +42,8 @@ from spherotree.textio import (
     parse_tensor_spec,
     subthorn_dot,
 )
+
+from oracles import witness_nonautomorphism, witness_translation
 
 BALL = ThornCode(2, "(1:)")
 PAIR = ThornCode(2, "(1:(1:))")
@@ -195,6 +196,41 @@ def test_tensor_spec_rejects_repeated_settings(key, line):
     text = "arity 2\niota 0\ncap 1\nlimit 1.0 0.0\n" + line + "\n"
     with pytest.raises(ValidationError, match=f"^spec.txt:5: {key} given twice$"):
         parse_tensor_spec(text, source="spec.txt")
+
+
+@pytest.mark.parametrize(
+    "parse, text, fragment",
+    [
+        # a fullwidth two, which int() reads as 2
+        (parse_element, "arity \uff12\n0 -> 0\n1 -> 1\n2 -> 2\n", "in.txt:1: arity '\uff12'"),
+        (parse_element, "arity +2\n0 -> 0\n1 -> 1\n2 -> 2\n", "in.txt:1: arity '+2'"),
+        # an Arabic-Indic zero, which int() reads as 0
+        (parse_class_table, "arity 2\niota \u0660\nclass 2x28313a29\n", "in.txt:2: iota '\u0660'"),
+        (parse_subthorn, "arity 2\nvertex .\nspike .:\u0660\n", "in.txt:3: spike direction '\u0660'"),
+        (parse_tensor_spec, "arity 2\niota 0\ncap 1_0\nlimit 1.0 0.0\n", "in.txt:3: cap '1_0'"),
+        (parse_class_table, "arity 2\niota 0\nclass \u0662x28313a29\n", "in.txt:3: bad thorn code token"),
+    ],
+)
+def test_integer_fields_take_ascii_digits_only(parse, text, fragment):
+    with pytest.raises(ValidationError, match="^" + re.escape(fragment) + ".* is not an integer$"):
+        parse(text, source="in.txt")
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_class_table, "arity 2\niota -1\nclass 2x28313a29\n", "in.txt:3: residue -1 is out of range for arity 2"),
+        (parse_class_table, "arity 2\niota 0\nclass -2x28313a29\n", "in.txt:3: arity must be at least 2, got -2"),
+        (
+            parse_tensor_spec,
+            "arity 2\niota 0\ncap -1\nlimit 1.0 0.0\nvector 2x28313a29 1.0 0.0\n",
+            "in.txt:5: the class-size cap must be at least 1",
+        ),
+    ],
+)
+def test_negative_integer_fields_meet_their_range_checks(parse, text, message):
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        parse(text, source="in.txt")
 
 
 def test_transition_counts_format():

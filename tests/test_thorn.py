@@ -4,13 +4,12 @@ from collections import Counter
 
 import pytest
 
-from spherotree.bithorn import minimal_bithorn
+from spherotree.bithorn import CosetCode, minimal_bithorn
 from spherotree.element import random_element
 from spherotree.errors import DomainError, ValidationError
-from spherotree import orbitstats
-from spherotree.orbitstats import _maximal_balls
 from spherotree.thorn import (
     UP,
+    _center_rooted_text,
     _free_trees,
     _rooted_texts,
     _spanned,
@@ -44,6 +43,8 @@ from spherotree.tree import (
 )
 
 from oracles import (
+    _isomorphic,
+    _maximal_balls,
     ball_contains_word,
     ball_relation,
     depth_members,
@@ -306,6 +307,11 @@ def _random_abstract(rng, arity, max_v=5):
     return AbstractThorn(arity, tuple(frozenset(s) for s in adj), tuple(counts))
 
 
+def _code_text(t: AbstractThorn) -> str:
+    """The canonical code text of an abstract thorn numbered parent first."""
+    return _center_rooted_text(t.adjacency, t.spike_counts)
+
+
 def _relabel(t: AbstractThorn, rng) -> AbstractThorn:
     """t renumbered parent first, as the library numbers abstract thorns,
     from a random root and in a random order."""
@@ -332,9 +338,9 @@ def test_code_equality_matches_isomorphism():
         arity = rng.choice([2, 3])
         a = _random_abstract(rng, arity)
         b = _relabel(a, rng)
-        assert canonical_code(a) == canonical_code(b)
+        assert _code_text(a) == _code_text(b)
         c = _random_abstract(rng, arity)
-        assert (canonical_code(a) == canonical_code(c)) == _rooted_isomorphic(a, c)
+        assert (_code_text(a) == _code_text(c)) == _rooted_isomorphic(a, c)
 
 
 def test_rooted_texts_match_the_reference_encoder():
@@ -382,13 +388,30 @@ def test_code_round_trip():
     rng = random.Random(88)
     for _ in range(60):
         t = _random_abstract(rng, rng.choice([2, 3]))
-        code = canonical_code(t)
+        code = ThornCode(t.arity, _code_text(t))
         again = abstract_from_code(code)
-        assert canonical_code(again) == code
+        assert _code_text(again) == code.text
         assert again.vertex_count == code.vertex_count
         assert again.spike_count == code.spike_count
         assert skeleton_diameter(again) == code.diameter
         assert ThornCode.from_token(code.token) == code
+
+
+def test_canonical_code_refuses_anything_but_a_sub_thorn():
+    """The encoder reads each vertex's least neighbour as its parent, so an
+    abstract thorn numbered otherwise, like this path 1-0-3-2, whose vertex
+    2 comes before its parent 3, would lose that vertex from its text
+    ("(0:(0:)(1:))"); no abstract thorn, clopen set or code is taken for a
+    sub-thorn."""
+    adjacency = (frozenset({1, 3}), frozenset({0}), frozenset({3}), frozenset({0, 2}))
+    path = AbstractThorn(2, adjacency, (0, 0, 0, 1))
+    assert reference_code_text(path.adjacency, path.spike_counts) == "(0:(0:)(1:(0:)))"
+    pair = ThornCode(2, "(1:(1:))")
+    omega = ClopenSet.from_balls(2, [down(A("0")), down(A("20"))])
+    for bad in (path, abstract_from_code(pair), omega, pair, pair.text):
+        with pytest.raises(DomainError, match="expects a sub-thorn"):
+            canonical_code(bad)
+    assert canonical_code(maximal_ball_thorn(omega)) == pair
 
 
 def test_code_text_validation():
@@ -400,6 +423,18 @@ def test_code_text_validation():
     assert ThornCode(2, "E").is_empty
 
 
+@pytest.mark.parametrize("arity", ["\uff12", "\u0662", "+2", "1_0", " 2"])
+def test_code_tokens_take_an_ascii_arity_only(arity):
+    """int() reads a fullwidth or an Arabic-Indic two, a plus sign, an
+    underscore between digits and spaces; a token's arity is ASCII digits,
+    as in ``2x28313a29``."""
+    assert ThornCode.from_token("2x28313a29") == ThornCode(2, "(1:)")
+    with pytest.raises(ValidationError, match="is not an integer"):
+        ThornCode.from_token(arity + "x28313a29")
+    with pytest.raises(ValidationError, match="is not an integer"):
+        CosetCode.from_token(arity + "c" + "(2:(2:))|(2:(2:))|0>0,0>1,1>0,1>1".encode().hex())
+
+
 def test_deeply_nested_code_texts():
     # a path nested far deeper than the interpreter's recursion limit
     n = 3001
@@ -408,7 +443,7 @@ def test_deeply_nested_code_texts():
     assert (end_rooted.vertex_count, end_rooted.spike_count, end_rooted.diameter) == (n, 2, n - 1)
     assert class_code_defect(end_rooted) is not None
     branch = "(0:" * (n // 2 - 1) + "(1:)" + ")" * (n // 2 - 1)
-    centred = canonical_code(abstract_from_code(end_rooted))
+    centred = ThornCode(2, _code_text(abstract_from_code(end_rooted)))
     assert centred.text == "(0:" + branch + branch + ")"
     assert class_code_defect(centred) is None
     assert centred.diameter == n - 1
@@ -884,11 +919,11 @@ def test_class_codes_agree_with_both_isomorphism_tests(arity, max_vertices):
         graph.add_edges_from((v, w) for v, nbrs in enumerate(model.adjacency) for w in nbrs)
         graphs.append(graph)
     for code, model in zip(codes, models):
-        assert canonical_code(model) == code
+        assert _code_text(model) == code.text
     for i, a in enumerate(codes):
         for j, b in enumerate(codes):
             same = a.text == b.text
             other = _relabel(models[j], rng)
-            assert orbitstats._isomorphic(models[i], other) == same, (a.text, b.text)
+            assert _isomorphic(models[i], other) == same, (a.text, b.text)
             assert nx.is_isomorphic(graphs[i], graphs[j], node_match=match) == same, (a.text, b.text)
 
