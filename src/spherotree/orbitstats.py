@@ -19,14 +19,27 @@ group, Higman's G_{n,n+1}, has a finite abelianisation (G. Higman,
 "Finitely presented infinite simple groups", 1974), so χ_i = 0.  The
 candidates come as bare spikes from one enumeration, and a dict from each
 spike to the spikes of its ball's image moves each ball once; nothing is
-sorted and no ``Ball``, thorn or clopen set is built.  The thorn of each
-image is reduced and its (vertex count, spike count) tested against the
-tracked classes' before it is encoded (``classify_spikes_among``), so most
-images are lumped unencoded.  A candidate the element leaves in place is
+sorted and no ``Ball``, thorn or clopen set is built.
+
+θ is bi-invariant, and the same half-trees give it a symmetry inside one
+element.  At a candidate's vertex x outside the domain side, the edge
+toward the side is internal (the thorn is connected and meets the side), so
+every free direction at x leads into the half-tree beyond a spike of the
+side that holds x, which g carries isometrically.  Swapping two free
+branches at x is an automorphism α with g∘α = α′∘g, α′ the matching swap
+beyond g's image of that spike, so α maps a candidate to a candidate with
+the same class before and after.  The enumeration lists one candidate per
+orbit of these swaps with the orbit's size, and θ classifies each orbit
+once.  The thorn of each image is reduced and its (vertex count, spike
+count) looked up in the table's shape map (``ClassTable.by_shape``): a
+shape no tracked class has is lumped, a shape one class of the sector alone
+has decides that class, and only a shape several classes share is encoded
+(``classify_spikes_among``).  A candidate the element leaves in place is
 classified like any other and keeps its class.  ``moved_sets`` lists the
 same sets plus the lumped ones entering a tracked class, read off the
-range side with g⁻¹, with ``omega``/``image`` built as clopen normal
-forms, classifying lumped ones from them.  The tests check ``theta``
+range side with g⁻¹, expanding each orbit into its sets, with
+``omega``/``image`` built as clopen normal forms, and classifies a lumped
+class once per orbit from them.  The tests check ``theta``
 against a brute-force oracle that sweeps every tracked-class set of bounded
 carrier depth and shares none of its enumeration, reduction or encoding.
 
@@ -38,8 +51,7 @@ of ``MEMO_SIZE`` entries.  Automorphisms move nothing and skip the memo.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import chain
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from .bithorn import BiThorn, CosetCode, canonical_coset_code, minimal_bithorn
@@ -49,9 +61,11 @@ from .thorn import (
     SubThorn,
     ThornCode,
     _embeddings,
+    _orbit,
     check_sector,
     classify_clopen,
     classify_spikes_among,
+    enumerate_class_codes,
     require_class_code,
 )
 from .tree import ClopenSet, Spike, ball_of_spike, trusted
@@ -87,6 +101,25 @@ class ClassTable:
     @property
     def labels(self) -> tuple[str, ...]:
         return (LUMP_LABEL,) + tuple(code.token for code in self.tracked)
+
+    @cached_property
+    def by_shape(self) -> dict[tuple[int, int], int | None]:
+        """The shape map of ``classify_spikes_among``, from one enumeration of
+        the sector's classes up to the largest tracked vertex count: each
+        (vertex count, spike count) that a tracked class has goes to that
+        class's index when no other class of the sector shares it, and to
+        None when others do.  A shape left out is held only by lumped
+        classes."""
+        index = {code: i for i, code in enumerate(self.tracked, start=1)}
+        holders: dict[tuple[int, int], list[ThornCode]] = {}
+        top = max(code.vertex_count for code in self.tracked)
+        for code in enumerate_class_codes(self.arity, self.iota, top):
+            holders.setdefault((code.vertex_count, code.spike_count), []).append(code)
+        return {
+            shape: index.get(codes[0]) if len(codes) == 1 else None
+            for shape, codes in holders.items()
+            if any(code in index for code in codes)
+        }
 
 
 @dataclass(frozen=True)
@@ -140,41 +173,50 @@ class TransitionCounts:
 
 
 def _leaving(h: Spheromorphism, region: SubThorn, table: ClassTable) -> Iterator[
-    tuple[Sequence[Spike], int, Sequence[Spike], int]
+    tuple[Sequence[Spike], int, Sequence[Spike], int, int]
 ]:
-    """Each set of a tracked class around ``region`` whose class h changes.
+    """Each symmetry orbit of tracked sets around ``region`` whose class h
+    changes.
 
-    Yields (spikes of the set, index before, spikes of its image, index
-    after) once per set, spikes unordered, indices 1.. for the tracked
-    classes in table order and 0 for lumped ones, as in
-    ``ClassTable.labels``.  With h = g and ``region`` the domain side of
-    g's minimal bi-thorn, these are all the tracked sets g moves out of
-    their class: only a set whose thorn shares a vertex with the domain side
-    can change class (see the module docstring), so the embeddings around
-    it are exhaustive.  A table's classes are orbit-class codes, checked
-    when it was built or enumerated as such, so their embeddings are listed
-    unchecked (``_embeddings``).
+    Yields (spikes of a representative set, index before, spikes of its
+    image, index after, size of its orbit) once per orbit, spikes
+    unordered, indices 1.. for the tracked classes in table order and 0 for
+    lumped ones, as in ``ClassTable.labels``.  With h = g and ``region`` the
+    domain side of g's minimal bi-thorn, these are all the tracked sets g
+    moves out of their class: only a set whose thorn shares a vertex with
+    the domain side can change class (see the module docstring), so the
+    embeddings around it are exhaustive.  A table's classes are orbit-class
+    codes, checked when it was built or enumerated as such, so their
+    embeddings are listed unchecked (``_embeddings``).
+
+    ``_embeddings`` lists one thorn per orbit of the swaps of free branches
+    at its vertices outside the region.  Those branches lie in one
+    half-tree beyond a spike of the region, which h carries isometrically,
+    so a swap α there has h∘α = α′∘h for a swap α′ on the far side: every
+    set of the orbit has the representative's class before and its image's
+    class after, and one classification serves the orbit.
 
     A dict from spike to the spikes of its ball's image lives for one call,
     so a spike's ball is moved once however many candidates share it.  A
-    candidate of class i gets the index j of its image's class, tested by
-    (vertex count, spike count) before any text is built
-    (``classify_spikes_among``), and comes out when j != i.  A candidate h
+    candidate of class i gets the index j of its image's class from its
+    (vertex count, spike count) when one class of the sector has that shape,
+    and from its code text only when several do (``classify_spikes_among``
+    with ``ClassTable.by_shape``), and comes out when j != i.  A candidate h
     leaves in place needs no test of its own: it is a reduced thorn of class
     i with a spike on every skeleton leaf, so its image, the same set,
-    classifies to the pattern's text, j = i.  Each embedding is listed once,
-    so no set comes out twice.
+    classifies to class i, j = i.  Each embedding is listed once, so no set
+    comes out twice.
     """
     arity = h.arity
     rows = {code.text: i for i, code in enumerate(table.tracked, start=1)}
-    shapes = {(code.vertex_count, code.spike_count) for code in table.tracked}
+    by_shape = table.by_shape
     moved: dict[Spike, tuple[Spike, ...]] = {}
     for i, pattern in enumerate(table.tracked, start=1):
-        for spikes in _embeddings(pattern, region):
+        for spikes, weight in _embeddings(pattern, region):
             image = _image(h, spikes, moved)
-            j = rows.get(classify_spikes_among(image, arity, shapes), 0)
+            j = classify_spikes_among(image, arity, by_shape, rows)
             if j != i:
-                yield spikes, i, image, j
+                yield spikes, i, image, j, weight
 
 
 def _image(
@@ -202,27 +244,37 @@ def moved_sets(g: Spheromorphism, table: ClassTable) -> tuple[MovedSet, ...]:
     g⁻¹ moves into the lump: ``_leaving`` on the range side with g⁻¹, its
     records with j = 0 read backwards.  A lumped set entering a tracked
     class has an untracked source, so it is never a leaving set, and g is a
-    bijection, so no set comes out twice.  Each set and its image are built
-    as clopen normal forms, ordered by the set's carrier flags; a lumped
-    class is classified from its clopen set.  ``theta`` itself builds no
-    clopen set and never lists the range side.
+    bijection, so no set comes out twice.  Each orbit record is expanded
+    (``thorn._orbit``), every member keeping the representative's two
+    classes, and moved again.  Each set and its image are built as clopen
+    normal forms, ordered by the set's carrier flags; a lumped class is
+    classified once per orbit, from the representative's clopen set.
+    ``theta`` itself builds no clopen set and never lists the range side.
     """
     if g.arity != table.arity:
         raise DomainError(f"arity mismatch: {g.arity} vs {table.arity}")
     pair = minimal_bithorn(g)
-    entering = (
-        (image, 0, spikes, i)
-        for spikes, i, image, j in _leaving(invert(g), pair.ran, table)
-        if not j
-    )
     codes = (None,) + table.tracked
     records = []
-    for omega_spikes, i, image_spikes, j in chain(_leaving(g, pair.dom, table), entering):
-        omega = ClopenSet.from_balls(g.arity, map(ball_of_spike, omega_spikes))
-        image = ClopenSet.from_balls(g.arity, map(ball_of_spike, image_spikes))
-        before = codes[i] or classify_clopen(omega)
-        records.append(MovedSet(omega, before, image, codes[j] or classify_clopen(image)))
+    for h, region, forward in ((g, pair.dom, True), (invert(g), pair.ran, False)):
+        moved: dict[Spike, tuple[Spike, ...]] = {}
+        for spikes, i, image, j, _ in _leaving(h, region, table):
+            if not (forward or j == 0):
+                continue
+            image_class = codes[j] or classify_clopen(_clopen(g.arity, image))
+            for member in _orbit(spikes, region):
+                omega = _clopen(g.arity, member)
+                omega_image = _clopen(g.arity, _image(h, member, moved))
+                records.append(
+                    MovedSet(omega, codes[i], omega_image, image_class)
+                    if forward
+                    else MovedSet(omega_image, image_class, omega, codes[i])
+                )
     return tuple(sorted(records, key=lambda rec: rec.omega.leaf_flags()))
+
+
+def _clopen(arity: int, spikes: Sequence[Spike]) -> ClopenSet:
+    return ClopenSet.from_balls(arity, map(ball_of_spike, spikes))
 
 
 def _counts(table: ClassTable, counts: list[list[int]]) -> TransitionCounts:
@@ -250,7 +302,8 @@ class _Coset:
 def _coset_theta(coset: _Coset, table: ClassTable) -> TransitionCounts:
     """θ of a double coset from the domain side of its bi-thorn alone.
 
-    ``_leaving`` fills the rows of the tracked classes.  χ_i(g) =
+    ``_leaving`` fills the rows of the tracked classes, each orbit record
+    counting its whole orbit.  χ_i(g) =
     |S_i∖g⁻¹S_i| − |g⁻¹S_i∖S_i|, S_i the sets of class i, adds along
     products as an index does, so it is a homomorphism to ℤ, and it vanishes
     because the abelianisation of Higman's G_{n,n+1} has order at most 2.
@@ -260,8 +313,8 @@ def _coset_theta(coset: _Coset, table: ClassTable) -> TransitionCounts:
     """
     size = len(table.tracked) + 1
     counts = [[0] * size for _ in range(size)]
-    for _, i, _, j in _leaving(coset.g, coset.pair.dom, table):
-        counts[i][j] += 1
+    for _, i, _, j, weight in _leaving(coset.g, coset.pair.dom, table):
+        counts[i][j] += weight
     for i in range(1, size):
         entering = sum(counts[i]) - sum(counts[k][i] for k in range(1, size))
         if entering < 0:

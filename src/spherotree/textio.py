@@ -19,7 +19,7 @@ from .errors import DomainError, ValidationError
 from .orbitstats import ClassTable, TransitionCounts
 from .spherical import GramReport, SphericalSpec, TensorSpec
 from .thorn import _INTEGER, SubThorn, ThornCode
-from .tree import UP, Address, ClopenSet, _marked_clopen, format_address, parse_address
+from .tree import UP, Address, ClopenSet, _marked_clopen, check_arity, format_address, parse_address
 
 
 # ---------------------------------------------------------------------------
@@ -49,10 +49,13 @@ def _parse_int(field: str, source: str, lineno: int, what: str) -> int:
 
 
 def _parse_float(field: str, source: str, lineno: int, what: str) -> float:
-    try:
-        return float(field)
-    except ValueError:
-        _fail(source, lineno, f"{what} {field!r} is not a number")
+    # float() alone admits other scripts' digits and underscores
+    if field.isascii() and "_" not in field:
+        try:
+            return float(field)
+        except ValueError:
+            pass
+    _fail(source, lineno, f"{what} {field!r} is not a number")
 
 
 def _header_arity(lines: list[tuple[int, str]], source: str) -> tuple[int, list[tuple[int, str]]]:
@@ -62,7 +65,8 @@ def _header_arity(lines: list[tuple[int, str]], source: str) -> tuple[int, list[
     fields = line.split()
     if len(fields) != 2 or fields[0] != "arity":
         _fail(source, lineno, f"expected 'arity <n>' first, found {line!r}")
-    return _parse_int(fields[1], source, lineno, "arity"), lines[1:]
+    arity = _parse_int(fields[1], source, lineno, "arity")
+    return _build(source, lineno, check_arity, arity), lines[1:]
 
 
 def _build(source: str, lineno: int, maker: Callable, *args, **kwargs):
@@ -170,6 +174,8 @@ def parse_subthorn(text: str, source: str = "<thorn>") -> SubThorn:
             _fail(source, lineno, f"spike {fields[1]!r} needs the form <addr>:<child|up>")
         vertex = _build(source, lineno, parse_address, head, arity, what="spike vertex")
         direction = UP if tail == "up" else _parse_int(tail, source, lineno, "spike direction")
+        if tail.startswith("-"):  # UP is -1, spelt only as up
+            _fail(source, lineno, f"spike direction {tail!r} is negative")
         spikes.add((vertex, direction))
     return _build(source, last, SubThorn, arity, frozenset(vertices), frozenset(spikes))
 

@@ -22,7 +22,8 @@ from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement, product
-from typing import Container, Iterable, Iterator, Sequence
+from math import comb
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, ValidationError
 from .tree import (
@@ -511,23 +512,33 @@ def classify_balls(balls: Iterable[Ball], arity: int) -> str:
     object is built and nothing is validated.  The balls must be pairwise
     disjoint and must not be the two halves of one mid-edge.  A partition of
     the whole boundary gives the empty code text.  θ works on the balls'
-    spikes, reduces first and encodes only tracked shapes, through
-    ``classify_spikes_among``.
+    spikes, reduces first and encodes only shapes that several classes
+    share, through ``classify_spikes_among``.
     """
     return _reduced_text(_reduce(_spanned(map(spike_of_ball, balls)), arity), arity)
 
 
 def classify_spikes_among(
-    spikes: Iterable[Spike], arity: int, shapes: Container[tuple[int, int]]
-) -> str | None:
-    """``classify_balls`` of the spikes' balls, for a caller that needs only
-    some classes: None, with no skeleton or text built, unless the reduced
-    thorn's (vertex count, spike count) is among ``shapes``.  Codes of one
-    class share that shape."""
+    spikes: Iterable[Spike],
+    arity: int,
+    by_shape: Mapping[tuple[int, int], int | None],
+    by_text: Mapping[str, int],
+) -> int:
+    """The index of the class of the spikes' balls among some indexed
+    classes, 0 for any other, with a text built only where the shape leaves
+    the class open.  ``by_shape`` maps the (vertex count, spike count) of
+    the reduced thorn to the index of the one class of its sector with that
+    shape, or to None where several share it and the code text, looked up
+    in ``by_text``, decides; a shape it lacks belongs to no indexed class.
+    Codes of one class share their shape.  θ calls this once per orbit of
+    candidates (``_embeddings``): swapping free branches at a candidate's
+    vertices outside the bi-thorn side commutes with the element up to an
+    automorphism, so every member has the representative's classes."""
     spikes_at = _reduce(_spanned(spikes), arity)
-    if (len(spikes_at), sum(map(len, spikes_at.values()))) not in shapes:
-        return None
-    return _reduced_text(spikes_at, arity)
+    index = by_shape.get((len(spikes_at), sum(map(len, spikes_at.values()))), 0)
+    if index is None:
+        return by_text.get(_reduced_text(spikes_at, arity), 0)
+    return index
 
 
 def _reduced_text(spikes_at: dict[Address, set[int]], arity: int) -> str:
@@ -674,7 +685,9 @@ def enumerate_embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn
 
     The pattern must be an orbit-class code of the region's arity
     (``class_code_defect``), or ``DomainError`` is raised; ``_embeddings``
-    describes the listing.  The thorns come sorted by ``SubThorn.sort_key``.
+    describes the listing, and ``_orbit`` gives back the thorns each of its
+    representatives stands for.  The thorns come sorted by
+    ``SubThorn.sort_key``.
     """
     if pattern.arity != region.arity:
         raise DomainError("pattern and region arity differ")
@@ -687,14 +700,19 @@ def enumerate_embeddings(pattern: ThornCode, region: SubThorn) -> tuple[SubThorn
         raise DomainError(f"cannot embed {pattern.text!r}: {defect}")
     # every skeleton leaf of a class thorn carries a spike, so the span of
     # the spike anchors is the whole vertex set
-    found = (_subthorn_of(_spanned(spikes), region.arity) for spikes in _embeddings(pattern, region))
+    found = (
+        _subthorn_of(_spanned(member), region.arity)
+        for spikes, _ in _embeddings(pattern, region)
+        for member in _orbit(spikes, region)
+    )
     return tuple(sorted(found, key=SubThorn.sort_key))
 
 
-def _embeddings(pattern: ThornCode, region: SubThorn) -> list[tuple[Spike, ...]]:
+def _embeddings(pattern: ThornCode, region: SubThorn) -> list[tuple[tuple[Spike, ...], int]]:
     """``enumerate_embeddings`` without its checks, for an orbit-class code
-    of the region's arity, such as a tracked class of a ``ClassTable``: the
-    spikes of each thorn, in no particular order, and no ``SubThorn``.
+    of the region's arity, such as a tracked class of a ``ClassTable``, and
+    one thorn per symmetry orbit: (spikes of a representative, in no
+    particular order, and the size of its orbit), and no ``SubThorn``.
 
     The pattern is placed vertex by vertex in the order of its code text,
     which roots it at vertex 0, a centre, and lists each vertex after its
@@ -717,6 +735,19 @@ def _embeddings(pattern: ThornCode, region: SubThorn) -> list[tuple[Spike, ...]]
     the tree goes to the complement of the image of its complement, so its
     class cannot change, and thorns that merely touch the region at a
     mid-edge need not be listed.
+
+    The same half-trees make the spikes at a vertex x outside the region
+    interchangeable.  The thorn is connected and meets the region, so x's
+    edge toward the region is internal, and every free direction at x leads
+    into the one half-tree beyond a spike of the region that holds x.  A
+    swap α of two free branches at x fixes the region and the thorn's
+    vertices, and an element h that carries that half-tree isometrically
+    onto its match satisfies h∘α = α′∘h, with α′ the matching swap there.
+    So α maps a candidate to a candidate, and h maps the two to sets of one
+    class, whatever the classes before and after.  The spikes at x take the
+    first k of its f free directions, and the thorn stands for the
+    ∏ C(f, k) thorns that choose them otherwise; at a vertex of the region
+    every choice is listed.
     """
     arity = pattern.arity
     model = abstract_from_code(pattern)
@@ -745,16 +776,15 @@ def _embeddings(pattern: ThornCode, region: SubThorn) -> list[tuple[Spike, ...]]
         if verts.isdisjoint(region_verts):
             return
         pools = []
+        weight = 1
         for x, k in zip(image, counts):
-            free = [
-                (x, d)
-                for d in (range(arity) if x else range(arity + 1))
-                if x + (d,) not in verts
-            ]
-            if x and x[:-1] not in verts:
-                free.append((x, UP))
-            pools.append(list(combinations(free, k)))
-        results.extend(tuple(chain.from_iterable(pick)) for pick in product(*pools))
+            free = _free(x, verts, arity)
+            if x in region_verts:
+                pools.append(list(combinations(free, k)))
+            else:
+                pools.append((free[:k],))
+                weight *= comb(len(free), k)
+        results.extend((tuple(chain.from_iterable(pick)), weight) for pick in product(*pools))
 
     def place(v: int) -> None:
         if v == V:
@@ -775,6 +805,32 @@ def _embeddings(pattern: ThornCode, region: SubThorn) -> list[tuple[Spike, ...]]
         place(1)
     del place  # it calls itself through its closure; the cycle would outlive this call
     return results
+
+
+def _free(x: Address, verts: Container[Address], arity: int) -> list[Spike]:
+    """The spikes a thorn on ``verts`` may have at its vertex x, one per
+    direction that does not lead to another of its vertices."""
+    free = [(x, d) for d in (range(arity) if x else range(arity + 1)) if x + (d,) not in verts]
+    if x and x[:-1] not in verts:
+        free.append((x, UP))
+    return free
+
+
+def _orbit(spikes: Sequence[Spike], region: SubThorn) -> Iterator[tuple[Spike, ...]]:
+    """The spikes of every thorn that a representative from ``_embeddings``
+    stands for, itself included: at each vertex outside the region, its k
+    spikes go to every k of the vertex's free directions."""
+    arity = region.arity
+    spikes_at = _spanned(spikes)
+    kept: list[Spike] = []
+    pools = []
+    for x, dirs in spikes_at.items():
+        if x in region.vertices:
+            kept += [(x, d) for d in dirs]
+        else:
+            pools.append(combinations(_free(x, spikes_at, arity), len(dirs)))
+    for pick in product(*pools):
+        yield (*kept, *chain.from_iterable(pick))
 
 
 def _ball_of_vertices(seeds: Iterable[Address], radius: int, arity: int) -> set[Address]:

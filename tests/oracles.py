@@ -31,6 +31,7 @@ from spherotree.thorn import (
     ThornCode,
     _embeddings,
     _free_trees,
+    _orbit,
     _shape_defect,
     _skeleton,
     _spike_dirs,
@@ -573,32 +574,37 @@ def _tabulate(table: ClassTable, transitions) -> TransitionCounts:
 
 
 def two_sided_theta(g: Spheromorphism, table: ClassTable) -> TransitionCounts:
-    """``theta`` by its former two-sided listing, with no class-balance law.
+    """``theta`` by its former two-sided listing, with no class-balance law,
+    no orbit weights and no shape map.
 
     One loop serves (g, ``pair.dom``) and (g⁻¹, ``pair.ran``), each with a
-    fresh dict from spike to the spikes of its ball's image.  The domain
-    side counts each tracked set that leaves its class, as ``theta`` does;
-    the range side counts each lumped set that enters a tracked class, as
-    the source under g⁻¹ of a tracked set that g⁻¹ moves into the lump.
+    fresh dict from spike to the spikes of its ball's image.  Every thorn of
+    every orbit ``_embeddings`` lists is expanded (``_orbit``) and
+    classified on its own, with a text built for every image that has a
+    tracked class's (vertex count, spike count).  The domain side counts
+    each tracked set that leaves its class, as ``theta`` does; the range
+    side counts each lumped set that enters a tracked class, as the source
+    under g⁻¹ of a tracked set that g⁻¹ moves into the lump.
     """
     pair = minimal_bithorn(g)
     rows = {code.text: i for i, code in enumerate(table.tracked, start=1)}
-    shapes = {(code.vertex_count, code.spike_count) for code in table.tracked}
+    encode = dict.fromkeys((code.vertex_count, code.spike_count) for code in table.tracked)
     transitions = []
     for forward, h, region in ((True, g, pair.dom), (False, invert(g), pair.ran)):
         moved: dict[Spike, tuple[Spike, ...]] = {}
         for i, pattern in enumerate(table.tracked, start=1):
-            for spikes in _embeddings(pattern, region):
-                image = []
-                for spike in spikes:
-                    if spike not in moved:
-                        moved[spike] = _act_on_spike(h, spike)
-                    image += moved[spike]
-                j = rows.get(classify_spikes_among(image, g.arity, shapes), 0)
-                if forward and j != i:
-                    transitions.append((i, j))
-                elif not forward and not j:
-                    transitions.append((0, i))
+            for representative, _ in _embeddings(pattern, region):
+                for spikes in _orbit(representative, region):
+                    image = []
+                    for spike in spikes:
+                        if spike not in moved:
+                            moved[spike] = _act_on_spike(h, spike)
+                        image += moved[spike]
+                    j = classify_spikes_among(image, g.arity, encode, rows)
+                    if forward and j != i:
+                        transitions.append((i, j))
+                    elif not forward and not j:
+                        transitions.append((0, i))
     return _tabulate(table, transitions)
 
 

@@ -31,6 +31,7 @@ from spherotree.orbitstats import (
 from spherotree.spherical import SphericalSpec, phi_nessonov
 from spherotree.thorn import (
     ThornCode,
+    _orbit,
     ball_of_spike,
     classify_balls,
     classify_clopen,
@@ -62,6 +63,7 @@ SPREAD = ThornCode(2, "(0:(1:)(1:))")
 
 BALL_TABLE = ClassTable(2, 0, (BALL,))
 COMBINED_TABLE = ClassTable(2, 0, (BALL, PAIR))
+CAP4_TABLE = ClassTable(2, 0, enumerate_class_codes(2, 0, 4))
 
 
 def A(text: str, arity: int = 2):
@@ -233,6 +235,24 @@ def test_moved_sets_records_and_order_are_pinned():
             digest.update(repr(fields).encode())
     assert count == 1486
     assert digest.hexdigest() == MOVED_SETS_DIGEST
+
+
+# the same over six budget-8 elements and the arity-2 cap-4 table, whose
+# classes (4, 3) share a shape, recorded from the listing that classified
+# every thorn of every orbit on its own
+CAP4_MOVED_SETS_DIGEST = "3ee6bc63aeb199a7b221d42443c7306c1b3e69c264259fca6e5a4ac0bc87fd08"
+
+
+def test_moved_sets_with_a_shared_shape_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for seed in range(6):
+        for rec in moved_sets(random_element(2, 8, 9900 + seed), CAP4_TABLE):
+            count += 1
+            fields = (rec.omega.leaf_flags(), rec.before.text, rec.image.leaf_flags(), rec.after.text)
+            digest.update(repr(fields).encode())
+    assert count == 2120
+    assert digest.hexdigest() == CAP4_MOVED_SETS_DIGEST
 
 
 def test_longer_pattern_table():
@@ -471,7 +491,7 @@ def test_theta_refuses_counts_that_break_the_class_balance_law(monkeypatch):
     g = witness_nonautomorphism()
 
     def unbalanced(h, region, table):
-        yield (), 1, (), 2
+        yield (), 1, (), 2, 1
 
     theta.cache_clear()
     with monkeypatch.context() as patch:
@@ -535,8 +555,9 @@ def test_thorns_meeting_the_pair_only_at_a_mid_edge_keep_their_class():
 
 
 def test_theta_with_the_cell_touch_listing_is_the_same(monkeypatch):
-    """θ over the cell-touch listing of the former enumeration is tuple-equal
-    to θ over the vertex rule."""
+    """θ over the cell-touch listing of the former enumeration, each thorn a
+    record of weight 1, is tuple-equal to θ over the vertex rule and its
+    orbit weights."""
     cases = [_vertex_rule_case(*case) for case in _VERTEX_RULE_CASES]
     theta.cache_clear()
     fast = [theta(g, table) for g, tables in cases for table in tables]
@@ -545,7 +566,7 @@ def test_theta_with_the_cell_touch_listing_is_the_same(monkeypatch):
         patch.setattr(
             orbitstats,
             "_embeddings",
-            lambda pattern, region: [tuple(t.spikes) for t in cell_touch_embeddings(pattern, region)],
+            lambda pattern, region: [(tuple(t.spikes), 1) for t in cell_touch_embeddings(pattern, region)],
         )
         slow = [theta(g, table) for g, tables in cases for table in tables]
     theta.cache_clear()
@@ -572,32 +593,74 @@ def _shortcut_cases():
     return cases
 
 
+def test_theta_over_the_expanded_orbits_is_the_same(monkeypatch):
+    """θ over every thorn of every orbit ``_embeddings`` lists, each expanded
+    by ``_orbit`` into records of weight 1, is tuple-equal to θ over the
+    weighted representatives, on the shortcut cases and on the Gram
+    products; orbits of more than one thorn occur."""
+    real = orbitstats._embeddings
+    weights = Counter()
+
+    def recorded(pattern, region):
+        found = real(pattern, region)
+        weights.update(weight for _, weight in found)
+        return found
+
+    def expanded(pattern, region):
+        return [(member, 1) for spikes, _ in real(pattern, region) for member in _orbit(spikes, region)]
+
+    cases = _shortcut_cases() + [(g, table) for g in _gram_products() for table in (COMBINED_TABLE, CAP4_TABLE)]
+    results = []
+    for listing in (recorded, expanded):
+        theta.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(orbitstats, "_embeddings", listing)
+            results.append([theta(g, table) for g, table in cases])
+    theta.cache_clear()
+    assert results[0] == results[1]
+    assert max(weights) > 1 and weights[1]
+    assert any(v for counts in results[0] for row in counts.matrix for v in row)
+
+
 def _gram_products():
     """The 28 products g_i^-1 g_j of eight seeded Gram elements."""
     elements = [random_element(2, 8, seed) for seed in range(8)]
     return [compose(invert(a), b) for i, a in enumerate(elements) for b in elements[i + 1 :]]
 
 
+def _shape_outcome(spikes, table):
+    """How ``classify_spikes_among`` settles an image with the table's shape
+    map: "lumped" for a shape no tracked class has, "shape" for a shape one
+    class of the sector has, "encoded" for a shape several share."""
+    reduced = reduce_subthorn(subthorn_from_balls(list(map(ball_of_spike, spikes)), table.arity))
+    shape = (len(reduced.vertices), len(reduced.spikes))
+    if shape not in table.by_shape:
+        return "lumped"
+    return "shape" if table.by_shape[shape] else "encoded"
+
+
 def test_shape_shortcut_gives_every_image_the_full_class_index(monkeypatch):
-    """Each image θ considers gets the same table index from the shape test
+    """Each image θ considers gets the same table index from the shape map
     as from full classification, and θ with the full classification patched
-    in is tuple-equal.  Both outcomes of the shape test occur."""
+    in is tuple-equal.  All three outcomes of the shape map occur: lumped by
+    shape, decided by shape, and encoded."""
     real = orbitstats.classify_spikes_among
     outcomes = Counter()
 
     def checked(table):
-        def classify(spikes, arity, shapes):
-            text = real(spikes, arity, shapes)
-            index = next((i for i, code in enumerate(table.tracked, start=1) if code.text == text), 0)
+        def classify(spikes, arity, by_shape, by_text):
+            assert by_shape is table.by_shape
+            index = real(spikes, arity, by_shape, by_text)
             assert index == full_class_index(list(map(ball_of_spike, spikes)), table), (table, spikes)
-            outcomes[text is None] += 1
-            return text
+            outcomes[_shape_outcome(spikes, table)] += 1
+            return index
 
         return classify
 
     def full(table):
-        texts = (None,) + tuple(code.text for code in table.tracked)
-        return lambda spikes, arity, shapes: texts[full_class_index(list(map(ball_of_spike, spikes)), table)]
+        return lambda spikes, arity, by_shape, by_text: full_class_index(
+            list(map(ball_of_spike, spikes)), table
+        )
 
     cases = _shortcut_cases()
     fast, slow = [], []
@@ -611,16 +674,30 @@ def test_shape_shortcut_gives_every_image_the_full_class_index(monkeypatch):
             slow.append(theta(g, table))
     theta.cache_clear()
     assert slow == fast
-    assert outcomes[True] and outcomes[False]
+    assert set(outcomes) == {"lumped", "shape", "encoded"}
     assert {table.arity for _, table in cases} == {2, 3, 4}
     assert any(v for counts in fast for row in counts.matrix for v in row)
 
 
+def test_shape_map_of_the_cap_four_table():
+    """At arity 2, residue 0, the eight classes of at most four vertices have
+    seven shapes, and only (4, 3) is held by two classes; the map decides
+    every other tracked shape and leaves out the shapes of lumped classes."""
+    by_shape = CAP4_TABLE.by_shape
+    assert len(CAP4_TABLE.tracked) == 8
+    assert [shape for shape, index in by_shape.items() if index is None] == [(4, 3)]
+    assert sorted(by_shape) == sorted({(c.vertex_count, c.spike_count) for c in CAP4_TABLE.tracked})
+    assert by_shape[1, 1] == 1 and by_shape[2, 2] == 2
+    # (1:(1:)) alone: (2, 2) is its shape, and (5, 3) belongs to lumped classes only
+    assert ClassTable(2, 0, (PAIR,)).by_shape == {(2, 2): 1}
+    assert CAP4_TABLE.by_shape is by_shape
+
+
 def test_theta_encodes_only_images_of_a_tracked_shape(monkeypatch):
-    """On the products g_i^-1 g_j of seeded Gram elements, θ runs the
-    centre-rooted encoder for fewer images than it classifies, and never for
-    an image whose reduced thorn has the (vertex count, spike count) of no
-    tracked class."""
+    """On the products g_i^-1 g_j of seeded Gram elements with the arity-2
+    cap-4 table, θ runs the centre-rooted encoder for an image exactly when
+    its reduced thorn has a tracked shape that several classes share, here
+    (4, 3), and for fewer images than it classifies."""
     calls = [0]
     real_text = thorn._center_rooted_text
     real_classify = orbitstats.classify_spikes_among
@@ -629,14 +706,13 @@ def test_theta_encodes_only_images_of_a_tracked_shape(monkeypatch):
         calls[0] += 1
         return real_text(*args)
 
-    shapes = {(code.vertex_count, code.spike_count) for code in COMBINED_TABLE.tracked}
     images = []  # (image spikes, encoder runs) per classified image
 
-    def classify(spikes, arity, tracked_shapes):
+    def classify(spikes, arity, by_shape, by_text):
         before = calls[0]
-        text = real_classify(spikes, arity, tracked_shapes)
+        index = real_classify(spikes, arity, by_shape, by_text)
         images.append((spikes, calls[0] - before))
-        return text
+        return index
 
     products = _gram_products()
     theta.cache_clear()
@@ -644,24 +720,24 @@ def test_theta_encodes_only_images_of_a_tracked_shape(monkeypatch):
         patch.setattr(thorn, "_center_rooted_text", counted_text)
         patch.setattr(orbitstats, "classify_spikes_among", classify)
         for g in products:
-            theta(g, COMBINED_TABLE)
+            theta(g, CAP4_TABLE)
     theta.cache_clear()
-    encoded = sum(runs for _, runs in images)
-    assert 0 < encoded < len(images)
-    untracked = 0
+    outcomes = Counter()
     for spikes, runs in images:
-        reduced = reduce_subthorn(subthorn_from_balls(list(map(ball_of_spike, spikes)), 2))
-        if (len(reduced.vertices), len(reduced.spikes)) not in shapes:
-            untracked += 1
-            assert runs == 0, spikes
-    assert untracked > len(images) // 2
+        outcome = _shape_outcome(spikes, CAP4_TABLE)
+        outcomes[outcome] += 1
+        assert runs == (outcome == "encoded"), (spikes, outcome)
+    assert 0 < outcomes["encoded"] < len(images)
+    assert outcomes["lumped"] > len(images) // 2
 
 
 def test_theta_moves_each_domain_spike_once(monkeypatch):
     """On the products g_i^-1 g_j of seeded Gram elements, one θ computation
-    moves, with g and never g^-1, the ball of each spike of the thorns listed
-    on the domain side exactly once, and θ with a per-thorn image through
-    the public ``act_on_ball`` patched in is tuple-equal."""
+    moves, with g and never g^-1, the ball of each spike of the orbit
+    representatives listed on the domain side exactly once, and θ with a
+    per-thorn image through the public ``act_on_ball`` patched in is
+    tuple-equal.  The representatives are some of the thorns
+    ``enumerate_embeddings`` lists."""
     products = _gram_products()
     real_act = orbitstats._act_on_spike
     moved = []  # (element, spike) per call
@@ -678,12 +754,12 @@ def test_theta_moves_each_domain_spike_once(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(orbitstats, "_act_on_spike", counted_act)
             fast.append(theta(g, COMBINED_TABLE))
-        listed = [
-            spike
-            for pattern in COMBINED_TABLE.tracked
-            for found in enumerate_embeddings(pattern, pair.dom)
-            for spike in found.spikes
-        ]
+        listed = []
+        for pattern in COMBINED_TABLE.tracked:
+            every = {frozenset(t.spikes) for t in enumerate_embeddings(pattern, pair.dom)}
+            for spikes, _ in orbitstats._embeddings(pattern, pair.dom):
+                assert frozenset(spikes) in every
+                listed += spikes
         assert all(h is g for h, _ in moved)
         assert sorted(spike for _, spike in moved) == sorted(set(listed))
         per_thorn += len(listed)
@@ -700,16 +776,16 @@ def test_theta_moves_each_domain_spike_once(monkeypatch):
 
 def test_candidates_left_in_place_classify_to_their_own_pattern():
     """On the Gram products, each listed candidate whose image under g (or
-    g^-1 on the range side) is the same set gets its own pattern's text from
+    g^-1 on the range side) is the same set gets its own pattern's index from
     ``classify_spikes_among``.  So ``_leaving`` needs no fixed-set test: it
     sees j = i and does not yield it, on the domain side θ lists and on the
     range side ``moved_sets`` lists."""
-    shapes = {(code.vertex_count, code.spike_count) for code in COMBINED_TABLE.tracked}
+    rows = {code.text: i for i, code in enumerate(COMBINED_TABLE.tracked, start=1)}
     fixed = listed = 0
     for g in _gram_products():
         pair = minimal_bithorn(g)
         for h, region in ((g, pair.dom), (invert(g), pair.ran)):
-            for pattern in COMBINED_TABLE.tracked:
+            for i, pattern in enumerate(COMBINED_TABLE.tracked, start=1):
                 for found in enumerate_embeddings(pattern, region):
                     listed += 1
                     balls = found.balls()
@@ -717,7 +793,8 @@ def test_candidates_left_in_place_classify_to_their_own_pattern():
                     if ClopenSet.from_balls(2, image) == ClopenSet.from_balls(2, balls):
                         fixed += 1
                         spikes = [spike_of_ball(b) for b in image]
-                        assert orbitstats.classify_spikes_among(spikes, 2, shapes) == pattern.text
+                        by_shape = COMBINED_TABLE.by_shape
+                        assert orbitstats.classify_spikes_among(spikes, 2, by_shape, rows) == i
     assert 0 < fixed < listed
 
 
@@ -731,7 +808,7 @@ def test_theta_and_moved_sets_read_no_order_of_balls(monkeypatch):
         return real_image(g, spikes, moved)[::-1]
 
     def reversed_embeddings(pattern, region):
-        return [spikes[::-1] for spikes in real_embeddings(pattern, region)]
+        return [(spikes[::-1], weight) for spikes, weight in real_embeddings(pattern, region)]
 
     products = _gram_products()
     theta.cache_clear()

@@ -233,6 +233,56 @@ def test_negative_integer_fields_meet_their_range_checks(parse, text, message):
         parse(text, source="in.txt")
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        # a bad arity fails on its own line, before any later line reads it
+        (parse_element, "arity -2\n0 -> 0\n", "in.txt:1: arity must be at least 2, got -2"),
+        (parse_clopen, "arity 1\n0 1\n", "in.txt:1: arity must be at least 2, got 1"),
+        (parse_subthorn, "arity 0\nvertex .\n", "in.txt:1: arity must be at least 2, got 0"),
+        (
+            parse_class_table,
+            f"arity {tree.MAX_TEXT_ARITY + 1}\niota 0\nclass (1:)\n",
+            f"in.txt:1: arity {tree.MAX_TEXT_ARITY + 1} exceeds the supported maximum {tree.MAX_TEXT_ARITY}",
+        ),
+        # UP is -1, but a spike toward the parent is spelt up only
+        (parse_subthorn, "arity 2\nvertex 0\nspike 0:-1\n", "in.txt:3: spike direction '-1' is negative"),
+        (parse_subthorn, "arity 2\nvertex 0\nspike 0:-0\n", "in.txt:3: spike direction '-0' is negative"),
+    ],
+)
+def test_header_arity_and_spike_directions_meet_their_range_checks(parse, text, message):
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        parse(text, source="in.txt")
+
+
+@pytest.mark.parametrize(
+    "parse, text, fragment",
+    [
+        # Arabic-Indic digits, which float() reads as 1.0 and 0.5
+        (
+            parse_spherical_spec,
+            "arity 2\niota 0\nclass 2x28313a29\nrow \u0661.\u0660 \u0660.\u0665\nrow \u0660.\u0665 \u0661.\u0660\n",
+            "in.txt:4: matrix entry '\u0661.\u0660'",
+        ),
+        # an underscore, which float() reads as a digit separator
+        (
+            parse_spherical_spec,
+            "arity 2\niota 0\nclass 2x28313a29\nrow 1.0 0_0.5\nrow 0.5 1.0\n",
+            "in.txt:4: matrix entry '0_0.5'",
+        ),
+        (parse_tensor_spec, "arity 2\niota 0\ncap 1\nlimit 1.0 0_0.0\n", "in.txt:4: limit entry '0_0.0'"),
+        (
+            parse_tensor_spec,
+            "arity 2\niota 0\ncap 1\nlimit 1.0 0.0\nvector 2x28313a29 \uff11.0 0.0\n",
+            "in.txt:5: vector entry '\uff11.0'",
+        ),
+    ],
+)
+def test_float_fields_take_ascii_only(parse, text, fragment):
+    with pytest.raises(ValidationError, match="^" + re.escape(fragment) + " is not a number$"):
+        parse(text, source="in.txt")
+
+
 def test_transition_counts_format():
     table = ClassTable(2, 0, (BALL,))
     counts = theta(witness_nonautomorphism(), table)
