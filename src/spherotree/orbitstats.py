@@ -32,14 +32,16 @@ the same class before and after.  The enumeration lists one candidate per
 orbit of these swaps with the orbit's size, and θ classifies each orbit
 once.  The thorn of each image is reduced and its (vertex count, spike
 count) looked up in the table's shape map (``ClassTable.by_shape``): a
-shape no tracked class has is lumped, a shape one class of the sector alone
-has decides that class, and only a shape several classes share is encoded
-(``classify_spikes_among``).  A candidate the element leaves in place is
+shape no tracked class has is lumped, a shape no other class has decides
+its class, and only a shape several classes share is encoded
+(``classify_spikes_among``).  Which shapes are shared follows from the
+leaf rule of the class enumeration without enumerating any class
+(``thorn._shape_is_shared``).  A candidate the element leaves in place is
 classified like any other and keeps its class.  ``moved_sets`` lists the
 same sets plus the lumped ones entering a tracked class, read off the
 range side with g⁻¹, expanding each orbit into its sets, with
-``omega``/``image`` built as clopen normal forms, and classifies a lumped
-class once per orbit from them.  The tests check ``theta``
+``omega``/``image`` built as clopen normal forms, classifying lumped ones
+from them.  The tests check ``theta``
 against a brute-force oracle that sweeps every tracked-class set of bounded
 carrier depth and shares none of its enumeration, reduction or encoding.
 
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .bithorn import BiThorn, CosetCode, canonical_coset_code, minimal_bithorn
@@ -62,10 +65,10 @@ from .thorn import (
     ThornCode,
     _embeddings,
     _orbit,
+    _shape_is_shared,
     check_sector,
     classify_clopen,
     classify_spikes_among,
-    enumerate_class_codes,
     require_class_code,
 )
 from .tree import ClopenSet, Spike, ball_of_spike, trusted
@@ -103,22 +106,19 @@ class ClassTable:
         return (LUMP_LABEL,) + tuple(code.token for code in self.tracked)
 
     @cached_property
-    def by_shape(self) -> dict[tuple[int, int], int | None]:
-        """The shape map of ``classify_spikes_among``, from one enumeration of
-        the sector's classes up to the largest tracked vertex count: each
-        (vertex count, spike count) that a tracked class has goes to that
-        class's index when no other class of the sector shares it, and to
-        None when others do.  A shape left out is held only by lumped
-        classes."""
-        index = {code: i for i, code in enumerate(self.tracked, start=1)}
-        holders: dict[tuple[int, int], list[ThornCode]] = {}
-        top = max(code.vertex_count for code in self.tracked)
-        for code in enumerate_class_codes(self.arity, self.iota, top):
-            holders.setdefault((code.vertex_count, code.spike_count), []).append(code)
+    def by_shape(self) -> dict[tuple[int, int], int | dict[str, int]]:
+        """The shape map of ``classify_spikes_among``, from the tracked
+        classes alone: each (vertex count, spike count) that a tracked class
+        has goes to that class's index when no other class has it
+        (``thorn._shape_is_shared``), and otherwise to the indices of the
+        tracked classes of that shape by code text.  A shape left out is
+        held only by lumped classes."""
+        holders: dict[tuple[int, int], dict[str, int]] = {}
+        for i, code in enumerate(self.tracked, start=1):
+            holders.setdefault((code.vertex_count, code.spike_count), {})[code.text] = i
         return {
-            shape: index.get(codes[0]) if len(codes) == 1 else None
-            for shape, codes in holders.items()
-            if any(code in index for code in codes)
+            shape: rows if _shape_is_shared(self.arity, *shape) else next(iter(rows.values()))
+            for shape, rows in holders.items()
         }
 
 
@@ -172,9 +172,12 @@ class TransitionCounts:
         return trusted(TransitionCounts, self.table, flipped)
 
 
-def _leaving(h: Spheromorphism, region: SubThorn, table: ClassTable) -> Iterator[
-    tuple[Sequence[Spike], int, Sequence[Spike], int, int]
-]:
+def _leaving(
+    h: Spheromorphism,
+    region: SubThorn,
+    table: ClassTable,
+    moved: dict[Spike, tuple[Spike, ...]],
+) -> Iterator[tuple[Sequence[Spike], int, Sequence[Spike], int, int]]:
     """Each symmetry orbit of tracked sets around ``region`` whose class h
     changes.
 
@@ -196,25 +199,24 @@ def _leaving(h: Spheromorphism, region: SubThorn, table: ClassTable) -> Iterator
     set of the orbit has the representative's class before and its image's
     class after, and one classification serves the orbit.
 
-    A dict from spike to the spikes of its ball's image lives for one call,
-    so a spike's ball is moved once however many candidates share it.  A
-    candidate of class i gets the index j of its image's class from its
-    (vertex count, spike count) when one class of the sector has that shape,
-    and from its code text only when several do (``classify_spikes_among``
-    with ``ClassTable.by_shape``), and comes out when j != i.  A candidate h
+    ``moved``, the caller's dict from spike to the spikes of its ball's
+    image under h, grows as candidates are moved, so a spike's ball is moved
+    once however many candidates share it.  A candidate of class i gets the
+    index j of its image's class from its (vertex count, spike count) when
+    no other class has that shape, and from its code text only when one
+    does (``classify_spikes_among`` with ``ClassTable.by_shape``), and
+    comes out when j != i.  A candidate h
     leaves in place needs no test of its own: it is a reduced thorn of class
     i with a spike on every skeleton leaf, so its image, the same set,
     classifies to class i, j = i.  Each embedding is listed once, so no set
     comes out twice.
     """
     arity = h.arity
-    rows = {code.text: i for i, code in enumerate(table.tracked, start=1)}
     by_shape = table.by_shape
-    moved: dict[Spike, tuple[Spike, ...]] = {}
     for i, pattern in enumerate(table.tracked, start=1):
         for spikes, weight in _embeddings(pattern, region):
             image = _image(h, spikes, moved)
-            j = classify_spikes_among(image, arity, by_shape, rows)
+            j = classify_spikes_among(image, arity, by_shape)
             if j != i:
                 yield spikes, i, image, j, weight
 
@@ -245,36 +247,40 @@ def moved_sets(g: Spheromorphism, table: ClassTable) -> tuple[MovedSet, ...]:
     records with j = 0 read backwards.  A lumped set entering a tracked
     class has an untracked source, so it is never a leaving set, and g is a
     bijection, so no set comes out twice.  Each orbit record is expanded
-    (``thorn._orbit``), every member keeping the representative's two
-    classes, and moved again.  Each set and its image are built as clopen
-    normal forms, ordered by the set's carrier flags; a lumped class is
-    classified once per orbit, from the representative's clopen set.
-    ``theta`` itself builds no clopen set and never lists the range side.
+    into its sets (``_members``).  Each set and its image are built as
+    clopen normal forms, ordered by the set's carrier flags; a lumped class
+    is classified from its clopen set.  ``theta`` itself builds no clopen
+    set and never lists the range side.
     """
     if g.arity != table.arity:
         raise DomainError(f"arity mismatch: {g.arity} vs {table.arity}")
     pair = minimal_bithorn(g)
+    entering = (
+        (image, 0, spikes, i)
+        for spikes, i, image, j in _members(invert(g), pair.ran, table)
+        if not j
+    )
     codes = (None,) + table.tracked
     records = []
-    for h, region, forward in ((g, pair.dom, True), (invert(g), pair.ran, False)):
-        moved: dict[Spike, tuple[Spike, ...]] = {}
-        for spikes, i, image, j, _ in _leaving(h, region, table):
-            if not (forward or j == 0):
-                continue
-            image_class = codes[j] or classify_clopen(_clopen(g.arity, image))
-            for member in _orbit(spikes, region):
-                omega = _clopen(g.arity, member)
-                omega_image = _clopen(g.arity, _image(h, member, moved))
-                records.append(
-                    MovedSet(omega, codes[i], omega_image, image_class)
-                    if forward
-                    else MovedSet(omega_image, image_class, omega, codes[i])
-                )
+    for omega_spikes, i, image_spikes, j in chain(_members(g, pair.dom, table), entering):
+        omega = ClopenSet.from_balls(g.arity, map(ball_of_spike, omega_spikes))
+        image = ClopenSet.from_balls(g.arity, map(ball_of_spike, image_spikes))
+        before = codes[i] or classify_clopen(omega)
+        records.append(MovedSet(omega, before, image, codes[j] or classify_clopen(image)))
     return tuple(sorted(records, key=lambda rec: rec.omega.leaf_flags()))
 
 
-def _clopen(arity: int, spikes: Sequence[Spike]) -> ClopenSet:
-    return ClopenSet.from_balls(arity, map(ball_of_spike, spikes))
+def _members(h: Spheromorphism, region: SubThorn, table: ClassTable) -> Iterator[
+    tuple[Sequence[Spike], int, Sequence[Spike], int]
+]:
+    """``_leaving`` with each orbit expanded into its sets (``_orbit``):
+    (spikes of the set, index before, spikes of its image, index after),
+    every member keeping the representative's two indices.  One dict serves
+    the listing and the expansion, so each spike's ball is moved once."""
+    moved: dict[Spike, tuple[Spike, ...]] = {}
+    for spikes, i, _, j, _ in _leaving(h, region, table, moved):
+        for member in _orbit(spikes, region):
+            yield member, i, _image(h, member, moved), j
 
 
 def _counts(table: ClassTable, counts: list[list[int]]) -> TransitionCounts:
@@ -313,7 +319,7 @@ def _coset_theta(coset: _Coset, table: ClassTable) -> TransitionCounts:
     """
     size = len(table.tracked) + 1
     counts = [[0] * size for _ in range(size)]
-    for _, i, _, j, weight in _leaving(coset.g, coset.pair.dom, table):
+    for _, i, _, j, weight in _leaving(coset.g, coset.pair.dom, table, {}):
         counts[i][j] += weight
     for i in range(1, size):
         entering = sum(counts[i]) - sum(counts[k][i] for k in range(1, size))

@@ -519,26 +519,24 @@ def classify_balls(balls: Iterable[Ball], arity: int) -> str:
 
 
 def classify_spikes_among(
-    spikes: Iterable[Spike],
-    arity: int,
-    by_shape: Mapping[tuple[int, int], int | None],
-    by_text: Mapping[str, int],
+    spikes: Iterable[Spike], arity: int, by_shape: Mapping[tuple[int, int], int | Mapping[str, int]]
 ) -> int:
     """The index of the class of the spikes' balls among some indexed
     classes, 0 for any other, with a text built only where the shape leaves
     the class open.  ``by_shape`` maps the (vertex count, spike count) of
-    the reduced thorn to the index of the one class of its sector with that
-    shape, or to None where several share it and the code text, looked up
-    in ``by_text``, decides; a shape it lacks belongs to no indexed class.
-    Codes of one class share their shape.  θ calls this once per orbit of
-    candidates (``_embeddings``): swapping free branches at a candidate's
-    vertices outside the bi-thorn side commutes with the element up to an
-    automorphism, so every member has the representative's classes."""
+    the reduced thorn to the index of the one class with that shape, or,
+    where several classes share it (``_shape_is_shared``), to the indices
+    of the indexed ones by code text; a shape it lacks belongs to no
+    indexed class.  Codes of one class share their shape.  θ calls this
+    once per orbit of candidates (``_embeddings``): swapping free branches
+    at a candidate's vertices outside the bi-thorn side commutes with the
+    element up to an automorphism, so every member has the
+    representative's classes."""
     spikes_at = _reduce(_spanned(spikes), arity)
     index = by_shape.get((len(spikes_at), sum(map(len, spikes_at.values()))), 0)
-    if index is None:
-        return by_text.get(_reduced_text(spikes_at, arity), 0)
-    return index
+    if isinstance(index, int):
+        return index
+    return index.get(_reduced_text(spikes_at, arity), 0)
 
 
 def _reduced_text(spikes_at: dict[Address, set[int]], arity: int) -> str:
@@ -654,6 +652,31 @@ def enumerate_class_codes(arity: int, iota: int, max_vertices: int) -> tuple[Tho
                 if spikes % (arity - 1) == iota:
                     found.add((V, spikes, min(_rooted_texts(parent, counts, centers)[1])))
     return tuple(trusted(ThornCode, arity, text) for _, _, text in sorted(found))
+
+
+def _shape_is_shared(arity: int, vertex_count: int, spike_count: int) -> bool:
+    """Whether several orbit classes have V vertices and S spikes, for a
+    shape that some class has; no class is enumerated.
+
+    By the leaf rule of ``enumerate_class_codes`` a tree on V >= 2 vertices
+    with L leaves takes every spike count from L to (n-1)V + 2 - L: at most
+    n-1 at a leaf and n+1-d at a vertex of degree d, and the degrees add up
+    to 2V - 2.  From four vertices on, the path (L = 2) and a tree with
+    three leaves both take every count strictly between 2 and (n-1)V, which
+    gives two classes; S = 2 and S = (n-1)V leave the path alone, with every
+    count at its least or at its most.  Below four vertices the path is the
+    only tree, and its counts are told apart up to reversal: one count per
+    end in 1 .. n-1, and on three vertices one in 0 .. n-1 between them.  A
+    lone vertex takes all S spikes.  The residue S mod (n-1) is the same for
+    every class of one shape.
+    """
+    n, V, S = arity, vertex_count, spike_count
+    if V == 1:
+        return False
+    if V >= 4:
+        return 2 < S < (n - 1) * V
+    between = range(n) if V == 3 else range(1)
+    return sum(S - a - b in between for a in range(1, n) for b in range(a, n)) > 1
 
 
 def _free_trees(max_vertices: int) -> Iterator[list[tuple[frozenset[int], ...]]]:

@@ -588,7 +588,7 @@ def two_sided_theta(g: Spheromorphism, table: ClassTable) -> TransitionCounts:
     """
     pair = minimal_bithorn(g)
     rows = {code.text: i for i, code in enumerate(table.tracked, start=1)}
-    encode = dict.fromkeys((code.vertex_count, code.spike_count) for code in table.tracked)
+    encode = dict.fromkeys(((code.vertex_count, code.spike_count) for code in table.tracked), rows)
     transitions = []
     for forward, h, region in ((True, g, pair.dom), (False, invert(g), pair.ran)):
         moved: dict[Spike, tuple[Spike, ...]] = {}
@@ -600,7 +600,7 @@ def two_sided_theta(g: Spheromorphism, table: ClassTable) -> TransitionCounts:
                         if spike not in moved:
                             moved[spike] = _act_on_spike(h, spike)
                         image += moved[spike]
-                    j = classify_spikes_among(image, g.arity, encode, rows)
+                    j = classify_spikes_among(image, g.arity, encode)
                     if forward and j != i:
                         transitions.append((i, j))
                     elif not forward and not j:

@@ -30,9 +30,11 @@ from spherotree.orbitstats import (
 )
 from spherotree.spherical import SphericalSpec, phi_nessonov
 from spherotree.thorn import (
+    SubThorn,
     ThornCode,
     _orbit,
     ball_of_spike,
+    canonical_code,
     classify_balls,
     classify_clopen,
     enumerate_class_codes,
@@ -490,7 +492,7 @@ def test_theta_refuses_counts_that_break_the_class_balance_law(monkeypatch):
     θ raises ``InternalError`` instead."""
     g = witness_nonautomorphism()
 
-    def unbalanced(h, region, table):
+    def unbalanced(h, region, table, moved):
         yield (), 1, (), 2, 1
 
     theta.cache_clear()
@@ -630,13 +632,13 @@ def _gram_products():
 
 def _shape_outcome(spikes, table):
     """How ``classify_spikes_among`` settles an image with the table's shape
-    map: "lumped" for a shape no tracked class has, "shape" for a shape one
-    class of the sector has, "encoded" for a shape several share."""
+    map: "lumped" for a shape no tracked class has, "shape" for a shape no
+    other class has, "encoded" for a shape several share."""
     reduced = reduce_subthorn(subthorn_from_balls(list(map(ball_of_spike, spikes)), table.arity))
     shape = (len(reduced.vertices), len(reduced.spikes))
     if shape not in table.by_shape:
         return "lumped"
-    return "shape" if table.by_shape[shape] else "encoded"
+    return "shape" if isinstance(table.by_shape[shape], int) else "encoded"
 
 
 def test_shape_shortcut_gives_every_image_the_full_class_index(monkeypatch):
@@ -648,9 +650,9 @@ def test_shape_shortcut_gives_every_image_the_full_class_index(monkeypatch):
     outcomes = Counter()
 
     def checked(table):
-        def classify(spikes, arity, by_shape, by_text):
+        def classify(spikes, arity, by_shape):
             assert by_shape is table.by_shape
-            index = real(spikes, arity, by_shape, by_text)
+            index = real(spikes, arity, by_shape)
             assert index == full_class_index(list(map(ball_of_spike, spikes)), table), (table, spikes)
             outcomes[_shape_outcome(spikes, table)] += 1
             return index
@@ -658,7 +660,7 @@ def test_shape_shortcut_gives_every_image_the_full_class_index(monkeypatch):
         return classify
 
     def full(table):
-        return lambda spikes, arity, by_shape, by_text: full_class_index(
+        return lambda spikes, arity, by_shape: full_class_index(
             list(map(ball_of_spike, spikes)), table
         )
 
@@ -682,15 +684,46 @@ def test_shape_shortcut_gives_every_image_the_full_class_index(monkeypatch):
 def test_shape_map_of_the_cap_four_table():
     """At arity 2, residue 0, the eight classes of at most four vertices have
     seven shapes, and only (4, 3) is held by two classes; the map decides
-    every other tracked shape and leaves out the shapes of lumped classes."""
+    every other tracked shape, sends (4, 3) to its two classes by text, and
+    leaves out the shapes of lumped classes.  A table tracking one of the
+    two still encodes (4, 3)."""
     by_shape = CAP4_TABLE.by_shape
     assert len(CAP4_TABLE.tracked) == 8
-    assert [shape for shape, index in by_shape.items() if index is None] == [(4, 3)]
+    shared = {shape: rows for shape, rows in by_shape.items() if not isinstance(rows, int)}
+    assert list(shared) == [(4, 3)]
+    pair_of_four = [c for c in CAP4_TABLE.tracked if (c.vertex_count, c.spike_count) == (4, 3)]
+    index = {code: i for i, code in enumerate(CAP4_TABLE.tracked, start=1)}
+    assert shared[4, 3] == {code.text: index[code] for code in pair_of_four} and len(pair_of_four) == 2
     assert sorted(by_shape) == sorted({(c.vertex_count, c.spike_count) for c in CAP4_TABLE.tracked})
     assert by_shape[1, 1] == 1 and by_shape[2, 2] == 2
     # (1:(1:)) alone: (2, 2) is its shape, and (5, 3) belongs to lumped classes only
     assert ClassTable(2, 0, (PAIR,)).by_shape == {(2, 2): 1}
+    assert ClassTable(2, 0, pair_of_four[1:]).by_shape == {(4, 3): {pair_of_four[1].text: 1}}
     assert CAP4_TABLE.by_shape is by_shape
+
+
+def test_shape_map_enumerates_no_class(monkeypatch):
+    """The shape map comes from the tracked classes alone: with the class
+    enumeration refusing to run, a table tracking one seven-vertex class at
+    arity 9 (a sector with millions of spike vectors up to that size) and
+    the cap-four table get their maps, and the shapes they decide are the
+    ones no other class has."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the shape map enumerated classes")
+
+    path = [(0,) * k for k in range(7)]
+    ends = {((), 1), (path[-1], 1)}
+    bare = canonical_code(SubThorn(9, frozenset(path), frozenset(ends)))
+    spiked = canonical_code(SubThorn(9, frozenset(path), frozenset(ends | {(path[3], 1)})))
+    with monkeypatch.context() as patch:
+        patch.setattr(thorn, "enumerate_class_codes", refuse)
+        patch.setattr(thorn, "_free_trees", refuse)
+        # two spikes on seven vertices: the bare path alone
+        assert ClassTable(9, 2, (bare,)).by_shape == {(7, 2): 1}
+        # three spikes: a tree with three leaves has that shape too
+        assert ClassTable(9, 3, (spiked,)).by_shape == {(7, 3): {spiked.text: 1}}
+        assert ClassTable(2, 0, CAP4_TABLE.tracked).by_shape == CAP4_TABLE.by_shape
 
 
 def test_theta_encodes_only_images_of_a_tracked_shape(monkeypatch):
@@ -708,9 +741,9 @@ def test_theta_encodes_only_images_of_a_tracked_shape(monkeypatch):
 
     images = []  # (image spikes, encoder runs) per classified image
 
-    def classify(spikes, arity, by_shape, by_text):
+    def classify(spikes, arity, by_shape):
         before = calls[0]
-        index = real_classify(spikes, arity, by_shape, by_text)
+        index = real_classify(spikes, arity, by_shape)
         images.append((spikes, calls[0] - before))
         return index
 
@@ -780,7 +813,6 @@ def test_candidates_left_in_place_classify_to_their_own_pattern():
     ``classify_spikes_among``.  So ``_leaving`` needs no fixed-set test: it
     sees j = i and does not yield it, on the domain side θ lists and on the
     range side ``moved_sets`` lists."""
-    rows = {code.text: i for i, code in enumerate(COMBINED_TABLE.tracked, start=1)}
     fixed = listed = 0
     for g in _gram_products():
         pair = minimal_bithorn(g)
@@ -793,8 +825,7 @@ def test_candidates_left_in_place_classify_to_their_own_pattern():
                     if ClopenSet.from_balls(2, image) == ClopenSet.from_balls(2, balls):
                         fixed += 1
                         spikes = [spike_of_ball(b) for b in image]
-                        by_shape = COMBINED_TABLE.by_shape
-                        assert orbitstats.classify_spikes_among(spikes, 2, by_shape, rows) == i
+                        assert orbitstats.classify_spikes_among(spikes, 2, COMBINED_TABLE.by_shape) == i
     assert 0 < fixed < listed
 
 

@@ -11,6 +11,7 @@ from spherotree.thorn import (
     UP,
     _center_rooted_text,
     _free_trees,
+    _shape_is_shared,
     _rooted_texts,
     _spanned,
     AbstractThorn,
@@ -851,6 +852,22 @@ def test_enumerate_class_codes_match_every_vector_oracle(arity, iota, max_vertic
     assert enumerate_class_codes(arity, iota, max_vertices) == every_vector_class_codes(
         arity, iota, max_vertices
     )
+
+
+def test_shared_shapes_match_the_enumeration():
+    """``_shape_is_shared`` tells, without enumerating, exactly the
+    (vertex count, spike count) pairs that several enumerated classes of a
+    sector have, every residue included; both outcomes occur at every vertex
+    count from 4 on."""
+    grid = [(2, 9), (3, 7), (4, 6), (5, 5), (9, 4)]
+    outcomes = set()
+    for arity, cap in grid:
+        for iota in range(arity - 1):
+            shapes = Counter((c.vertex_count, c.spike_count) for c in enumerate_class_codes(arity, iota, cap))
+            for (V, S), holders in shapes.items():
+                assert _shape_is_shared(arity, V, S) == (holders > 1), (arity, iota, V, S)
+                outcomes.add((min(V, 4), holders > 1))
+    assert outcomes == {(V, shared) for V in range(1, 5) for shared in (False, True)} - {(1, True)}
 
 
 def test_code_counts_are_read_off_the_text():
