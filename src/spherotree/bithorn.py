@@ -11,7 +11,7 @@ sit at a single far-side vertex) shrinks the pair without changing the
 two-sided coset; the fixpoint is empty exactly when g is induced by a tree
 automorphism.  ``CosetCode`` serializes the fixpoint canonically, giving a
 computable invariant of the two-sided automorphism coset of g; the texts of
-its two sides come from ``thorn._rooted_texts``, as every thorn code does.
+its two sides come from ``thorn._rooted_texts``, as the classifier's do.
 """
 
 from __future__ import annotations

@@ -2,14 +2,16 @@
 
 Exit codes: 0 on success, 1 when an input (file or flag) fails validation —
 the diagnostic names the offending file and line — and 2 when an internal
-invariant breaks (a bug trap, never a user error).  All output is
-line-oriented plain text and deterministic for fixed inputs and seed.
+invariant breaks (a bug trap, never a user error); stdout closed early (as by
+``| head``) gives a quiet 1.  All output is line-oriented plain text and
+deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -384,7 +386,12 @@ def build_parser() -> _Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # devnull for the exit's own flush ("Note on SIGPIPE", signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValidationError, DomainError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -10,8 +10,8 @@ via their partition into maximal sub-balls.
 
 The orbit of a clopen set under the full automorphism group is captured by
 the isomorphism class of its reduced thorn, encoded here as a canonical
-center-rooted string (``ThornCode``).  One rerooting pass, ``_rooted_texts``,
-builds every rooted text of the library, coset-code shapes included.
+center-rooted string (``ThornCode``).  Enumerated classes get their texts as
+their trees are built; ``_rooted_texts`` builds every other, coset shapes too.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import re
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, combinations_with_replacement, product
+from itertools import chain, combinations, product
 from math import comb
 from typing import Container, Iterable, Iterator, Mapping, Sequence
 
@@ -432,8 +432,8 @@ def _skeleton_centers(adjacency: Sequence[frozenset[int]]) -> list[int]:
 def _rooted_texts(
     parent: Sequence[int], spike_counts: Sequence[int], roots: Sequence[int]
 ) -> tuple[list[list[tuple[str, int]]], list[str]]:
-    """The rooted texts of a skeleton, from one rerooting pass: the only
-    place that builds them.
+    """The rooted texts of a given skeleton, from one rerooting pass; class
+    enumeration builds its texts as it builds its trees (``_class_texts``).
 
     The vertices are numbered parent first: ``parent[v] < v`` for every v
     but 0, and ``parent[0]`` is -1.  A rooted text is ``(k:`` with k the
@@ -600,58 +600,70 @@ def check_sector(arity: int, iota: int) -> None:
 
 
 def enumerate_class_codes(arity: int, iota: int, max_vertices: int) -> tuple[ThornCode, ...]:
-    """All orbit-class codes of the residue sector with at most V vertices.
-
-    Each unlabelled tree on at most V vertices (``_free_trees``) is taken
-    once and combined with every spike-count vector in the residue sector
-    that the leaf rule admits.  A skeleton leaf, or a lone vertex, takes a
-    count in 1 .. n-1: 0 would leave it bare (or the thorn spikeless), n
-    unreduced and n+1 perfect.  Any other vertex takes 0 .. n+1-d, with d
-    its degree.  Each test of ``_shape_defect`` fails only where some leaf
-    or lone vertex has a count outside 1 .. n-1 (every tree has a leaf or
-    is one vertex, so a spikeless or perfect thorn has such a vertex), so
-    every vector the rule admits is an orbit class and none is tested.
-
-    Leaves that hang from one vertex are swapped by a skeleton automorphism,
-    so their counts are taken as a multiset (``combinations_with_replacement``
-    over the group of them), and each other vertex is a group of its own; a
-    vector is one pick per group.  The centre-rooted text then merges the
-    vectors that differ by any other automorphism.  Codes come sorted by
-    (vertex count, spike count, text).
+    """All orbit-class codes of the residue sector with at most V vertices,
+    sorted by (vertex count, spike count, text), each built once and already
+    canonical (``_class_texts``), as Beyer and Hedetniemi (SIAM J. Comput. 9,
+    1980) generate rooted trees and Wright, Richmond, Odlyzko and McKay (SIAM
+    J. Comput. 15, 1986) free ones.  A skeleton leaf, or a lone vertex, takes
+    1 .. n-1 spikes: 0 would leave it bare (or the thorn spikeless), n
+    unreduced and n+1 perfect; any other vertex takes 0 .. n+1-d, with d its
+    degree.  So every class passes ``_shape_defect``, which is not run.
     """
     check_sector(arity, iota)
     if max_vertices < 1:
         raise ValidationError("class enumeration needs at least one vertex")
-    found: set[tuple[int, int, str]] = set()
-    for V, trees in enumerate(_free_trees(max_vertices), start=1):
-        for adjacency in trees:
-            # the vertices renumbered group by group, so that the picks of
-            # the groups, chained, are a vector in the new numbering
-            leaves_at: dict[int, list[int]] = {}
-            groups = []
-            for v, nbrs in enumerate(adjacency):
-                if len(nbrs) == 1:
-                    leaves_at.setdefault(min(nbrs), []).append(v)
-                else:
-                    groups.append([v])
-            groups += leaves_at.values()
-            order = [v for group in groups for v in group]
-            index = {v: i for i, v in enumerate(order)}
-            skeleton = tuple(frozenset(index[w] for w in adjacency[v]) for v in order)
-            centers = _skeleton_centers(skeleton)
-            # leaves come after the rest, so each vertex's parent is still its least neighbour
-            parent = [-1] + [min(nbrs) for nbrs in skeleton[1:]]
-            choices = []
-            for group in groups:
-                d = len(adjacency[group[0]])
-                allowed = range(1, arity) if d <= 1 else range(arity + 2 - d)
-                choices.append(combinations_with_replacement(allowed, len(group)))
-            for pick in product(*choices):
-                counts = tuple(chain.from_iterable(pick))
-                spikes = sum(counts)
-                if spikes % (arity - 1) == iota:
-                    found.add((V, spikes, min(_rooted_texts(parent, counts, centers)[1])))
-    return tuple(trusted(ThornCode, arity, text) for _, _, text in sorted(found))
+    found = sorted(_class_texts(arity, iota, max_vertices))
+    return tuple(trusted(ThornCode, arity, text) for _, _, text in found)
+
+
+def _class_texts(arity: int, iota: int, max_vertices: int) -> list[tuple[int, int, str]]:
+    """(vertex count, spike count, code text) of each class once, unsorted.
+
+    A planted subtree of height h is a spike count and a multiset of lower
+    subtrees, one at least of height h-1, picked in text order so that their
+    texts come sorted, and has at most max_vertices - h - 1 vertices, since a
+    subtree of height h or more lies beside it.  A centre has two or more
+    children of the top height; a bicentre edge joins two of one height.
+    """
+    n, step = arity, arity - 1
+    found = [(1, k, f"({k}:)") for k in range(1, n) if k % step == iota]
+    # (text, vertices, spikes, root spike count, child texts); a leaf takes 1 .. n-1
+    level = [(f"({k}:)", 1, k, k, ()) for k in range(1, n)]
+    pool: list[tuple[str, int, int, int]] = []  # (text, vertices, spikes, height), by text
+    height = 0
+    while level:
+        for i, (a, Va, Sa, ka, kids_a) in enumerate(level):
+            for b, Vb, Sb, kb, kids_b in level[i:]:
+                if Va + Vb <= max_vertices and (Sa + Sb) % step == iota:
+                    at_a = f"({ka}:{''.join(sorted((*kids_a, b)))})"
+                    at_b = f"({kb}:{''.join(sorted((*kids_b, a)))})"
+                    found.append((Va + Vb, Sa + Sb, min(at_a, at_b)))
+        pool = sorted(pool + [(text, V, S, height) for text, V, S, _, _ in level])
+        height += 1
+        # a root with c <= n children takes 0 .. n-c spikes, a centre 0 .. n+1-c
+        level = [
+            (f"({k}:{''.join(kids)})", V + 1, S + k, k, kids)
+            for kids, V, S, top, _ in _picks(pool, 0, n, max_vertices - height - 2)
+            if top == height - 1
+            for k in range(n + 1 - len(kids))
+        ]
+    for kids, V, S, _, tops in _picks(pool, 0, n + 1, max_vertices - 1):
+        spikes = range((iota - S) % step, n + 2 - len(kids), step) if tops >= 2 else ()
+        found += [(V + 1, S + k, f"({k}:{''.join(kids)})") for k in spikes]
+    return found
+
+
+def _picks(pool: Sequence[tuple], start: int, most: int, budget: int) -> Iterator[tuple]:
+    """Each multiset of 1 .. most pool members from ``start`` on, of at most ``budget``
+    vertices, once, in pool order: (texts, vertices, spikes, top height, how many have it)."""
+    for i in range(start, len(pool)):
+        text, V, S, h = pool[i]
+        if V <= budget:
+            yield (text,), V, S, h, 1
+            for kids, V2, S2, h2, tops in _picks(pool, i, most - 1, budget - V) if most > 1 else ():
+                if h2 < h:
+                    h2, tops = h, 0
+                yield (text, *kids), V + V2, S + S2, h2, tops + (h2 == h)
 
 
 def _shape_is_shared(arity: int, vertex_count: int, spike_count: int) -> bool:
@@ -677,25 +689,6 @@ def _shape_is_shared(arity: int, vertex_count: int, spike_count: int) -> bool:
         return 2 < S < (n - 1) * V
     between = range(n) if V == 3 else range(1)
     return sum(S - a - b in between for a in range(1, n) for b in range(a, n)) > 1
-
-
-def _free_trees(max_vertices: int) -> Iterator[list[tuple[frozenset[int], ...]]]:
-    """Per V = 1 .. max_vertices, each unlabelled tree on V vertices once.
-
-    Every tree on V + 1 vertices is a tree on V vertices with a leaf added;
-    the centre-rooted text of the bare skeleton drops the repeats.
-    """
-    trees = [(frozenset(),)]
-    for V in range(1, max_vertices + 1):
-        yield trees
-        if V == max_vertices:
-            return
-        grown: dict[str, tuple[frozenset[int], ...]] = {}
-        for adjacency in trees:
-            for v in range(V):
-                bigger = adjacency[:v] + (adjacency[v] | {V},) + adjacency[v + 1 :] + (frozenset({v}),)
-                grown.setdefault(_center_rooted_text(bigger, (0,) * (V + 1)), bigger)
-        trees = list(grown.values())
 
 
 # ---------------------------------------------------------------------------

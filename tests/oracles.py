@@ -30,7 +30,6 @@ from spherotree.thorn import (
     SubThorn,
     ThornCode,
     _embeddings,
-    _free_trees,
     _orbit,
     _shape_defect,
     _skeleton,
@@ -747,13 +746,13 @@ def pruefer_class_codes(arity: int, iota: int, max_vertices: int) -> tuple[Thorn
 def every_vector_class_codes(arity: int, iota: int, max_vertices: int) -> tuple[ThornCode, ...]:
     """``enumerate_class_codes`` as first written, over every spike vector.
 
-    Each unlabelled tree (``_free_trees``) with every spike-count vector
+    Each unlabelled tree (``free_trees``) with every spike-count vector
     that fits its degrees; the residue test and ``_shape_defect`` drop the
     vectors that are no orbit class, and a set of the reference encoder's
     texts drops repeats.
     """
     found: set[tuple[int, int, str]] = set()
-    for V, trees in enumerate(_free_trees(max_vertices), start=1):
+    for V, trees in enumerate(free_trees(max_vertices), start=1):
         for adjacency in trees:
             degs = tuple(len(nbrs) for nbrs in adjacency)
             centres = skeleton_centres(adjacency)
@@ -763,6 +762,25 @@ def every_vector_class_codes(arity: int, iota: int, max_vertices: int) -> tuple[
                     continue
                 found.add((V, spikes, reference_code_text(adjacency, counts, centres)))
     return tuple(trusted(ThornCode, arity, text) for _, _, text in sorted(found))
+
+
+def free_trees(max_vertices: int) -> Iterator[list[tuple[frozenset[int], ...]]]:
+    """Per V = 1 .. max_vertices, each unlabelled tree on V vertices once.
+
+    Every tree on V + 1 vertices is a tree on V vertices with a leaf added;
+    the reference encoder's text of the bare skeleton drops the repeats.
+    """
+    trees = [(frozenset(),)]
+    for V in range(1, max_vertices + 1):
+        yield trees
+        if V == max_vertices:
+            return
+        grown: dict[str, tuple[frozenset[int], ...]] = {}
+        for adjacency in trees:
+            for v in range(V):
+                bigger = adjacency[:v] + (adjacency[v] | {V},) + adjacency[v + 1 :] + (frozenset({v}),)
+                grown.setdefault(reference_code_text(bigger, (0,) * (V + 1)), bigger)
+        trees = list(grown.values())
 
 
 def labeled_trees(V: int) -> Iterator[tuple[frozenset[int], ...]]:

@@ -421,6 +421,31 @@ def test_module_entry_point_matches_the_in_process_run(capsys, tmp_path, monkeyp
         assert done.returncode == expected
 
 
+def test_closed_stdout_exits_one_quietly(tmp_path):
+    """A reader that closes stdout before the run writes (``| head``) gets
+    exit 1 and nothing on stderr, whether the write fails at the final flush
+    (a short, buffered output), part way through the printing (468 classes)
+    or at the first write (unbuffered, ``-u``)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for flags, argv in (
+        ([], ["thompson-gens", "--which", "rotation"]),
+        ([], ["enum-thorns", "--arity", "2", "--iota", "0", "--max-vertices", "9"]),
+        (["-u"], ["thompson-gens", "--which", "rotation"]),
+    ):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, *flags, "-m", "spherotree", *argv],
+                cwd=tmp_path, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, ""), (flags, argv)
+
+
 def test_usage_errors_exit_one(capsys):
     code, _, err = _run(capsys, "no-such-command")
     assert code == 1 and "invalid choice" in err

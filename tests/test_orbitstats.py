@@ -718,7 +718,7 @@ def test_shape_map_enumerates_no_class(monkeypatch):
     spiked = canonical_code(SubThorn(9, frozenset(path), frozenset(ends | {(path[3], 1)})))
     with monkeypatch.context() as patch:
         patch.setattr(thorn, "enumerate_class_codes", refuse)
-        patch.setattr(thorn, "_free_trees", refuse)
+        patch.setattr(thorn, "_class_texts", refuse)
         # two spikes on seven vertices: the bare path alone
         assert ClassTable(9, 2, (bare,)).by_shape == {(7, 2): 1}
         # three spikes: a tree with three leaves has that shape too

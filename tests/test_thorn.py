@@ -10,7 +10,7 @@ from spherotree.errors import DomainError, ValidationError
 from spherotree.thorn import (
     UP,
     _center_rooted_text,
-    _free_trees,
+    _class_texts,
     _shape_is_shared,
     _rooted_texts,
     _spanned,
@@ -50,6 +50,7 @@ from oracles import (
     ball_relation,
     depth_members,
     every_vector_class_codes,
+    free_trees,
     labeled_trees,
     pairwise_path_span,
     pruefer_class_codes,
@@ -840,9 +841,12 @@ def test_enumerate_class_codes_match_pruefer_oracle(arity, iota, max_vertices):
     )
 
 
-# every residue at the benchmark's ``enum-thorns`` caps, and arity 2 beyond
-EVERY_VECTOR_GRID = [(2, 0, 8)] + [
-    (arity, iota, cap) for arity, cap in ((3, 5), (4, 5), (5, 4), (6, 4)) for iota in range(arity - 1)
+# every residue at the benchmark's ``enum-thorns`` caps, at cap 4 up to arity
+# 9 and at cap 6 for arity 3, and arity 2 up to 9 vertices
+EVERY_VECTOR_GRID = [(2, 0, 8), (2, 0, 9)] + [
+    (arity, iota, cap)
+    for arity, cap in ((3, 5), (3, 6), (4, 5), (5, 4), (6, 4), (7, 4), (8, 4), (9, 4))
+    for iota in range(arity - 1)
 ]
 
 
@@ -852,6 +856,14 @@ def test_enumerate_class_codes_match_every_vector_oracle(arity, iota, max_vertic
     assert enumerate_class_codes(arity, iota, max_vertices) == every_vector_class_codes(
         arity, iota, max_vertices
     )
+
+
+@pytest.mark.parametrize("arity, iota, max_vertices", EVERY_VECTOR_GRID)
+def test_each_class_is_built_once(arity, iota, max_vertices):
+    """The generator's unsorted output repeats no text: no class is built
+    twice and dropped by the sort."""
+    texts = [text for _, _, text in _class_texts(arity, iota, max_vertices)]
+    assert len(set(texts)) == len(texts) == len(enumerate_class_codes(arity, iota, max_vertices))
 
 
 def test_shared_shapes_match_the_enumeration():
@@ -897,7 +909,7 @@ def _skeleton_texts(trees):
 
 def test_free_trees_counts():
     # OEIS A000055: unlabelled trees on 1..10 vertices
-    layers = list(_free_trees(10))
+    layers = list(free_trees(10))
     assert [len(trees) for trees in layers] == [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
     for V, trees in enumerate(layers, start=1):
         assert all(len(adjacency) == V for adjacency in trees)
@@ -909,7 +921,7 @@ def test_free_trees_counts():
 
 def test_free_trees_match_networkx():
     nx = pytest.importorskip("networkx")
-    for V, trees in enumerate(_free_trees(10), start=1):
+    for V, trees in enumerate(free_trees(10), start=1):
         reference = []
         for graph in nx.nonisomorphic_trees(V):
             nodes = sorted(graph.nodes)
